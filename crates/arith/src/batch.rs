@@ -1,5 +1,4 @@
-//! The batched arithmetic backend: slice-level kernels and memoized
-//! significand-product caches.
+//! The batched arithmetic backend: slice-level kernels.
 //!
 //! The paper's deployment story routes every convolution/dense multiply
 //! through the approximate FPM (§4.1). Simulating that one scalar at a time —
@@ -7,9 +6,10 @@
 //! the runtime of every experiment. This module is the slice-level
 //! counterpart: [`Multiplier`] gains `multiply_slice` / `dot_accumulate` /
 //! `axpy_slice` with scalar fallbacks, and [`Multiplier::batch_kernel`] hands
-//! callers a stateful per-worker [`BatchKernel`] that may amortize work
-//! across an entire GEMM (operand decomposition done once per slice,
-//! gate-level significand products memoized in a [`SigProductCache`]).
+//! callers a per-worker [`BatchKernel`] that may amortize work across an
+//! entire GEMM (operand decomposition done once per slice, scratch buffers
+//! reused across tiles; gate-level cores run on the bit-sliced plane sweep
+//! of [`crate::bitslice`]).
 //!
 //! Contract: **every batched path is bit-identical to the scalar
 //! [`Multiplier::multiply`] loop it replaces**, for all inputs including
@@ -142,11 +142,11 @@ impl PreparedOperands {
 /// A stateful, single-threaded slice kernel obtained from
 /// [`Multiplier::batch_kernel`].
 ///
-/// One kernel per worker thread: kernels may carry mutable memoization state
-/// (see [`SigProductCache`]) and are deliberately `&mut self` so that state
-/// needs no synchronization. Results must be bit-identical to the scalar
-/// `multiply` loop regardless of kernel reuse, because caches key on exact
-/// operand bits.
+/// One kernel per worker thread: kernels may carry mutable scratch state
+/// (reused row-class and operand buffers) and are deliberately `&mut self`
+/// so that state needs no synchronization. Results must be bit-identical to
+/// the scalar `multiply` loop regardless of kernel reuse: scratch state never
+/// carries results from one call into the next.
 pub trait BatchKernel {
     /// `acc[i] += multiply(a, b[i])` for every `i` (exact accumulation, as
     /// in the paper: only the multiplier is approximate).
@@ -307,11 +307,6 @@ pub trait BatchKernel {
     fn classify_rhs(&self, b: &[f32]) -> RowClass {
         crate::simd::classify_row(b)
     }
-
-    /// `(hits, misses)` of the kernel's significand cache, if it has one.
-    fn cache_stats(&self) -> Option<(u64, u64)> {
-        None
-    }
 }
 
 /// The default [`BatchKernel`]: stateless delegation to the multiplier's
@@ -350,7 +345,7 @@ impl<M: Multiplier + ?Sized> BatchKernel for FallbackKernel<'_, M> {
 /// (native exact, Bfloat16): classify each of the tile's `K` rows **once**,
 /// then sweep every output row with the kernel's class-aware axpy. The FPM
 /// kernel has its own variant (it consumes pre-decomposed operand fields and
-/// a memoizing slow path).
+/// runs gate-level cores on the bit-sliced sweep).
 pub(crate) fn gemm_tile_classified(
     ops: &PreparedOperands,
     b: &[f32],
@@ -376,119 +371,11 @@ pub(crate) fn gemm_tile_classified(
     }
 }
 
-/// Default cache size: 2¹⁶ entries ⇒ 1 MiB per worker.
-pub const DEFAULT_CACHE_BITS: u32 = 16;
-
-const EMPTY_KEY: u64 = u64::MAX;
-
-/// A direct-mapped memo cache for gate-level significand products.
-///
-/// Keys are the two 24-bit significands packed into one word; the slot index
-/// mixes the pair's bits (multiply-shift) so clustered mantissas spread
-/// across the table. Every slot stores the **full** key alongside the
-/// product, so a hit is exact by construction — collisions simply evict, and
-/// a miss falls back to composing the exact gate-level core. Repeated
-/// weight×activation mantissa pairs (ubiquitous in a GEMM, where `im2col`
-/// replicates activations and weight rows sweep many columns) then cost one
-/// table probe instead of a full array-multiplier simulation.
-#[derive(Debug, Clone)]
-pub struct SigProductCache {
-    slots: Vec<(u64, u64)>,
-    shift: u32,
-    hits: u64,
-    misses: u64,
-}
-
-impl Default for SigProductCache {
-    fn default() -> Self {
-        SigProductCache::new(DEFAULT_CACHE_BITS)
-    }
-}
-
-impl SigProductCache {
-    /// A cache with `2^bits` slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is zero or above 28 (4 GiB of slots is a config bug).
-    pub fn new(bits: u32) -> Self {
-        assert!((1..=28).contains(&bits), "cache bits {bits} out of range 1..=28");
-        SigProductCache {
-            slots: vec![(EMPTY_KEY, 0); 1usize << bits],
-            shift: 64 - bits,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    #[inline]
-    fn slot_of(&self, key: u64) -> usize {
-        // Fibonacci multiply-shift over the packed pair: cheap, and far
-        // better distributed than indexing by the raw top bits when weights
-        // or activations cluster in a narrow mantissa band.
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
-    }
-
-    /// The product for significand pair `(sa, sb)`, computing it with `core`
-    /// on a miss.
-    #[inline]
-    pub fn product(&mut self, sa: u64, sb: u64, core: impl FnOnce(u64, u64) -> u64) -> u64 {
-        debug_assert!(sa < (1 << 24) && sb < (1 << 24), "significands exceed 24 bits");
-        let key = (sa << 24) | sb;
-        let slot = self.slot_of(key);
-        let (stored_key, stored_val) = self.slots[slot];
-        if stored_key == key {
-            self.hits += 1;
-            return stored_val;
-        }
-        self.misses += 1;
-        let val = core(sa, sb);
-        self.slots[slot] = (key, val);
-        val
-    }
-
-    /// `(hits, misses)` since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fpm::FloatMultiplier;
     use crate::{ExactMultiplier, Multiplier, MultiplierKind};
     use rand::{Rng, SeedableRng};
-
-    #[test]
-    fn cache_is_exact_under_collisions() {
-        // A tiny 2-slot cache forces constant eviction; results must still
-        // be exactly what the core computes.
-        let mut cache = SigProductCache::new(1);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        for _ in 0..10_000 {
-            let sa = rng.gen_range(0u64..1 << 24);
-            let sb = rng.gen_range(0u64..1 << 24);
-            assert_eq!(cache.product(sa, sb, |x, y| x * y), sa * sb);
-        }
-        let (hits, misses) = cache.stats();
-        assert_eq!(hits + misses, 10_000);
-    }
-
-    #[test]
-    fn cache_hits_on_repeats() {
-        let mut cache = SigProductCache::default();
-        let core_calls = std::cell::Cell::new(0u32);
-        for _ in 0..5 {
-            let p = cache.product(0x80_0001, 0xC0_0000, |x, y| {
-                core_calls.set(core_calls.get() + 1);
-                x * y
-            });
-            assert_eq!(p, 0x80_0001 * 0xC0_0000);
-        }
-        assert_eq!(core_calls.get(), 1, "repeat pairs must not re-run the core");
-        assert_eq!(cache.stats(), (4, 1));
-    }
 
     #[test]
     fn default_slice_methods_match_scalar_loops() {
@@ -529,13 +416,13 @@ mod tests {
         let mut out = [0.0f32; 2];
         kernel.mul(&[2.0, 3.0], &[5.0, 7.0], &mut out);
         assert_eq!(out, [10.0, 21.0]);
-        assert_eq!(kernel.cache_stats(), None);
     }
 
     #[test]
-    fn memoized_kernel_is_bit_exact_for_gate_level_cores() {
-        // HEAP has no closed-form fast path, so its kernel memoizes; a
-        // repeated-operand workload must still match scalar multiply exactly.
+    fn bitsliced_kernel_is_bit_exact_for_gate_level_cores() {
+        // HEAP has no closed-form fast path, so its kernel runs the
+        // bit-sliced sweep; a repeated-operand workload must still match
+        // scalar multiply exactly.
         let m = crate::heap::heap_multiplier();
         let mut kernel = m.batch_kernel();
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
@@ -549,15 +436,6 @@ mod tests {
                 *w += m.multiply(a, x);
             }
             assert_eq!(acc, want);
-        }
-        let (hits, misses) = kernel.cache_stats().expect("heap kernel memoizes");
-        assert!(hits > misses, "repeated operands must mostly hit: {hits} vs {misses}");
-    }
-
-    #[test]
-    fn fpm_fast_path_kernels_have_no_cache() {
-        for m in [FloatMultiplier::ax_fpm(), FloatMultiplier::exact()] {
-            assert_eq!(m.batch_kernel().cache_stats(), None, "{}", m.name());
         }
     }
 

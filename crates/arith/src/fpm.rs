@@ -21,7 +21,7 @@
 //! * NaN/Inf follow IEEE semantics and bypass the approximate core.
 
 use crate::array::{ArrayMultiplier, ArrayMultiplierSpec};
-use crate::batch::{BatchKernel, SigProductCache};
+use crate::batch::BatchKernel;
 use crate::bitslice::{BitslicedArray, BITSLICE_LANES, BITSLICE_WIDE, BITSLICE_WIDE_LANES};
 use crate::multiplier::Multiplier;
 use crate::simd::{self, RowClass};
@@ -265,85 +265,49 @@ fn pack_clamped(sign_bit: u32, exp: i32, frac: u32) -> f32 {
     f32::from_bits(bits)
 }
 
-/// Gate-level core multiplies a memo-enabled kernel performs before it
-/// allocates its [`SigProductCache`]: a tiny GEMM (one Dense forward in an
-/// attack loop, say) never pays the 1 MiB table allocation, while any
-/// workload long enough to profit crosses the threshold almost immediately
-/// (each gate-level product costs ~0.5 µs; the table costs ~50 µs once).
-const MEMO_WARMUP_PRODUCTS: u32 = 512;
-
-/// Memoization state of a batched FPM kernel for `FastPath::None` cores.
-enum SigMemo {
-    /// Never memoize (one-shot slice calls).
-    Disabled,
-    /// Memo-enabled but below [`MEMO_WARMUP_PRODUCTS`]; counts down.
-    Warmup(u32),
-    /// Allocated and serving.
-    Active(SigProductCache),
-}
-
-/// The batched kernel behind [`FloatMultiplier::batch_kernel`]: decomposes
-/// the shared operand once per slice call and, for cores without a proven
-/// closed form (HEAP, ablation wirings), memoizes gate-level significand
-/// products in a [`SigProductCache`] (allocated lazily after a warmup, so
-/// small GEMMs skip it). Kernels *without* a memo cache — the one-shot slice
-/// entry points — run those cores on the bit-sliced plane sweep instead
-/// ([`BitslicedArray`], 64 products per block), which needs no table at all
-/// and therefore also covers rotating wirings. Cores **with** a closed form (canonical AMA5, the
-/// exact array) run on the lane-parallel kernels of [`crate::simd`]: each
-/// right-hand row is classified once ([`RowClass`]) and swept by a
-/// class-matched `LANES`-wide block pipeline; `Special` rows stay on the
-/// shared per-element slow path.
+/// The batched kernel behind [`FloatMultiplier::batch_kernel`] and the
+/// one-shot slice entry points: decomposes the shared operand once per slice
+/// call. Cores without a proven closed form (HEAP, ablation wirings) run on
+/// the bit-sliced plane sweep ([`BitslicedArray`], 64 products per block, or
+/// 8×64 through [`FpmBatchKernel::axpy_fused`]), which needs no table and
+/// therefore also covers rotating wirings. Cores **with** a closed form
+/// (canonical AMA5, the exact array) run on the lane-parallel kernels of
+/// [`crate::simd`]: each right-hand row is classified once ([`RowClass`])
+/// and swept by a class-matched `LANES`-wide block pipeline; `Special` rows
+/// stay on the shared per-element slow path.
 ///
 /// Bit-exactness with the scalar path holds by construction: the special
-/// value / zero / denormal branch structure mirrors `multiply_inner`, the
+/// value / zero / denormal branch structure mirrors `multiply_inner`, and the
 /// normalization tail re-expresses the shared [`FloatMultiplier::finish`]
-/// (asserted equivalent in `crate::simd`'s unit tests), and cache hits are
-/// validated against the full significand pair.
+/// (asserted equivalent in `crate::simd`'s unit tests).
 struct FpmBatchKernel<'a> {
     m: &'a FloatMultiplier,
-    memo: SigMemo,
     /// Per-patch-row classes for the tile-level GEMM entry point, computed
     /// once per tile and reused by every output-row sweep.
     row_class: Vec<RowClass>,
+    /// One output row's weights for the gate-level tile GEMM, reused across
+    /// tiles.
+    terms: Vec<f32>,
 }
 
 impl<'a> FpmBatchKernel<'a> {
-    fn new(m: &'a FloatMultiplier, with_cache: bool) -> Self {
-        let memo = if with_cache && m.fast_path == FastPath::None {
-            SigMemo::Warmup(MEMO_WARMUP_PRODUCTS)
-        } else {
-            SigMemo::Disabled
-        };
-        FpmBatchKernel { m, memo, row_class: Vec::new() }
+    fn new(m: &'a FloatMultiplier) -> Self {
+        FpmBatchKernel { m, row_class: Vec::new(), terms: Vec::new() }
     }
 
     #[inline]
-    fn sig_product(&mut self, sa: u64, sb: u64) -> u64 {
+    fn sig_product(&self, sa: u64, sb: u64) -> u64 {
         match self.m.fast_path {
             FastPath::CanonicalAma5 => sa << SIGNIFICAND_BITS,
             FastPath::Exact => sa * sb,
-            FastPath::None => {
-                let core = &self.m.core;
-                match &mut self.memo {
-                    SigMemo::Active(cache) => cache.product(sa, sb, |x, y| core.multiply(x, y)),
-                    SigMemo::Disabled => core.multiply(sa, sb),
-                    SigMemo::Warmup(left) => {
-                        *left -= 1;
-                        if *left == 0 {
-                            self.memo = SigMemo::Active(SigProductCache::default());
-                        }
-                        core.multiply(sa, sb)
-                    }
-                }
-            }
+            FastPath::None => self.m.core.multiply(sa, sb),
         }
     }
 
     /// One product against a predecomposed left operand; mirrors
     /// `multiply_inner` branch for branch.
     #[inline]
-    fn mul_one(&mut self, pa: Binary32Parts, a_nan: bool, b: f32) -> f32 {
+    fn mul_one(&self, pa: Binary32Parts, a_nan: bool, b: f32) -> f32 {
         let pb = Binary32Parts::from_f32(b);
         let sign = pa.sign ^ pb.sign;
 
@@ -435,35 +399,28 @@ impl FpmBatchKernel<'_> {
 }
 
 impl FpmBatchKernel<'_> {
-    /// Whether gate-level products should run on the bit-sliced plane sweep:
-    /// only cores without a closed form, and only on kernels without a memo
-    /// cache (memoized kernels keep their validated per-element hit path —
-    /// their cache statistics are part of the observable contract).
-    #[inline]
-    fn uses_bitslice(&self) -> bool {
-        self.m.fast_path == FastPath::None && matches!(self.memo, SigMemo::Disabled)
-    }
-
     /// The shared `axpy` body over an already-decomposed left operand: the
-    /// single implementation behind both [`BatchKernel::axpy`] and
-    /// [`BatchKernel::axpy_prepared`], so the two entry points cannot
-    /// diverge.
-    fn axpy_parts(&mut self, pa: Binary32Parts, a_nan: bool, b: &[f32], acc: &mut [f32]) {
+    /// single implementation behind [`BatchKernel::axpy`],
+    /// [`BatchKernel::axpy_prepared`] and [`BatchKernel::axpy_classified`],
+    /// so the entry points cannot diverge. `class` is the caller's
+    /// [covering](RowClass::covers) class of `b`, if it has one; otherwise
+    /// closed-form cores scan `b` themselves.
+    fn axpy_parts(
+        &mut self,
+        pa: Binary32Parts,
+        a_nan: bool,
+        class: Option<RowClass>,
+        b: &[f32],
+        acc: &mut [f32],
+    ) {
         assert_eq!(b.len(), acc.len(), "axpy_slice length mismatch");
         if !pa.is_special() && !pa.is_zero_or_denormal() {
-            match self.m.fast_path {
-                FastPath::CanonicalAma5 => {
-                    return self.ama5_axpy_classified(pa, simd::classify_row(b), b, acc);
-                }
-                FastPath::Exact => {
-                    return self.exact_axpy_classified(pa, simd::classify_row(b), b, acc);
-                }
-                FastPath::None => {
-                    if self.uses_bitslice() {
-                        return self.axpy_parts_bitsliced(pa, b, acc);
-                    }
-                }
-            }
+            let class = || class.unwrap_or_else(|| simd::classify_row(b));
+            return match self.m.fast_path {
+                FastPath::CanonicalAma5 => self.ama5_axpy_classified(pa, class(), b, acc),
+                FastPath::Exact => self.exact_axpy_classified(pa, class(), b, acc),
+                FastPath::None => self.axpy_parts_bitsliced(pa, b, acc),
+            };
         }
         for (o, &y) in acc.iter_mut().zip(b) {
             *o = simd::nan_stable_add(*o, self.mul_one(pa, a_nan, y));
@@ -540,7 +497,7 @@ impl FpmBatchKernel<'_> {
         let n = acc.len();
         let mut t = 0usize;
         while t < a.len() {
-            let wide = self.uses_bitslice()
+            let wide = self.m.fast_path == FastPath::None
                 && n > 0
                 && a.len() - t >= BITSLICE_WIDE
                 && a[t..t + BITSLICE_WIDE].iter().all(|&x| {
@@ -709,6 +666,29 @@ impl FpmBatchKernel<'_> {
             }
         }
     }
+
+    /// The gate-level tile GEMM shared by [`BatchKernel::gemm_tile`] and
+    /// [`BatchKernel::gemm_tile_classed`]: each output row is one
+    /// [`FpmBatchKernel::axpy_fused`] of that row's `K` weights against the
+    /// `[K, tile]` patch block, so runs of [`BITSLICE_WIDE`] normal weights
+    /// share one wide plane sweep. Per element the `k` order is ascending,
+    /// exactly as row-by-row `axpy_prepared`.
+    fn gemm_tile_fused(
+        &mut self,
+        ops: &crate::batch::PreparedOperands,
+        b: &[f32],
+        tile: usize,
+        acc: &mut [f32],
+        acc_stride: usize,
+    ) {
+        let mut terms = std::mem::take(&mut self.terms);
+        for r in 0..ops.rows() {
+            terms.clear();
+            terms.extend(ops.row(r).iter().map(|op| op.value()));
+            self.axpy_fused(&terms, b, &mut acc[r * acc_stride..r * acc_stride + tile]);
+        }
+        self.terms = terms;
+    }
 }
 
 /// Elements per stack block of the fused dot product: lane-compute this many
@@ -719,28 +699,16 @@ const DOT_BLOCK: usize = 8 * simd::LANES;
 
 impl BatchKernel for FpmBatchKernel<'_> {
     fn axpy(&mut self, a: f32, b: &[f32], acc: &mut [f32]) {
-        self.axpy_parts(Binary32Parts::from_f32(a), a.is_nan(), b, acc);
+        self.axpy_parts(Binary32Parts::from_f32(a), a.is_nan(), None, b, acc);
     }
 
     fn axpy_prepared(&mut self, a: &crate::batch::PreparedOperand, b: &[f32], acc: &mut [f32]) {
-        self.axpy_parts(a.parts(), a.is_nan(), b, acc);
+        self.axpy_parts(a.parts(), a.is_nan(), None, b, acc);
     }
 
     fn axpy_classified(&mut self, a: f32, b: &[f32], class: RowClass, acc: &mut [f32]) {
         debug_assert!(class.covers(simd::classify_row(b)), "stale row class");
-        assert_eq!(b.len(), acc.len(), "axpy_slice length mismatch");
-        let pa = Binary32Parts::from_f32(a);
-        if !pa.is_special() && !pa.is_zero_or_denormal() {
-            match self.m.fast_path {
-                FastPath::CanonicalAma5 => return self.ama5_axpy_classified(pa, class, b, acc),
-                FastPath::Exact => return self.exact_axpy_classified(pa, class, b, acc),
-                FastPath::None => {}
-            }
-        }
-        let a_nan = a.is_nan();
-        for (o, &y) in acc.iter_mut().zip(b) {
-            *o = simd::nan_stable_add(*o, self.mul_one(pa, a_nan, y));
-        }
+        self.axpy_parts(Binary32Parts::from_f32(a), a.is_nan(), Some(class), b, acc);
     }
 
     /// Multi-row sweep of one shared right-hand row: classify the row
@@ -749,12 +717,6 @@ impl BatchKernel for FpmBatchKernel<'_> {
     /// the per-`axpy` classification scan is amortized across the block).
     fn axpy_rows(&mut self, a: &[f32], b: &[f32], acc: &mut [f32], acc_stride: usize) {
         assert!(a.len() <= 1 || acc_stride >= b.len(), "axpy_rows rows overlap");
-        if self.m.fast_path == FastPath::None {
-            for (r, &av) in a.iter().enumerate() {
-                self.axpy(av, b, &mut acc[r * acc_stride..r * acc_stride + b.len()]);
-            }
-            return;
-        }
         let class = simd::classify_row(b);
         for (r, &av) in a.iter().enumerate() {
             self.axpy_classified(av, b, class, &mut acc[r * acc_stride..r * acc_stride + b.len()]);
@@ -767,8 +729,8 @@ impl BatchKernel for FpmBatchKernel<'_> {
     /// class-matched lane kernel — per element the arithmetic and
     /// accumulation order are identical to row-by-row `axpy_prepared`
     /// (enforced by the batch tests and the engine equivalence property
-    /// tests). Gate-level cores pay per-element costs anyway, so they keep
-    /// row-by-row delegation (and their memo cache).
+    /// tests). Gate-level cores run each output row as one fused wide plane
+    /// sweep over its `K` weights.
     fn gemm_tile(
         &mut self,
         ops: &crate::batch::PreparedOperands,
@@ -781,13 +743,7 @@ impl BatchKernel for FpmBatchKernel<'_> {
         assert_eq!(b.len(), k_rows * tile, "gemm_tile b length mismatch");
         assert!(ops.rows() <= 1 || acc_stride >= tile, "gemm_tile rows overlap");
         if self.m.fast_path == FastPath::None {
-            for r in 0..ops.rows() {
-                let acc_row = &mut acc[r * acc_stride..r * acc_stride + tile];
-                for (k, op) in ops.row(r).iter().enumerate() {
-                    self.axpy_parts(op.parts(), op.is_nan(), &b[k * tile..(k + 1) * tile], acc_row);
-                }
-            }
-            return;
+            return self.gemm_tile_fused(ops, b, tile, acc, acc_stride);
         }
 
         let mut row_class = std::mem::take(&mut self.row_class);
@@ -801,7 +757,8 @@ impl BatchKernel for FpmBatchKernel<'_> {
 
     /// One class [covering](RowClass::covers) every patch row (a serving
     /// engine derives it from the conv input plane): same sweeps as
-    /// [`BatchKernel::gemm_tile`], zero classification scans.
+    /// [`BatchKernel::gemm_tile`], zero classification scans (gate-level
+    /// cores need no class).
     fn gemm_tile_classed(
         &mut self,
         ops: &crate::batch::PreparedOperands,
@@ -814,39 +771,14 @@ impl BatchKernel for FpmBatchKernel<'_> {
         assert_eq!(b.len(), ops.cols() * tile, "gemm_tile b length mismatch");
         assert!(ops.rows() <= 1 || acc_stride >= tile, "gemm_tile rows overlap");
         if self.m.fast_path == FastPath::None {
-            for r in 0..ops.rows() {
-                let acc_row = &mut acc[r * acc_stride..r * acc_stride + tile];
-                for (k, op) in ops.row(r).iter().enumerate() {
-                    self.axpy_parts(op.parts(), op.is_nan(), &b[k * tile..(k + 1) * tile], acc_row);
-                }
-            }
-            return;
+            return self.gemm_tile_fused(ops, b, tile, acc, acc_stride);
         }
         self.gemm_tile_sweep(ops, b, tile, acc, acc_stride, &|_| class);
     }
 
     fn dot(&mut self, a: &[f32], b: &[f32]) -> f32 {
         assert_eq!(a.len(), b.len(), "dot_accumulate length mismatch");
-        // Closed-form cores lane-compute the products block by block and
-        // accumulate them in slice order; one Inf/NaN anywhere falls back to
-        // the shared scalar loop (specials are vanishingly rare in
-        // activations, and the slow path is the semantic ground truth).
-        if self.m.fast_path != FastPath::None && !simd::pair_has_special(a, b) {
-            let mut acc = 0.0f32;
-            let mut buf = [0.0f32; DOT_BLOCK];
-            for (ac, bc) in a.chunks(DOT_BLOCK).zip(b.chunks(DOT_BLOCK)) {
-                let prods = &mut buf[..ac.len()];
-                match self.m.fast_path {
-                    FastPath::CanonicalAma5 => simd::ama5_mul_pair(ac, bc, prods),
-                    _ => simd::exact_mul_pair(ac, bc, prods),
-                }
-                for &p in prods.iter() {
-                    acc = simd::nan_stable_add(acc, p);
-                }
-            }
-            return acc;
-        }
-        if self.uses_bitslice() {
+        if self.m.fast_path == FastPath::None {
             // Gate-level products run 64 per plane sweep; the reduction stays
             // in slice order (the order is part of the bit-exactness
             // contract), so only the products are parallelized.
@@ -855,6 +787,25 @@ impl BatchKernel for FpmBatchKernel<'_> {
             for (ac, bc) in a.chunks(BITSLICE_LANES).zip(b.chunks(BITSLICE_LANES)) {
                 let prods = &mut buf[..ac.len()];
                 self.mul_pair_bitsliced(ac, bc, prods);
+                for &p in prods.iter() {
+                    acc = simd::nan_stable_add(acc, p);
+                }
+            }
+            return acc;
+        }
+        // Closed-form cores lane-compute the products block by block and
+        // accumulate them in slice order; one Inf/NaN anywhere falls back to
+        // the shared scalar loop (specials are vanishingly rare in
+        // activations, and the slow path is the semantic ground truth).
+        if !simd::pair_has_special(a, b) {
+            let mut acc = 0.0f32;
+            let mut buf = [0.0f32; DOT_BLOCK];
+            for (ac, bc) in a.chunks(DOT_BLOCK).zip(b.chunks(DOT_BLOCK)) {
+                let prods = &mut buf[..ac.len()];
+                match self.m.fast_path {
+                    FastPath::CanonicalAma5 => simd::ama5_mul_pair(ac, bc, prods),
+                    _ => simd::exact_mul_pair(ac, bc, prods),
+                }
                 for &p in prods.iter() {
                     acc = simd::nan_stable_add(acc, p);
                 }
@@ -872,25 +823,18 @@ impl BatchKernel for FpmBatchKernel<'_> {
     fn mul(&mut self, a: &[f32], b: &[f32], out: &mut [f32]) {
         assert_eq!(a.len(), b.len(), "multiply_slice length mismatch");
         assert_eq!(a.len(), out.len(), "multiply_slice output length mismatch");
-        if self.m.fast_path != FastPath::None && !simd::pair_has_special(a, b) {
+        if self.m.fast_path == FastPath::None {
+            return self.mul_pair_bitsliced(a, b, out);
+        }
+        if !simd::pair_has_special(a, b) {
             match self.m.fast_path {
                 FastPath::CanonicalAma5 => simd::ama5_mul_pair(a, b, out),
                 _ => simd::exact_mul_pair(a, b, out),
             }
             return;
         }
-        if self.uses_bitslice() {
-            return self.mul_pair_bitsliced(a, b, out);
-        }
         for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
             *o = self.mul_one(Binary32Parts::from_f32(x), x.is_nan(), y);
-        }
-    }
-
-    fn cache_stats(&self) -> Option<(u64, u64)> {
-        match &self.memo {
-            SigMemo::Active(cache) => Some(cache.stats()),
-            SigMemo::Disabled | SigMemo::Warmup(_) => None,
         }
     }
 }
@@ -904,28 +848,26 @@ impl Multiplier for FloatMultiplier {
         &self.name
     }
 
-    // One-shot slice calls amortize operand decomposition but skip the memo
-    // cache (a 1 MiB table is not worth allocating per call); long-lived
-    // kernels from `batch_kernel` get the cache.
+    // One-shot slice calls run a fresh copy of the `batch_kernel` kernel.
 
     fn multiply_slice(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        FpmBatchKernel::new(self, false).mul(a, b, out);
+        FpmBatchKernel::new(self).mul(a, b, out);
     }
 
     fn dot_accumulate(&self, a: &[f32], b: &[f32]) -> f32 {
-        FpmBatchKernel::new(self, false).dot(a, b)
+        FpmBatchKernel::new(self).dot(a, b)
     }
 
     fn axpy_slice(&self, a: f32, b: &[f32], acc: &mut [f32]) {
-        FpmBatchKernel::new(self, false).axpy(a, b, acc);
+        FpmBatchKernel::new(self).axpy(a, b, acc);
     }
 
     fn axpy_fused(&self, a: &[f32], b: &[f32], acc: &mut [f32]) {
-        FpmBatchKernel::new(self, false).axpy_fused(a, b, acc);
+        FpmBatchKernel::new(self).axpy_fused(a, b, acc);
     }
 
     fn batch_kernel(&self) -> Box<dyn BatchKernel + Send + '_> {
-        Box::new(FpmBatchKernel::new(self, true))
+        Box::new(FpmBatchKernel::new(self))
     }
 }
 

@@ -28,13 +28,10 @@
 //!   [`Multiplier::dot_accumulate`], [`Multiplier::axpy_slice`] — with
 //!   scalar-loop defaults and vectorizable overrides for the exact and
 //!   Bfloat16 multipliers.
-//! * [`Multiplier::batch_kernel`] hands out a per-worker stateful
+//! * [`Multiplier::batch_kernel`] hands out a per-worker
 //!   [`batch::BatchKernel`]. The FPM kernel decomposes the shared operand
-//!   once per slice and, for cores without a proven closed form (HEAP and
-//!   ablation wirings), memoizes gate-level significand products in a
-//!   [`batch::SigProductCache`] — a direct-mapped LUT tagged with the full
-//!   24×24-bit significand pair, so hits are exact and misses fall back to
-//!   the gate-level core.
+//!   once per slice and runs cores without a proven closed form (HEAP and
+//!   ablation wirings) on the [`bitslice`] plane sweep.
 //! * [`batch::PreparedOperands`] pre-decomposes a weight matrix's
 //!   sign/exponent/significand fields once (at serving-plan compile time,
 //!   see `da_nn::engine`); [`BatchKernel::axpy_prepared`] consumes the
@@ -43,10 +40,9 @@
 //! * Cores with a proven closed form (canonical AMA5, the exact array, and
 //!   the Bfloat16 truncation) run on the **lane-parallel kernels** of
 //!   [`simd`]: rows are classified once ([`RowClass`]) and swept by
-//!   `LANES`-wide branchless block pipelines (autovectorized on every
-//!   target; hand-written AVX2 with runtime dispatch behind the
-//!   `simd-intrinsics` cargo feature). Inf/NaN rows stay on the shared
-//!   scalar slow path, so special-value semantics cannot diverge.
+//!   `LANES`-wide branchless block pipelines, autovectorized on every
+//!   target. Inf/NaN rows stay on the shared scalar slow path, so
+//!   special-value semantics cannot diverge.
 //! * When operands are **8-bit codes**, the [`quantized`] module collapses
 //!   any multiplier's hot path — gate-level cores included — into a
 //!   precomputed 256×256 [`ProductLut`] gather: every entry is the scalar
@@ -80,11 +76,11 @@
 //! 3. **f32 operands, closed-form core** (exact array, canonical AMA5
 //!    Ax-FPM, Bfloat16 truncation) → [`simd`] lane kernels: branchless
 //!    `LANES`-wide block pipelines over classified rows.
-//! 4. **f32 operands, gate-level core** (HEAP, ablation wirings) →
-//!    one-shot kernels run the [`bitslice`] plane sweep via
-//!    [`Multiplier::axpy_fused`]; memoized per-worker kernels keep the
-//!    [`batch::SigProductCache`] LUT path (its hit/miss counters are part
-//!    of the observable serving contract).
+//! 4. **f32 operands, gate-level core** (HEAP, ablation wirings) → the
+//!    [`bitslice`] plane sweep, per-worker kernel or one-shot call alike:
+//!    64 products per block, and 8×64 per wide block wherever runs of
+//!    normal shared operands allow it (tile GEMMs and
+//!    [`Multiplier::axpy_fused`]).
 //! 5. **Anything else** (special values, ragged tails, non-x86 targets) →
 //!    the scalar loop, which is always the semantic ground truth.
 //!
@@ -124,7 +120,7 @@ mod multiplier;
 
 pub use adders::AdderKind;
 pub use array::{ArrayMultiplier, ArrayMultiplierSpec, CellAssignment, CpaKind, PortMap};
-pub use batch::{BatchKernel, PreparedOperand, PreparedOperands, SigProductCache};
+pub use batch::{BatchKernel, PreparedOperand, PreparedOperands};
 pub use bitslice::{
     transpose64, BitslicedArray, BITSLICE_LANES, BITSLICE_WIDE, BITSLICE_WIDE_LANES,
 };

@@ -24,7 +24,7 @@ use crate::RowClass;
 /// multiplier only has to implement `multiply`; performance-critical
 /// implementations override the slice methods (and
 /// [`batch_kernel`](Multiplier::batch_kernel)) with vectorizable or
-/// memoizing versions. **Every override must stay bit-identical to the
+/// bit-sliced versions. **Every override must stay bit-identical to the
 /// scalar loop** — the GEMM property tests enforce this per kind.
 pub trait Multiplier: Send + Sync {
     /// Multiply two values through the simulated datapath.
@@ -98,10 +98,10 @@ pub trait Multiplier: Send + Sync {
 
     /// A stateful per-worker kernel for batched inner loops.
     ///
-    /// The default delegates to the slice methods above. Gate-level
-    /// multipliers return memoizing kernels (see
-    /// [`crate::batch::SigProductCache`]); callers create one kernel per
-    /// worker thread and reuse it across an entire GEMM.
+    /// The default delegates to the slice methods above. FPM multipliers
+    /// return kernels that run gate-level cores on the bit-sliced plane
+    /// sweep (see [`crate::bitslice`]); callers create one kernel per worker
+    /// thread and reuse it across an entire GEMM.
     fn batch_kernel(&self) -> Box<dyn BatchKernel + Send + '_> {
         Box::new(FallbackKernel::new(self))
     }

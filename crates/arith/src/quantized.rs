@@ -48,17 +48,16 @@
 //!   serving-engine throughput, where the f32 path also pays per-plane
 //!   classification and f32 patch gathers.
 //! * **Gate-level cores** (HEAP, ablation wirings): these have *no* lane
-//!   kernels — every product simulates an array multiplier (memoized by
-//!   [`crate::SigProductCache`] at best). The LUT runs them at exactly the
-//!   same gather speed as the closed-form cores: three orders of magnitude
-//!   faster, while staying bit-faithful to the gates.
+//!   kernels — every product simulates an array multiplier (64 or 8×64 at
+//!   a time on the [`crate::bitslice`] plane sweep). The LUT runs them at
+//!   exactly the same gather speed as the closed-form cores, while staying
+//!   bit-faithful to the gates.
 //!
 //! The gather kernels are runtime-dispatched (AVX-512 → AVX2 → portable
 //! scalar). Unlike the lane kernels there is no autovectorizable
 //! formulation of a table gather, so the hand-written bodies are always
-//! compiled in on x86-64 rather than gated behind the `simd-intrinsics`
-//! feature; every dispatch path is bit-identical (same table entries, same
-//! per-element add order — property-tested in
+//! compiled in on x86-64; every dispatch path is bit-identical (same table
+//! entries, same per-element add order — property-tested in
 //! `tests/quantized_conformance.rs`).
 //!
 //! # Example

@@ -12,9 +12,9 @@
 //! # Architecture
 //!
 //! * **One scalar lane function per core and row class** (`ama5_lane`,
-//!   `exact_lane`, …) is the single source of truth: the block loops, the
-//!   scalar tails, and the hand-written AVX2 kernels all compute exactly the
-//!   expression the lane function defines, so the paths cannot diverge.
+//!   `exact_lane`, …) is the single source of truth: the block loops and
+//!   the slow-path sweeps compute exactly the expression the lane function
+//!   defines, so the paths cannot diverge.
 //! * **Row classification drives dispatch.** A slice is scanned once into a
 //!   [`RowClass`]: `Normal` rows run the pure closed-form pipeline, `Zeros`
 //!   rows run the same pipeline with a flush-to-zero exponent select (a
@@ -25,11 +25,6 @@
 //!   (`FloatMultiplier`'s datapath), never re-derived in lane code.
 //! * **`LANES` = 8**: one AVX2 register of `f32`/`u32` lanes, and a block
 //!   width the autovectorizer reliably unrolls on 128-bit targets too.
-//! * **Runtime dispatch** (`simd-intrinsics` feature, x86-64 only): each
-//!   public kernel probes AVX2 once via `is_x86_feature_detected!` and then
-//!   jumps to a `core::arch::x86_64` implementation; non-AVX2 hosts and all
-//!   other builds take the autovectorized block loops. Tails shorter than a
-//!   block always run the scalar lane function.
 //!
 //! Every kernel is **bit-identical** to the scalar datapath it shortcuts
 //! (`FloatMultiplier::multiply` / `BfloatMultiplier::multiply`): enforced by
@@ -141,8 +136,8 @@ const SIGN_BIT: u32 = 0x8000_0000;
 const INF_BITS: u32 = 0x7F80_0000;
 
 // ---------------------------------------------------------------------------
-// Scalar lane functions: the single source of truth for every block kernel,
-// scalar tail, and AVX2 body below.
+// Scalar lane functions: the single source of truth for every block kernel
+// and slow-path sweep below.
 // ---------------------------------------------------------------------------
 
 /// Clamp-specialization modes for [`pack_lane_m`]: which of the output
@@ -203,9 +198,9 @@ fn ama5_lane_m<const MODE: u8, const ZSEL: bool>(
 }
 
 /// [`ama5_lane_m`] with every clamp armed and no zero select: the
-/// unconditional normal-row form (AVX2 scalar tails; also the reference the
-/// clamp specializations are tested against).
-#[cfg_attr(not(all(feature = "simd-intrinsics", target_arch = "x86_64")), allow(dead_code))]
+/// unconditional normal-row form, the reference the clamp specializations
+/// are tested against.
+#[cfg_attr(not(test), allow(dead_code))]
 #[inline(always)]
 pub(crate) fn ama5_lane(sign_a: u32, fa: u32, ea_m126: i32, bbits: u32) -> u32 {
     ama5_lane_m::<CLAMP_BOTH, false>(sign_a, fa, ea_m126, bbits)
@@ -241,9 +236,9 @@ fn exact_lane_m<const MODE: u8, const ZSEL: bool>(
     pack_lane_m::<MODE>(sign, exp, frac)
 }
 
-/// [`exact_lane_m`] with every clamp armed and no zero select (AVX2 scalar
-/// tails; also the reference the clamp specializations are tested against).
-#[cfg_attr(not(all(feature = "simd-intrinsics", target_arch = "x86_64")), allow(dead_code))]
+/// [`exact_lane_m`] with every clamp armed and no zero select: the
+/// reference the clamp specializations are tested against.
+#[cfg_attr(not(test), allow(dead_code))]
 #[inline(always)]
 pub(crate) fn exact_lane(sa: u64, sign_a: u32, ea_m127: i32, bbits: u32) -> u32 {
     exact_lane_m::<CLAMP_BOTH, false>(sa, sign_a, ea_m127, bbits)
@@ -321,8 +316,7 @@ pub fn nan_stable_add(acc: f32, x: f32) -> f32 {
 }
 
 // ---------------------------------------------------------------------------
-// Block kernels: LANES-wide loops over fixed-size arrays (autovectorized),
-// with runtime dispatch to the AVX2 bodies when the feature is enabled.
+// Block kernels: LANES-wide loops the autovectorizer lowers to SIMD.
 // ---------------------------------------------------------------------------
 
 /// Expand a shared normal operand into the fields the AMA5 lanes consume.
@@ -344,12 +338,6 @@ pub(crate) fn exact_fields(pa: Binary32Parts) -> (u64, u32, i32) {
 /// Panics if `b` and `acc` lengths differ.
 pub fn ama5_axpy_normal(pa: Binary32Parts, b: &[f32], acc: &mut [f32]) {
     assert_eq!(b.len(), acc.len(), "axpy_slice length mismatch");
-    #[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
-    if avx2::available() {
-        // SAFETY: AVX2 support was verified at runtime.
-        unsafe { avx2::ama5_axpy(pa, b, acc, false) };
-        return;
-    }
     let (sign_a, fa, ea) = ama5_fields(pa);
     // With `a` and the row both normal, `exp = (e_a - 126) + e_b` with
     // `e_b ∈ [1, 254]`: for `e_a ≤ 125` overflow is unreachable
@@ -371,12 +359,6 @@ pub fn ama5_axpy_normal(pa: Binary32Parts, b: &[f32], acc: &mut [f32]) {
 /// Panics if `b` and `acc` lengths differ.
 pub fn ama5_axpy_zeros(pa: Binary32Parts, b: &[f32], acc: &mut [f32]) {
     assert_eq!(b.len(), acc.len(), "axpy_slice length mismatch");
-    #[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
-    if avx2::available() {
-        // SAFETY: AVX2 support was verified at runtime.
-        unsafe { avx2::ama5_axpy(pa, b, acc, true) };
-        return;
-    }
     let (sign_a, fa, ea) = ama5_fields(pa);
     if pa.exponent <= 126 {
         // A zero/denormal element has `e_b = 0`, so `exp = e_a - 126 ≤ 0`
@@ -399,12 +381,6 @@ pub fn ama5_axpy_zeros(pa: Binary32Parts, b: &[f32], acc: &mut [f32]) {
 /// Panics if `b` and `acc` lengths differ.
 pub fn exact_axpy_normal(pa: Binary32Parts, b: &[f32], acc: &mut [f32]) {
     assert_eq!(b.len(), acc.len(), "axpy_slice length mismatch");
-    #[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
-    if avx2::available() {
-        // SAFETY: AVX2 support was verified at runtime.
-        unsafe { avx2::exact_axpy(pa, b, acc, false) };
-        return;
-    }
     let (sa, sign_a, ea) = exact_fields(pa);
     // `exp = (e_a - 127) + e_b + h` with `e_b ∈ [1, 254]`, `h ∈ {0, 1}`:
     // overflow needs `e_a ≥ 127`, underflow needs `e_a ≤ 126` — each sweep
@@ -424,12 +400,6 @@ pub fn exact_axpy_normal(pa: Binary32Parts, b: &[f32], acc: &mut [f32]) {
 /// Panics if `b` and `acc` lengths differ.
 pub fn exact_axpy_zeros(pa: Binary32Parts, b: &[f32], acc: &mut [f32]) {
     assert_eq!(b.len(), acc.len(), "axpy_slice length mismatch");
-    #[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
-    if avx2::available() {
-        // SAFETY: AVX2 support was verified at runtime.
-        unsafe { avx2::exact_axpy(pa, b, acc, true) };
-        return;
-    }
     let (sa, sign_a, ea) = exact_fields(pa);
     if pa.exponent <= 126 {
         // A zero/denormal element has `e_b = 0`, so
@@ -479,12 +449,6 @@ pub fn exact_mul_pair(a: &[f32], b: &[f32], out: &mut [f32]) {
 /// Panics if `b` and `acc` lengths differ.
 pub fn bf16_axpy(ta: f32, b: &[f32], acc: &mut [f32], clean: bool) {
     assert_eq!(b.len(), acc.len(), "axpy_slice length mismatch");
-    #[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
-    if avx2::available() {
-        // SAFETY: AVX2 support was verified at runtime.
-        unsafe { avx2::bf16_axpy(ta, b, acc, clean) };
-        return;
-    }
     if clean {
         for (o, &y) in acc.iter_mut().zip(b) {
             *o += bf16_lane(ta * bf16_lane(y));
@@ -536,12 +500,6 @@ pub fn native_axpy(a: f32, b: &[f32], acc: &mut [f32], clean: bool) {
 pub fn bf16_mul(a: &[f32], b: &[f32], out: &mut [f32]) {
     assert_eq!(a.len(), b.len(), "multiply_slice length mismatch");
     assert_eq!(a.len(), out.len(), "multiply_slice output length mismatch");
-    #[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
-    if avx2::available() {
-        // SAFETY: AVX2 support was verified at runtime.
-        unsafe { avx2::bf16_mul(a, b, out) };
-        return;
-    }
     for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
         *o = bf16_lane(bf16_lane(x) * bf16_lane(y));
     }
@@ -566,200 +524,6 @@ fn lane_axpy(b: &[f32], acc: &mut [f32], lane: impl Fn(u32) -> u32) {
 fn lane_pair(a: &[f32], b: &[f32], out: &mut [f32], lane: impl Fn(u32, u32) -> u32) {
     for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
         *o = f32::from_bits(lane(x.to_bits(), y.to_bits()));
-    }
-}
-
-/// Whether the hand-written AVX2 kernels are compiled in **and** selected by
-/// the runtime probe on this host (always `false` without the
-/// `simd-intrinsics` feature). Exposed for diagnostics and tests.
-pub fn intrinsics_active() -> bool {
-    #[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
-    {
-        avx2::available()
-    }
-    #[cfg(not(all(feature = "simd-intrinsics", target_arch = "x86_64")))]
-    {
-        false
-    }
-}
-
-// ---------------------------------------------------------------------------
-// AVX2 bodies (simd-intrinsics feature, x86-64): each mirrors the lane
-// function op for op — integer field arithmetic and compare/select only, so
-// results are bit-identical to the autovectorized blocks by construction
-// (and asserted by the `avx2_matches_autovectorized_blocks` test).
-// ---------------------------------------------------------------------------
-
-#[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
-mod avx2 {
-    use super::*;
-    use core::arch::x86_64::*;
-
-    /// One-time AVX2 probe (`is_x86_feature_detected!` behind a cached flag).
-    pub(super) fn available() -> bool {
-        use std::sync::OnceLock;
-        static AVAIL: OnceLock<bool> = OnceLock::new();
-        *AVAIL.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-    }
-
-    /// [`pack_lane`] over 8 lanes: `sign`/`exp`/`frac` packed with the
-    /// overflow/underflow selects.
-    #[inline(always)]
-    unsafe fn pack_lanes(sign: __m256i, exp: __m256i, frac: __m256i) -> __m256i {
-        let body = _mm256_or_si256(sign, _mm256_or_si256(_mm256_slli_epi32::<23>(exp), frac));
-        let hi = _mm256_cmpgt_epi32(exp, _mm256_set1_epi32(0xFE));
-        let lo = _mm256_cmpgt_epi32(_mm256_set1_epi32(1), exp);
-        let inf = _mm256_or_si256(sign, _mm256_set1_epi32(INF_BITS as i32));
-        // hi and lo are mutually exclusive, so blend order is irrelevant.
-        let r = _mm256_blendv_epi8(body, sign, lo);
-        _mm256_blendv_epi8(r, inf, hi)
-    }
-
-    /// AMA5 axpy over full blocks; `zeros` selects the flush-to-zero
-    /// exponent (the [`ama5_lane_zeros`] variant). Scalar-lane tail.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn ama5_axpy(pa: Binary32Parts, b: &[f32], acc: &mut [f32], zeros: bool) {
-        let (sign_a, fa, ea) = ama5_fields(pa);
-        let vsign_a = _mm256_set1_epi32(sign_a as i32);
-        let vfa = _mm256_set1_epi32(fa as i32);
-        let vea = _mm256_set1_epi32(ea);
-        let vsignbit = _mm256_set1_epi32(SIGN_BIT as i32);
-        let vexpmask = _mm256_set1_epi32(0xFF);
-        let n = b.len() / LANES * LANES;
-        let mut i = 0;
-        while i < n {
-            let bb = _mm256_loadu_si256(b.as_ptr().add(i) as *const __m256i);
-            let sign = _mm256_and_si256(_mm256_xor_si256(vsign_a, bb), vsignbit);
-            let bexp = _mm256_and_si256(_mm256_srli_epi32::<23>(bb), vexpmask);
-            let mut exp = _mm256_add_epi32(vea, bexp);
-            if zeros {
-                // Zero/denormal b (bexp == 0) selects exponent 0.
-                let bz = _mm256_cmpeq_epi32(bexp, _mm256_setzero_si256());
-                exp = _mm256_andnot_si256(bz, exp);
-            }
-            let r = pack_lanes(sign, exp, vfa);
-            let o = _mm256_loadu_ps(acc.as_ptr().add(i));
-            _mm256_storeu_ps(acc.as_mut_ptr().add(i), _mm256_add_ps(o, _mm256_castsi256_ps(r)));
-            i += LANES;
-        }
-        for j in n..b.len() {
-            let bbits = b[j].to_bits();
-            let r = if zeros {
-                ama5_lane_zeros(sign_a, fa, ea, bbits)
-            } else {
-                ama5_lane(sign_a, fa, ea, bbits)
-            };
-            acc[j] += f32::from_bits(r);
-        }
-    }
-
-    /// The exact-core 48-bit significand product over 8 lanes: widen the
-    /// even/odd 32-bit lanes through `_mm256_mul_epu32`, extract the
-    /// normalization bit and truncated fraction per 64-bit lane, and
-    /// recombine into 32-bit lanes. Returns `(h, frac)`.
-    #[inline(always)]
-    unsafe fn exact_prod_lanes(sb32: __m256i, vsa: __m256i) -> (__m256i, __m256i) {
-        let pe = _mm256_mul_epu32(sb32, vsa);
-        let po = _mm256_mul_epu32(_mm256_srli_epi64::<32>(sb32), vsa);
-        let one64 = _mm256_set1_epi64x(1);
-        let he = _mm256_and_si256(_mm256_srli_epi64::<47>(pe), one64);
-        let ho = _mm256_and_si256(_mm256_srli_epi64::<47>(po), one64);
-        let sh23 = _mm256_set1_epi64x(23);
-        let fmask = _mm256_set1_epi64x(FRAC_MASK as i64);
-        let fe = _mm256_and_si256(_mm256_srlv_epi64(pe, _mm256_add_epi64(sh23, he)), fmask);
-        let fo = _mm256_and_si256(_mm256_srlv_epi64(po, _mm256_add_epi64(sh23, ho)), fmask);
-        let h = _mm256_or_si256(he, _mm256_slli_epi64::<32>(ho));
-        let frac = _mm256_or_si256(fe, _mm256_slli_epi64::<32>(fo));
-        (h, frac)
-    }
-
-    /// Exact-core axpy over full blocks; `zeros` selects the flush-to-zero
-    /// exponent (the [`exact_lane_zeros`] variant). Scalar-lane tail.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn exact_axpy(pa: Binary32Parts, b: &[f32], acc: &mut [f32], zeros: bool) {
-        let (sa, sign_a, ea) = exact_fields(pa);
-        let vsa = _mm256_set1_epi64x(sa as i64);
-        let vsign_a = _mm256_set1_epi32(sign_a as i32);
-        let vea = _mm256_set1_epi32(ea);
-        let vsignbit = _mm256_set1_epi32(SIGN_BIT as i32);
-        let vexpmask = _mm256_set1_epi32(0xFF);
-        let vfrac = _mm256_set1_epi32(FRAC_MASK as i32);
-        let vimplicit = _mm256_set1_epi32(1 << 23);
-        let n = b.len() / LANES * LANES;
-        let mut i = 0;
-        while i < n {
-            let bb = _mm256_loadu_si256(b.as_ptr().add(i) as *const __m256i);
-            let sb32 = _mm256_or_si256(_mm256_and_si256(bb, vfrac), vimplicit);
-            let (h, frac) = exact_prod_lanes(sb32, vsa);
-            let sign = _mm256_and_si256(_mm256_xor_si256(vsign_a, bb), vsignbit);
-            let bexp = _mm256_and_si256(_mm256_srli_epi32::<23>(bb), vexpmask);
-            let mut exp = _mm256_add_epi32(_mm256_add_epi32(vea, bexp), h);
-            if zeros {
-                let bz = _mm256_cmpeq_epi32(bexp, _mm256_setzero_si256());
-                exp = _mm256_andnot_si256(bz, exp);
-            }
-            let r = pack_lanes(sign, exp, frac);
-            let o = _mm256_loadu_ps(acc.as_ptr().add(i));
-            _mm256_storeu_ps(acc.as_mut_ptr().add(i), _mm256_add_ps(o, _mm256_castsi256_ps(r)));
-            i += LANES;
-        }
-        for j in n..b.len() {
-            let bbits = b[j].to_bits();
-            let r = if zeros {
-                exact_lane_zeros(sa, sign_a, ea, bbits)
-            } else {
-                exact_lane(sa, sign_a, ea, bbits)
-            };
-            acc[j] += f32::from_bits(r);
-        }
-    }
-
-    /// Bfloat16 axpy: truncate, multiply, truncate, accumulate — the same
-    /// IEEE ops per lane as the scalar loop. Without `clean`, a NaN
-    /// product's payload wins over the accumulator's, lane for lane as
-    /// [`nan_stable_add`] (`addps` alone would keep the accumulator's).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn bf16_axpy(ta: f32, b: &[f32], acc: &mut [f32], clean: bool) {
-        let vta = _mm256_set1_ps(ta);
-        let vmask = _mm256_castsi256_ps(_mm256_set1_epi32(0xFFFF_0000u32 as i32));
-        let n = b.len() / LANES * LANES;
-        let mut i = 0;
-        while i < n {
-            let bb = _mm256_and_ps(_mm256_loadu_ps(b.as_ptr().add(i)), vmask);
-            let p = _mm256_and_ps(_mm256_mul_ps(vta, bb), vmask);
-            let o = _mm256_loadu_ps(acc.as_ptr().add(i));
-            let sum = _mm256_add_ps(o, p);
-            let r = if clean {
-                sum
-            } else {
-                let p_nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(p, p);
-                _mm256_blendv_ps(sum, p, p_nan)
-            };
-            _mm256_storeu_ps(acc.as_mut_ptr().add(i), r);
-            i += LANES;
-        }
-        for j in n..b.len() {
-            let p = bf16_lane(ta * bf16_lane(b[j]));
-            acc[j] = if clean { acc[j] + p } else { nan_stable_add(acc[j], p) };
-        }
-    }
-
-    /// Bfloat16 elementwise products.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn bf16_mul(a: &[f32], b: &[f32], out: &mut [f32]) {
-        let vmask = _mm256_castsi256_ps(_mm256_set1_epi32(0xFFFF_0000u32 as i32));
-        let n = a.len() / LANES * LANES;
-        let mut i = 0;
-        while i < n {
-            let aa = _mm256_and_ps(_mm256_loadu_ps(a.as_ptr().add(i)), vmask);
-            let bb = _mm256_and_ps(_mm256_loadu_ps(b.as_ptr().add(i)), vmask);
-            let p = _mm256_and_ps(_mm256_mul_ps(aa, bb), vmask);
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), p);
-            i += LANES;
-        }
-        for j in n..a.len() {
-            out[j] = bf16_lane(bf16_lane(a[j]) * bf16_lane(b[j]));
-        }
     }
 }
 
@@ -858,10 +622,8 @@ mod tests {
         assert!(!pair_has_special(&[0.0, 1.0], &[-2.0, 1e-40]));
     }
 
-    /// Whichever implementation the runtime dispatch selects (AVX2 when the
-    /// feature is on and the host supports it, the autovectorized blocks
-    /// otherwise), the public kernels must equal the scalar lane functions
-    /// on every element, including block boundaries and ragged tails.
+    /// The public kernels must equal the scalar lane functions on every
+    /// element, including block boundaries and ragged tails.
     #[test]
     fn dispatched_kernels_match_scalar_lanes() {
         let mut rng = rng();
@@ -944,63 +706,6 @@ mod tests {
             for (i, o) in out.iter().enumerate() {
                 let want = bf16_lane(bf16_lane(normal[i]) * bf16_lane(zeroed[i]));
                 assert_eq!(o.to_bits(), want.to_bits(), "bf16 mul len={len} i={i}");
-            }
-        }
-    }
-
-    /// With the feature enabled on an AVX2 host, both implementations are
-    /// compiled — compare them directly on adversarial operands (overflow,
-    /// underflow, denormals, signed zeros at block boundaries and tails).
-    #[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
-    #[test]
-    fn avx2_matches_autovectorized_blocks() {
-        if !intrinsics_active() {
-            eprintln!("AVX2 unavailable on this host; dispatch test degenerate");
-            return;
-        }
-        let mut rng = rng();
-        let shared = [1.5f32, -0.7, f32::MAX, f32::MIN_POSITIVE * 2.0, 1e38, 1e-38];
-        for &a in &shared {
-            let pa = Binary32Parts::from_f32(a);
-            for len in [1usize, LANES - 1, LANES, 3 * LANES + 5] {
-                let mut b: Vec<f32> = (0..len)
-                    .map(|_| {
-                        let v = f32::from_bits(rng.gen::<u32>());
-                        if v.is_nan() || v.is_infinite() {
-                            0.5
-                        } else {
-                            v
-                        }
-                    })
-                    .collect();
-                if len >= LANES {
-                    b[LANES - 1] = 0.0;
-                    b[len - 1] = -0.0;
-                }
-                let (sign_a, fa, ea) = ama5_fields(pa);
-                let (sa, _, ea127) = exact_fields(pa);
-
-                let mut got = vec![0.5f32; len];
-                // SAFETY: gated on `intrinsics_active` above.
-                unsafe { avx2::ama5_axpy(pa, &b, &mut got, true) };
-                let mut want = vec![0.5f32; len];
-                lane_axpy(&b, &mut want, |bb| ama5_lane_zeros(sign_a, fa, ea, bb));
-                assert_eq!(
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "ama5 a={a} len={len}"
-                );
-
-                let mut got = vec![0.5f32; len];
-                // SAFETY: gated on `intrinsics_active` above.
-                unsafe { avx2::exact_axpy(pa, &b, &mut got, true) };
-                let mut want = vec![0.5f32; len];
-                lane_axpy(&b, &mut want, |bb| exact_lane_zeros(sa, sign_a, ea127, bb));
-                assert_eq!(
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "exact a={a} len={len}"
-                );
             }
         }
     }

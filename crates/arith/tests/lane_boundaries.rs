@@ -4,28 +4,34 @@
 //! SIMD tail handling is where bit-exactness bugs hide, so every batched
 //! entry point (`axpy`, `axpy_classified`, `axpy_rows`, `gemm_tile`, `mul`,
 //! `dot`) is swept over slice lengths `0`, `1`, `LANES-1`, `LANES`,
-//! `LANES+1`, and `4·LANES+3`, with NaN/Inf/denormal/zero values pinned at
-//! block boundaries and inside the scalar tail, for **every**
-//! [`MultiplierKind`]. References are built from scalar
-//! [`Multiplier::multiply`] plus the pinned
+//! `LANES+1`, `4·LANES+3`, and the bit-sliced block seam
+//! `BITSLICE_LANES-1`, `BITSLICE_LANES`, `BITSLICE_LANES+1`, with
+//! NaN/Inf/denormal/zero values pinned at block boundaries and inside the
+//! scalar tail, for **every** [`MultiplierKind`]. References are built from
+//! scalar [`da_arith::Multiplier::multiply`] plus the pinned
 //! [`da_arith::simd::nan_stable_add`] accumulate, the crate's documented
 //! reduction semantics.
-//!
-//! The second half asserts the memoization contract: lane kernels must not
-//! silently bypass the [`SigProductCache`] hit/miss counters on kinds that
-//! still memoize (HEAP, ablation wirings), and closed-form kinds must not
-//! grow one.
 
-use da_arith::fpm::FloatMultiplier;
 use da_arith::simd::nan_stable_add;
 use da_arith::{
-    classify_row, ArrayMultiplierSpec, Multiplier, MultiplierKind, PortMap, PreparedOperand,
-    PreparedOperands, LANES,
+    classify_row, MultiplierKind, PreparedOperand, PreparedOperands, BITSLICE_LANES, BITSLICE_WIDE,
+    LANES,
 };
 use rand::{Rng, SeedableRng};
 
-/// The lane-boundary length sweep from the issue spec.
-const LENGTHS: [usize; 6] = [0, 1, LANES - 1, LANES, LANES + 1, 4 * LANES + 3];
+/// The lane-boundary length sweep: SIMD block/tail splits, then the
+/// 64-lane bit-sliced plane block seam.
+const LENGTHS: [usize; 9] = [
+    0,
+    1,
+    LANES - 1,
+    LANES,
+    LANES + 1,
+    4 * LANES + 3,
+    BITSLICE_LANES - 1,
+    BITSLICE_LANES,
+    BITSLICE_LANES + 1,
+];
 
 /// Values that exercise every datapath branch.
 const SPECIALS: [f32; 8] =
@@ -166,107 +172,54 @@ fn axpy_rows_matches_rowwise_axpy() {
 #[test]
 fn gemm_tile_is_bit_exact_at_lane_boundary_tiles() {
     let mut rng = rng();
+    // `(K, NaN weight index, zero weight index)`. In the wide case the NaN
+    // (row 0, k = 8) and the zero (row 1, k = 4) split the runs of
+    // `BITSLICE_WIDE` normal weights that gate-level kernels fuse.
+    let wide_k = 2 * BITSLICE_WIDE + 1;
+    let cases = [(3usize, 4usize, None), (wide_k, 8, Some(wide_k + 4))];
     for kind in MultiplierKind::ALL {
         let m = kind.build();
-        for tile in LENGTHS {
-            if tile == 0 {
-                continue;
-            }
-            let (rows, k) = (3usize, 3usize);
-            let stride = tile + 2;
-            let w: Vec<f32> = (0..rows * k)
-                .map(|i| if i == 4 { f32::NAN } else { rng.gen_range(0.1f32..2.0) - 1.05 })
-                .collect();
-            let ops = PreparedOperands::from_matrix(&w, rows, k);
-            let mut b = Vec::new();
-            for _ in 0..k {
-                b.extend(boundary_row(tile, &SPECIALS, &mut rng));
-            }
-            let mut acc = vec![0.125f32; rows * stride];
-            let mut want = acc.clone();
-            m.batch_kernel().gemm_tile(&ops, &b, tile, &mut acc, stride);
-            {
-                let mut kern = m.batch_kernel();
-                for r in 0..rows {
-                    let acc_row = &mut want[r * stride..r * stride + tile];
-                    for kk in 0..k {
-                        kern.axpy_prepared(
-                            &PreparedOperand::new(w[r * k + kk]),
-                            &b[kk * tile..(kk + 1) * tile],
-                            acc_row,
-                        );
+        for (k, nan_at, zero_at) in cases {
+            for tile in LENGTHS {
+                if tile == 0 {
+                    continue;
+                }
+                let rows = 3usize;
+                let stride = tile + 2;
+                let w: Vec<f32> = (0..rows * k)
+                    .map(|i| {
+                        if i == nan_at {
+                            f32::NAN
+                        } else if Some(i) == zero_at {
+                            0.0
+                        } else {
+                            rng.gen_range(0.1f32..2.0) - 1.05
+                        }
+                    })
+                    .collect();
+                let ops = PreparedOperands::from_matrix(&w, rows, k);
+                let mut b = Vec::new();
+                for _ in 0..k {
+                    b.extend(boundary_row(tile, &SPECIALS, &mut rng));
+                }
+                let mut acc = vec![0.125f32; rows * stride];
+                let mut want = acc.clone();
+                m.batch_kernel().gemm_tile(&ops, &b, tile, &mut acc, stride);
+                {
+                    let mut kern = m.batch_kernel();
+                    for r in 0..rows {
+                        let acc_row = &mut want[r * stride..r * stride + tile];
+                        for kk in 0..k {
+                            kern.axpy_prepared(
+                                &PreparedOperand::new(w[r * k + kk]),
+                                &b[kk * tile..(kk + 1) * tile],
+                                acc_row,
+                            );
+                        }
                     }
                 }
+                assert_rows_equal(&acc, &want, &format!("{kind} k={k} tile={tile} gemm_tile"));
             }
-            assert_rows_equal(&acc, &want, &format!("{kind} tile={tile} gemm_tile"));
         }
-    }
-}
-
-/// An AMA5-cell array with a non-canonical port wiring: gate-level
-/// simulation with no closed form (`FastPath::None`), so its kernel memoizes.
-fn ablation_multiplier() -> FloatMultiplier {
-    let canonical = ArrayMultiplierSpec::ax_mantissa(24);
-    let port_map = PortMap::ALL
-        .iter()
-        .copied()
-        .find(|&pm| pm != canonical.port_map)
-        .expect("more than one port wiring exists");
-    FloatMultiplier::with_core("ablation", ArrayMultiplierSpec { port_map, ..canonical })
-}
-
-/// Memoizing kinds must keep counting cache hits/misses through every
-/// batched entry point — the lane kernels only cover closed-form cores and
-/// must not have silently rerouted gate-level kinds around the
-/// [`da_arith::SigProductCache`].
-#[test]
-fn cache_stats_are_preserved_across_batched_entry_points() {
-    let mut rng = rng();
-    let heap = MultiplierKind::Heap.build();
-    let ablation = ablation_multiplier();
-    for m in [&*heap, &ablation as &dyn Multiplier] {
-        let mut kern = m.batch_kernel();
-        let b: Vec<f32> = (0..64).map(|i| 0.25 + (i % 8) as f32 * 0.125).collect();
-        let mut acc = vec![0.0f32; b.len()];
-        // Warm past the memo threshold so the cache allocates.
-        for _ in 0..16 {
-            kern.axpy(rng.gen_range(0.1f32..1.0), &b, &mut acc);
-        }
-        let (h0, m0) = kern.cache_stats().expect("gate-level kernels memoize");
-
-        // Every entry point must keep counting products.
-        let mut rows_acc = vec![0.0f32; 2 * b.len()];
-        kern.axpy_rows(&[0.3, 0.7], &b, &mut rows_acc, b.len());
-        let (h1, m1) = kern.cache_stats().expect("stats survive axpy_rows");
-        assert_eq!((h1 + m1) - (h0 + m0), 2 * b.len() as u64, "{} axpy_rows", m.name());
-
-        let ops = PreparedOperands::from_matrix(&[0.5, -0.25, 0.75, 0.1], 2, 2);
-        let mut tile_acc = vec![0.0f32; 24];
-        kern.gemm_tile(&ops, &b[..16], 8, &mut tile_acc, 16);
-        let (h2, m2) = kern.cache_stats().expect("stats survive gemm_tile");
-        assert_eq!((h2 + m2) - (h1 + m1), 32, "{} gemm_tile", m.name());
-
-        let _ = kern.dot(&b[..8], &b[8..16]);
-        let (h3, m3) = kern.cache_stats().expect("stats survive dot");
-        assert_eq!((h3 + m3) - (h2 + m2), 8, "{} dot", m.name());
-
-        let mut out = vec![0.0f32; 8];
-        kern.mul(&b[..8], &b[8..16], &mut out);
-        let (h4, m4) = kern.cache_stats().expect("stats survive mul");
-        assert_eq!((h4 + m4) - (h3 + m3), 8, "{} mul", m.name());
-
-        assert!(h4 > 0, "{}: repeated operands must produce hits", m.name());
-    }
-
-    // Closed-form kinds ride the lane kernels and must not grow a cache.
-    for kind in [MultiplierKind::ExactFpm, MultiplierKind::AxFpm, MultiplierKind::Bfloat16] {
-        let m = kind.build();
-        let mut kern = m.batch_kernel();
-        let b: Vec<f32> = (0..64).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let mut acc = vec![0.0f32; b.len()];
-        for _ in 0..16 {
-            kern.axpy(0.7, &b, &mut acc);
-        }
-        assert_eq!(kern.cache_stats(), None, "{kind} must not memoize");
     }
 }

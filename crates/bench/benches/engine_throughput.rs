@@ -79,10 +79,9 @@ fn main() {
             continue;
         }
         // HEAP is the quantized path's headline: the gate-level f32 plan
-        // simulates an array multiplier per MAC (memoized at best), while
-        // the int8 plan gathers from a table built from those same gates —
-        // identical hardware model, serving at closed-form speeds. Batch 1
-        // only: the f32 side needs ~0.2 s per item.
+        // simulates an array multiplier per MAC (bit-sliced, 64 at a time),
+        // while the int8 plan gathers from a table built from those same
+        // gates — identical hardware model, serving at closed-form speeds.
         let kinds: &[MultiplierKind] = if name == "lenet5" {
             &[
                 MultiplierKind::Exact,
@@ -108,13 +107,12 @@ fn main() {
             let qplan =
                 InferencePlan::compile_quantized(&net, net.multiplier().cloned(), &calibration)
                     .expect("zoo models quantize");
-            let batches: &[usize] =
-                if smoke || kind == MultiplierKind::Heap { &[1] } else { &[1, 8] };
+            let batches: &[usize] = if smoke { &[1] } else { &[1, 8] };
             for &batch in batches {
                 let mut shape = vec![batch];
                 shape.extend_from_slice(&item_shape);
                 let x = Tensor::rand_uniform(&shape, 0.0, 1.0, &mut rng);
-                let reps = if smoke || kind == MultiplierKind::Heap {
+                let reps = if smoke {
                     1
                 } else if batch == 1 {
                     5

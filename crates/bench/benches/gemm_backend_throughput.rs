@@ -1,13 +1,17 @@
 //! GEMM backend throughput: the seed's per-scalar dyn-dispatch path vs the
-//! batched slice-kernel + memoized-LUT backend, in MACs/s — plus the
-//! **int8 LUT-gather GEMM** (`da_arith::quantized::lut_gemm`) per
-//! multiplier kind. Int8 rows (`<kind>-int8`) compare against that kind's
-//! *batched f32* rate (first numeric column), not the scalar baseline: the
-//! product table absorbs the whole hardware model, so the gather runs at
-//! one speed for every kind — a modest win over the closed-form lane
-//! kernels and orders of magnitude over gate-level HEAP. Int4 rows
-//! (`<kind>-int4`) time the in-register shuffle GEMM (`lut4_gemm`) and
-//! compare against the int8 gather rate on the same shape.
+//! batched slice-kernel backend, in MACs/s — plus the **int8 LUT-gather
+//! GEMM** (`da_arith::quantized::lut_gemm`) per multiplier kind. Every
+//! printed row names its baseline in the `baseline` column:
+//!
+//! * `<kind>` rows time the batched f32 GEMM against `scalar-dyn`, the
+//!   seed's one-virtual-call-per-MAC loop.
+//! * `heap-bitslice` times the fused multi-term axpy (8×64-wide plane
+//!   sweeps) against `heap batched`, the per-worker kernel's f32 GEMM.
+//! * `<kind>-int8` rows time the int8 gather against `<kind> batched`: the
+//!   product table absorbs the whole hardware model, so the gather runs at
+//!   one speed for every kind.
+//! * `<kind>-int4` rows time the in-register shuffle GEMM (`lut4_gemm`)
+//!   against `<kind>-int8`, the int8 gather on the same shape.
 //!
 //! This is the perf baseline for future scaling PRs (SIMD, quantized int
 //! paths, sharding): run `cargo bench --bench gemm_backend_throughput` and
@@ -61,12 +65,11 @@ fn main() {
     let mut emitter = JsonEmitter::from_env("gemm_backend_throughput");
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
 
-    println!("GEMM backend throughput (batched slice kernels + memoized significand LUTs");
-    println!("vs the seed's one-virtual-call-per-MAC loop; higher is better)");
+    println!("GEMM backend throughput (MACs/s, higher is better; speedup = rate / baseline)");
     println!();
     println!(
-        "{:<12} {:<14} {:>16} {:>16} {:>9}",
-        "size", "multiplier", "scalar-dyn", "batched", "speedup"
+        "{:<12} {:<15} {:<18} {:>16} {:>16} {:>9}",
+        "size", "row", "baseline", "baseline-rate", "rate", "speedup"
     );
 
     let sizes: &[(usize, usize, usize)] =
@@ -82,13 +85,6 @@ fn main() {
         };
         let a = Tensor::rand_uniform(&[m, k], -1.0, 1.0, &mut rng);
         let b = Tensor::rand_uniform(&[k, n], -1.0, 1.0, &mut rng);
-
-        // Continuous uniform operands never repeat a significand pair, so
-        // they show the worst case for the memo LUT; the "heap-q8" row uses
-        // 8-bit-quantized operands (the realistic low-entropy regime of
-        // quantized weights/activations) where the LUT pays off.
-        let quantize = |t: &Tensor| t.map(|v| (v * 127.0).round() / 127.0);
-        let (aq, bq) = (quantize(&a), quantize(&b));
 
         // Int8 LUT-gather GEMM: code matrices for the same shape, quantized
         // over the operand ranges (the per-kind product table is built from
@@ -119,30 +115,17 @@ fn main() {
             } else {
                 None
             };
-            print_row(&format!("{m}x{k}x{n}"), kind.as_str(), scalar, batched);
-            emit_row(&mut emitter, &format!("{m}x{k}x{n}"), kind.as_str(), scalar, batched);
-
-            if kind == MultiplierKind::Heap && scalar_feasible {
-                let batched_q = macs_per_sec(macs, reps, || gemm_with(&*mult, &aq, &bq));
-                let scalar_q = macs_per_sec(macs, reps, || matmul_with_scalar(&*mult, &aq, &bq));
-                print_row(&format!("{m}x{k}x{n}"), "heap-q8", Some(scalar_q), batched_q);
-                emit_row(
-                    &mut emitter,
-                    &format!("{m}x{k}x{n}"),
-                    "heap-q8",
-                    Some(scalar_q),
-                    batched_q,
-                );
-            }
+            let size = format!("{m}x{k}x{n}");
+            let batched_name = format!("{} batched", kind.as_str());
+            print_row(&size, kind.as_str(), "scalar-dyn", scalar, batched);
+            emit_row(&mut emitter, &size, kind.as_str(), scalar, batched);
 
             if kind == MultiplierKind::Heap {
-                // The table-free bit-sliced gate-level backend: GEMM through
-                // the fused multi-term axpy entry point, which runs cores
-                // without a closed form on `da_arith::BitslicedArray` (eight
-                // 64-lane sub-blocks per plane sweep, autovectorized to
-                // AVX-512/AVX2 boolean ops under runtime dispatch). This is
-                // the path rotating wirings ride — no precomputed table to
-                // invalidate.
+                // GEMM through the fused multi-term axpy entry point: cores
+                // without a closed form run on `da_arith::BitslicedArray`
+                // with eight 64-lane sub-blocks per plane sweep (one per
+                // shared operand of a run of eight). The batched row above
+                // runs the same plane sweep one shared operand at a time.
                 let ad = a.data();
                 let bd = b.data();
                 let mut acc_bs = vec![0.0f32; m * n];
@@ -158,9 +141,9 @@ fn main() {
                     std::hint::black_box(acc_bs[0]);
                     Tensor::zeros(&[1])
                 });
-                print_row(&format!("{m}x{k}x{n}"), "heap-bitslice", scalar, bitslice_rate);
+                print_row(&size, "heap-bitslice", &batched_name, Some(batched), bitslice_rate);
                 let mut r = Record::new()
-                    .label("size", format!("{m}x{k}x{n}"))
+                    .label("size", size.as_str())
                     .label("multiplier", kind.as_str())
                     .label("path", "bitslice")
                     .metric("bitslice_macs_per_sec", bitslice_rate)
@@ -185,17 +168,11 @@ fn main() {
                 std::hint::black_box(acc[0]);
                 Tensor::zeros(&[1])
             });
-            println!(
-                "{:<12} {:<14} {:>16} {:>16} {:>8.1}x",
-                format!("{m}x{k}x{n}"),
-                format!("{}-int8", kind.as_str()),
-                human(batched),
-                human(lut_rate),
-                lut_rate / batched
-            );
+            let int8_name = format!("{}-int8", kind.as_str());
+            print_row(&size, &int8_name, &batched_name, Some(batched), lut_rate);
             emitter.record(
                 Record::new()
-                    .label("size", format!("{m}x{k}x{n}"))
+                    .label("size", size.as_str())
                     .label("multiplier", kind.as_str())
                     .label("path", "int8-lut")
                     .metric("lut_macs_per_sec", lut_rate)
@@ -216,17 +193,11 @@ fn main() {
                 std::hint::black_box(acc4[0]);
                 Tensor::zeros(&[1])
             });
-            println!(
-                "{:<12} {:<14} {:>16} {:>16} {:>8.1}x",
-                format!("{m}x{k}x{n}"),
-                format!("{}-int4", kind.as_str()),
-                human(lut_rate),
-                human(lut4_rate),
-                lut4_rate / lut_rate
-            );
+            let int4_name = format!("{}-int4", kind.as_str());
+            print_row(&size, &int4_name, &int8_name, Some(lut_rate), lut4_rate);
             emitter.record(
                 Record::new()
-                    .label("size", format!("{m}x{k}x{n}"))
+                    .label("size", size.as_str())
                     .label("multiplier", kind.as_str())
                     .label("path", "int4-shuffle")
                     .metric("lut4_macs_per_sec", lut4_rate)
@@ -254,23 +225,20 @@ fn emit_row(emitter: &mut JsonEmitter, size: &str, kind: &str, scalar: Option<f6
     emitter.record(r);
 }
 
-fn print_row(size: &str, kind: &str, scalar: Option<f64>, batched: f64) {
-    match scalar {
-        Some(s) => println!(
-            "{:<12} {:<14} {:>16} {:>16} {:>8.1}x",
-            size,
-            kind,
-            human(s),
-            human(batched),
-            batched / s
-        ),
-        None => println!(
-            "{:<12} {:<14} {:>16} {:>16} {:>9}",
-            size,
-            kind,
-            "(skipped)",
-            human(batched),
-            "-"
-        ),
-    }
+/// One table row: `rate` against the named `baseline` (`None` when the
+/// baseline run was skipped).
+fn print_row(size: &str, row: &str, baseline: &str, base_rate: Option<f64>, rate: f64) {
+    let (base, speedup) = match base_rate {
+        Some(b) => (human(b), format!("{:.1}x", rate / b)),
+        None => ("(skipped)".to_string(), "-".to_string()),
+    };
+    println!(
+        "{:<12} {:<15} {:<18} {:>16} {:>16} {:>9}",
+        size,
+        row,
+        baseline,
+        base,
+        human(rate),
+        speedup
+    );
 }

@@ -1210,10 +1210,10 @@ impl InferencePlan {
         let mut output_features = None;
         for s in &self.steps {
             match s {
-                Step::Conv { cin, .. } | Step::QConv { cin, .. } | Step::QConv4 { cin, .. } => {
-                    if input.is_none() {
-                        input = Some(PlanInput::Conv { cin: *cin });
-                    }
+                Step::Conv { cin, .. } | Step::QConv { cin, .. } | Step::QConv4 { cin, .. }
+                    if input.is_none() =>
+                {
+                    input = Some(PlanInput::Conv { cin: *cin });
                 }
                 Step::Dense { in_features, out_features, .. }
                 | Step::QDense { in_features, out_features, .. }

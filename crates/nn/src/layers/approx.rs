@@ -8,11 +8,11 @@
 //! [`gemm_with`] is the hot path every approximate layer runs on: a blocked,
 //! cache-tiled GEMM whose inner loops call the slice-level arithmetic
 //! backend ([`da_arith::BatchKernel`]) instead of making one virtual call
-//! per MAC. Each worker thread gets its own kernel, so gate-level
-//! multipliers (HEAP, ablation wirings) memoize repeated significand pairs
-//! across the whole tile sweep without synchronization. The function is
-//! generic over the multiplier: instantiated with
-//! [`da_arith::ExactMultiplier`] the inner loop compiles to the native
+//! per MAC. Each worker thread gets its own kernel, so per-kernel scratch
+//! state is reused across the whole tile sweep without synchronization;
+//! gate-level multipliers (HEAP, ablation wirings) run on the bit-sliced
+//! plane sweep. The function is generic over the multiplier: instantiated
+//! with [`da_arith::ExactMultiplier`] the inner loop compiles to the native
 //! multiply-add loop; instantiated with `dyn Multiplier` (the layer-boundary
 //! case, via [`matmul_with`]) dispatch happens once per row-slice, not per
 //! element.
@@ -31,8 +31,7 @@ use da_tensor::Tensor;
 const TILE_COLS: usize = 256;
 
 /// Below this many MACs the GEMM runs single-threaded with one shared
-/// kernel (thread spawn costs more than it saves, and a single memo cache
-/// sees every repeated operand pair).
+/// kernel (thread spawn costs more than it saves).
 const PAR_MIN_MACS: usize = 1 << 15;
 
 /// `A · B` where every scalar product goes through `multiplier`, on the
@@ -66,8 +65,7 @@ pub fn matmul_with(multiplier: &dyn Multiplier, a: &Tensor, b: &Tensor) -> Tenso
 /// Monomorphizes over `M`, so concrete multiplier types get statically
 /// dispatched inner loops. Output rows are distributed over the scoped
 /// thread pool for large products; each worker reuses one
-/// [`da_arith::BatchKernel`] (and thus one significand memo cache) across
-/// all its tiles. Per output element the `k` accumulation order matches
+/// [`da_arith::BatchKernel`] across all its tiles. Per output element the `k` accumulation order matches
 /// [`matmul_with_scalar`], so results are bit-identical for any multiplier.
 ///
 /// # Panics

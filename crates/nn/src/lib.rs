@@ -35,9 +35,9 @@
 //! * [`layers::gemm_with`] is a blocked, cache-tiled GEMM, generic over the
 //!   multiplier. It distributes output rows over the scoped thread pool
 //!   (`da_tensor::parallel`) and gives each worker its own
-//!   [`da_arith::BatchKernel`] — a stateful slice kernel that amortizes
-//!   operand decomposition and memoizes gate-level significand products
-//!   across the whole GEMM (see `da_arith::batch`).
+//!   [`da_arith::BatchKernel`] — a slice kernel that amortizes operand
+//!   decomposition across the whole GEMM and runs gate-level cores on the
+//!   bit-sliced plane sweep (see `da_arith::batch`).
 //! * [`layers::matmul_with`] is the `dyn`-boundary wrapper layers use; the
 //!   `dyn Multiplier` is resolved once per row-slice, never per element.
 //!   With [`da_arith::ExactMultiplier`] the monomorphized inner loop

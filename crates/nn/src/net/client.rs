@@ -560,18 +560,21 @@ mod tests {
                 }))
                 .expect("write refusal");
             // The retry arrives on the same stream: same decoder state.
-            let Message::Infer { req_id, shape, data, .. } = read_msg(&mut stream, &mut dec)
-            else {
+            let Message::Infer { req_id, shape, data, .. } = read_msg(&mut stream, &mut dec) else {
                 panic!("expected retried INFER")
             };
             stream
-                .write_all(&frame::encode(&Message::InferOk { req_id, degraded: true, shape, data }))
+                .write_all(&frame::encode(&Message::InferOk {
+                    req_id,
+                    degraded: true,
+                    shape,
+                    data,
+                }))
                 .expect("write reply");
         });
         let mut client = RobustClient::new(addr.to_string(), RetryPolicy::default());
         let t0 = Instant::now();
-        let reply =
-            client.infer(&[2], &[1.0, -2.0], None).expect("transport ok").expect("served");
+        let reply = client.infer(&[2], &[1.0, -2.0], None).expect("transport ok").expect("served");
         assert!(
             t0.elapsed() >= HINT,
             "retry fired after {:?}, before the {HINT:?} hint elapsed",
@@ -607,8 +610,7 @@ mod tests {
         });
         let mut client = RobustClient::new(addr.to_string(), RetryPolicy::default());
         let t0 = Instant::now();
-        let refusal =
-            client.infer(&[1], &[0.5], None).expect("transport ok").expect_err("refused");
+        let refusal = client.infer(&[1], &[0.5], None).expect("transport ok").expect_err("refused");
         assert!(t0.elapsed() < Duration::from_secs(5), "must not sleep a non-overload hint");
         assert_eq!(refusal.code, ErrCode::DeadlineExceeded);
         assert_eq!(refusal.retry_after, Some(Duration::from_secs(5)));

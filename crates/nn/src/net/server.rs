@@ -897,11 +897,8 @@ impl Reactor {
                 let conn = self.conns.get_mut(&key).expect("conn exists");
                 let conn_wait = conn.bucket.as_mut().map(|b| b.peek(now));
                 let global_wait = self.global_bucket.as_mut().map(|b| b.peek(now));
-                let limited = [conn_wait, global_wait]
-                    .into_iter()
-                    .flatten()
-                    .filter_map(Result::err)
-                    .max();
+                let limited =
+                    [conn_wait, global_wait].into_iter().flatten().filter_map(Result::err).max();
                 if let Some(wait) = limited {
                     self.stats.rate_limited += 1;
                     self.stats.replies_err += 1;
@@ -919,9 +916,7 @@ impl Reactor {
                 if let Some(b) = self.global_bucket.as_mut() {
                     b.take();
                 }
-                if let Some(b) =
-                    self.conns.get_mut(&key).and_then(|c| c.bucket.as_mut())
-                {
+                if let Some(b) = self.conns.get_mut(&key).and_then(|c| c.bucket.as_mut()) {
                     b.take();
                 }
                 // Start the budget at admission; `0` defers to the batch

@@ -148,15 +148,15 @@ fn parallel_gemm_is_bit_exact_above_threshold() {
     }
 }
 
-/// HEAP runs the gate-level core through per-worker memoizing LUTs; above
-/// the parallel threshold the result must still equal the (slow) scalar
-/// gate-level loop exactly.
+/// HEAP runs the gate-level core through per-worker bit-sliced kernels;
+/// above the parallel threshold the result must still equal the (slow)
+/// scalar gate-level loop exactly.
 #[test]
-fn parallel_memoized_heap_gemm_is_bit_exact() {
+fn parallel_bitsliced_heap_gemm_is_bit_exact() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(8);
     let mult = MultiplierKind::Heap.build();
-    // Low-entropy operands maximize memo hits; 33×32×32 = 33_792 MACs
-    // crosses the parallel threshold.
+    // Low-entropy operands (repeated significand pairs); 33×32×32 = 33_792
+    // MACs crosses the parallel threshold.
     let vals: Vec<f32> = (0..13).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
     let pick = |rng: &mut rand::rngs::StdRng, n: usize| -> Tensor {
         Tensor::from_vec((0..n).map(|_| vals[rng.gen_range(0usize..13)]).collect(), &[n])
@@ -165,7 +165,7 @@ fn parallel_memoized_heap_gemm_is_bit_exact() {
     let b = pick(&mut rng, 32 * 32).reshape(&[32, 32]);
     let batched = gemm_with(&*mult, &a, &b);
     let reference = matmul_with_scalar(&*mult, &a, &b);
-    assert_bit_equal(&batched, &reference, "heap parallel+memo");
+    assert_bit_equal(&batched, &reference, "heap parallel");
 }
 
 /// The monomorphized exact GEMM equals the native `da_tensor::ops::matmul`

@@ -108,7 +108,8 @@ fn shed_and_refused_requests_never_reach_a_worker() {
     // nothing.
     let mut served = 0usize;
     for (i, pending) in admitted {
-        let Reply { data, shape, degraded } = pending.wait_reply().expect("admitted request serves");
+        let Reply { data, shape, degraded } =
+            pending.wait_reply().expect("admitted request serves");
         assert_eq!(shape, vec![5]);
         assert!(!degraded, "no brownout configured, no degraded replies");
         assert!(bits_eq(&data, &reference(&net, &items[i])), "sample {i} diverged");
@@ -140,8 +141,7 @@ fn rate_limited_requests_get_typed_retry_hints_and_never_execute() {
     let server = BatchServer::compile(&net, serve).expect("tiny cnn compiles");
     // Two tokens, then ~one token per half hour: exactly two requests of
     // the burst can be admitted no matter how slowly this test runs.
-    let net_cfg =
-        NetConfig { rate: Some(0.0005), burst: Some(2.0), ..NetConfig::default() };
+    let net_cfg = NetConfig { rate: Some(0.0005), burst: Some(2.0), ..NetConfig::default() };
     let front = NetServer::bind(server, "127.0.0.1:0", net_cfg).expect("bind loopback");
     let (addr, handle, join) = front.spawn();
 

@@ -72,7 +72,7 @@ where
 /// [`par_map_chunks`] with per-worker state: each worker thread calls
 /// `init()` once and threads the resulting state through every piece it
 /// processes. Used by the batched GEMM to give each worker its own
-/// memoizing arithmetic kernel.
+/// arithmetic kernel.
 ///
 /// The sequential fallback uses a single state for all pieces, which is
 /// only observable through the state itself (per-piece outputs must not

@@ -254,10 +254,7 @@ fn main() {
             Record::new()
                 .label("scenario", "serve_overload")
                 .label("transport", "tcp-loopback")
-                .label(
-                    "mode",
-                    if poisson_factor.is_some() { "poisson-factor" } else { "poisson" },
-                )
+                .label("mode", if poisson_factor.is_some() { "poisson-factor" } else { "poisson" })
                 .label("clients", open_conns.to_string())
                 .metric("offered_per_sec", rate)
                 .metric("goodput_per_sec", goodput)
