@@ -3,8 +3,8 @@
 //!
 //! The paper's threat model attacks a *deployed* classifier, and the
 //! deployment path here is `da_nn::serve`: single-sample queries are
-//! coalesced into micro-batches and executed on a shard pool of compiled
-//! plan replicas. [`ServedModel`] routes every decision/score query of an
+//! coalesced into micro-batches and executed on one shared compiled plan.
+//! [`ServedModel`] routes every decision/score query of an
 //! attack — `logits`, `predict`, `probabilities`, and the harness's batched
 //! `predict_batch` clean filter and replay — through a
 //! [`BatchServer`], while gradient queries (white-box access) delegate to
@@ -55,9 +55,9 @@ impl<'a> ServedModel<'a> {
     /// to attacking the [`Network`] directly.
     pub fn new(network: &'a Network) -> Option<ServedModel<'a>> {
         // Capped worker count: crafting is a sequential query loop with at
-        // most one batched replay in flight, so replicas beyond a few only
-        // cost memory (each worker snapshots the full prepared weights) —
-        // evaluation harnesses often hold several ServedModels at once.
+        // most one batched replay in flight, so workers beyond a few only
+        // cost threads and workspaces — evaluation harnesses often hold
+        // several ServedModels at once.
         let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(4);
         ServedModel::with_config(
             network,

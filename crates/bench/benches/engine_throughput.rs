@@ -15,7 +15,7 @@
 //! restricts the run to LeNet-5 × Ax-FPM at batch 1 and skips the
 //! concurrent-load scenario (CI's emit-and-schema-check smoke job). The second table then replays single-sample traffic from
 //! N submitter threads through `da_nn::serve::BatchServer` (micro-batching,
-//! shard pool of plan replicas) against a sequential one-at-a-time baseline
+//! every worker on one shared plan) against a sequential one-at-a-time baseline
 //! on the same plan.
 
 use std::time::{Duration, Instant};

@@ -8,22 +8,29 @@
 //! immediately discards. An [`InferencePlan`] walks the layer stack **once**
 //! and compiles it against the arithmetic unit:
 //!
-//! * every convolution weight's sign/exponent/significand is pre-decomposed
-//!   into a [`da_arith::PreparedOperands`] matrix consumed directly by the
-//!   kernel entry points [`da_arith::BatchKernel::axpy_prepared`] and
-//!   [`da_arith::BatchKernel::gemm_tile`] (no per-call operand
-//!   decomposition; dense layers keep raw pre-transposed weights, because
-//!   their reference GEMM makes the *activation* — not the weight — the
-//!   kernel's shared operand, and bit-identity pins that operand order);
+//! * every conv/dense layer becomes one `Conv`/`Dense` step whose weights
+//!   are held in the form its GEMM consumes — a kernel enum with four
+//!   forms: raw `f32` weights (no multiplier), pre-decomposed
+//!   [`da_arith::PreparedOperands`] (conv) or row-classified weights
+//!   (dense) for the multiplier's batch kernel, int8 codes over a
+//!   [`ProductLut`], and int4 codes over a [`ProductLut4`] (no per-call
+//!   operand decomposition or row scans);
 //! * convolution weights are pre-reshaped to `[Cout, Cin·Kh·Kw]` and dense
-//!   weights pre-transposed to `[In, Out]` (no per-call clone + reshape);
+//!   weights pre-transposed to `[In, Out]` (no per-call clone + reshape;
+//!   dense weights stay the *right* operand, because the reference GEMM
+//!   makes the activation the kernel's shared operand and bit-identity
+//!   pins that operand order);
 //! * convolutions run as **fused conv+bias+ReLU output tiles** that gather
 //!   input patches on the fly into a small reused buffer instead of
-//!   materializing full im2col columns;
-//! * activations ping-pong through a reusable workspace arena, so a
-//!   steady-state [`InferencePlan::predict_batch`] performs no heap
-//!   allocation for intermediates (only the returned logits tensor is
-//!   allocated).
+//!   materializing full im2col columns, and every kernel ends in the same
+//!   bias/ReLU epilogue, which writes `f32` values or requantized codes;
+//! * one executor runs every precision: each worker takes a group of items
+//!   and runs each step over the whole group before the next, ping-ponging
+//!   activations (`f32` values or codes) through a reusable workspace
+//!   arena, so a steady-state [`InferencePlan::predict_batch`] performs no
+//!   heap allocation for intermediates (only the returned logits tensor is
+//!   allocated). f32 plans use one-item groups; quantized plans split the
+//!   batch evenly across workers so product tables stay hot.
 //!
 //! Plans are **bit-identical** to `Network::forward(Mode::Eval)` for every
 //! multiplier kind (property-tested in `tests/engine_equivalence.rs`),
@@ -65,11 +72,12 @@
 //!   Int8, but weights narrow to 16 codes per tensor so each layer's
 //!   product table collapses to 256×16 entries and the GEMM runs as an
 //!   in-register shuffle ([`da_arith::quantized::lut4_gemm`]) instead of a
-//!   hardware gather — several times the int8 gather rate. Compilation
-//!   measures each conv/dense layer's int4-vs-int8 output gap on the
-//!   calibration batch and **falls back to int8 per layer** when the gap
-//!   exceeds the conformance threshold, so a plan is a mixed-precision
-//!   snapshot ([`InferencePlan::int4_layer_mix`] reports the split).
+//!   hardware gather — several times the int8 gather rate. The same
+//!   quantizing compiler as Int8 runs each conv/dense layer's int4 and int8
+//!   candidates through the plan executor on the calibration batch and
+//!   **falls back to int8 per layer** when the output gap exceeds the
+//!   conformance threshold, so a plan is a mixed-precision snapshot
+//!   ([`InferencePlan::int4_layer_mix`] reports the split).
 //!   Choose it when weight tensors tolerate 4-bit codes (the compiler
 //!   decides per layer, so it is never worse than Int8 in accuracy by more
 //!   than the threshold).
@@ -96,12 +104,12 @@
 //! // (`net.plan()` compiles and caches the same thing behind `logits`.)
 //! ```
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use da_arith::quantized::{
-    lut4_gemm, lut_gemm, requantize_bias_act, Lut4Order, ProductLut, ProductLut4, QuantParams,
-    QuantParams4,
+    lut4_gemm, lut_gemm, Lut4Order, ProductLut, ProductLut4, QuantParams, QuantParams4,
 };
 use da_arith::storage::Storage;
 use da_arith::{BatchKernel, ExactMultiplier, Multiplier, PreparedOperands, RowClass};
@@ -209,53 +217,158 @@ pub enum CompiledLayer {
     },
 }
 
-/// Conv weights in the form the execution mode consumes: raw `f32`s for the
-/// native exact path, pre-decomposed operands for the kernel path. Either-or
-/// so a plan never stores the weight matrix twice.
-pub(crate) enum ConvWeights {
-    /// Pre-reshaped `[Cout, Cin·Kh·Kw]`, row-major (plans without a
-    /// multiplier).
-    Raw(Storage<f32>),
-    /// Pre-decomposed `[Cout, Cin·Kh·Kw]` (plans with a multiplier).
+/// Conv geometry shared by every conv kernel: `cout` filters of
+/// `cin × kh × kw` taps, applied at `stride` over `pad`-zero-padded input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ConvGeom {
+    pub(crate) cout: usize,
+    pub(crate) cin: usize,
+    pub(crate) kh: usize,
+    pub(crate) kw: usize,
+    pub(crate) stride: usize,
+    pub(crate) pad: usize,
+}
+
+impl ConvGeom {
+    /// `[cout, cin, kh, kw, stride, pad]`, the snapshot's field order.
+    pub(crate) fn dims(&self) -> [usize; 6] {
+        [self.cout, self.cin, self.kh, self.kw, self.stride, self.pad]
+    }
+
+    pub(crate) fn from_dims(d: [usize; 6]) -> ConvGeom {
+        ConvGeom { cout: d[0], cin: d[1], kh: d[2], kw: d[3], stride: d[4], pad: d[5] }
+    }
+
+    /// Taps per output pixel (`cin·kh·kw`): the GEMM's reduction length.
+    fn taps(&self) -> usize {
+        self.cin * self.kh * self.kw
+    }
+}
+
+/// The weights of a conv/dense step in the form its GEMM consumes — the one
+/// place a plan's precision shows up in a step.
+///
+/// Conv weights are the multiplier's *left* operand (`[Cout, K]` rows),
+/// dense weights its *right* operand (`[In, Out]`, pre-transposed): the
+/// f32 reference's dense GEMM computes `multiply(x, wᵀ)`, and approximate
+/// multipliers need not commute, so every kernel keeps that operand order.
+pub(crate) enum Kernel {
+    /// Raw `f32` weights, run by the native multiply-add loop (plans without
+    /// a multiplier).
+    F32(Storage<f32>),
+    /// Conv weights pre-decomposed for [`BatchKernel::gemm_tile_classed`]
+    /// (no per-call operand decomposition).
     Prepared(PreparedOperands),
+    /// Dense weights with each row's [`RowClass`], classified once at
+    /// compile time so [`BatchKernel::axpy_classified`] skips the per-call
+    /// row scan.
+    Classified { wt: Storage<f32>, class: Vec<RowClass> },
+    /// int8 weight codes gathered from a 256×256 product table
+    /// ([`lut_gemm`]); same layouts as the f32 kernels.
+    Lut8 { codes: Storage<u8>, lut: Arc<ProductLut>, out: QOut },
+    /// int4 weight codes (low nibble) shuffled from a 256×16 product table
+    /// ([`lut4_gemm`]). Conv codes are transposed to `[K, Cout]`: the conv
+    /// runs pixels-as-rows so the weight codes vary along the shuffle axis.
+    Lut4 { codes: Storage<u8>, lut: Arc<ProductLut4>, out: QOut },
+}
+
+impl Kernel {
+    /// The f32 kernel for conv weights `[Cout, K]`: decomposed when the plan
+    /// has a multiplier (the only case with a batch kernel), raw otherwise.
+    pub(crate) fn conv(
+        multiplier: &Option<Arc<dyn Multiplier>>,
+        w: Storage<f32>,
+        geom: &ConvGeom,
+    ) -> Kernel {
+        match multiplier {
+            Some(_) => Kernel::Prepared(PreparedOperands::from_matrix(
+                w.as_slice(),
+                geom.cout,
+                geom.taps(),
+            )),
+            None => Kernel::F32(w),
+        }
+    }
+
+    /// The f32 kernel for dense weights `[In, Out]`: rows classified through
+    /// the multiplier's own batch kernel, so each kernel's sweeps get exactly
+    /// the class granularity they expect; raw without a multiplier.
+    pub(crate) fn dense(
+        multiplier: &Option<Arc<dyn Multiplier>>,
+        wt: Storage<f32>,
+        out_features: usize,
+    ) -> Kernel {
+        match multiplier {
+            Some(m) => {
+                let classifier = m.batch_kernel();
+                let class = wt.as_slice().chunks(out_features).map(|r| classifier.classify_rhs(r));
+                Kernel::Classified { class: class.collect(), wt }
+            }
+            None => Kernel::F32(wt),
+        }
+    }
+
+    /// The weight values of an f32 kernel, in stored order (prepared
+    /// operands keep every weight's exact value).
+    pub(crate) fn f32_weights(&self) -> Cow<'_, [f32]> {
+        match self {
+            Kernel::F32(w) | Kernel::Classified { wt: w, .. } => Cow::Borrowed(w.as_slice()),
+            Kernel::Prepared(p) => Cow::Owned(
+                (0..p.rows()).flat_map(|r| p.row(r).iter().map(|op| op.value())).collect(),
+            ),
+            Kernel::Lut8 { .. } | Kernel::Lut4 { .. } => {
+                unreachable!("quantized kernels carry codes, not f32 weights")
+            }
+        }
+    }
+
+    fn reads_codes(&self) -> bool {
+        matches!(self, Kernel::Lut8 { .. } | Kernel::Lut4 { .. })
+    }
+
+    /// What the epilogue writes: f32 kernels always emit f32.
+    fn out(&self) -> QOut {
+        match self {
+            Kernel::Lut8 { out, .. } | Kernel::Lut4 { out, .. } => *out,
+            _ => QOut::Float,
+        }
+    }
 }
 
 /// One executable step of a compiled plan.
 ///
-/// `pub(crate)` (with its storage enums) so `crate::snapshot` can walk a
-/// compiled plan when saving and reassemble steps over mapped storage when
-/// loading; outside the crate the plan stays opaque.
+/// `pub(crate)` (with [`Kernel`]) so `crate::snapshot` can walk a compiled
+/// plan when saving and reassemble steps over mapped storage when loading;
+/// outside the crate the plan stays opaque.
 pub(crate) enum Step {
+    /// Fused conv + bias (+ ReLU): patch tiles gathered on the fly, one
+    /// GEMM per tile, then the shared epilogue.
     Conv {
-        weights: ConvWeights,
+        geom: ConvGeom,
         bias: Vec<f32>,
-        cout: usize,
-        cin: usize,
-        kh: usize,
-        kw: usize,
-        stride: usize,
-        pad: usize,
         fuse_relu: bool,
+        kernel: Kernel,
     },
+    /// Fused dense + bias (+ ReLU).
     Dense {
-        /// Pre-transposed weights `[In, Out]`, row-major (owned, or
-        /// borrowed from a snapshot mapping).
-        wt: Storage<f32>,
-        /// Per-`wt`-row [`RowClass`], classified once at compile time so the
-        /// kernel's class-matched lane sweeps skip the per-call row scan
-        /// (dense weights are the kernel's right-hand rows — the activation
-        /// is the shared operand, pinned by the reference operand order).
-        wt_class: Vec<RowClass>,
-        bias: Vec<f32>,
         in_features: usize,
         out_features: usize,
+        bias: Vec<f32>,
         fuse_relu: bool,
+        kernel: Kernel,
     },
+    /// Max pooling, on f32 values or directly on codes (dequantization is
+    /// strictly increasing, so the max code is the code of the max value).
     MaxPool {
         window: usize,
         stride: usize,
     },
     Relu,
+    /// ReLU on codes: `max(code, zero_point)` (the zero point dequantizes
+    /// to exactly 0.0).
+    QRelu {
+        zero_point: u8,
+    },
     Flatten,
     BatchNorm {
         mean: Vec<f32>,
@@ -268,96 +381,74 @@ pub(crate) enum Step {
     QuantAct {
         bits: u32,
     },
-    // ----- int8 steps (present only in `PlanPrecision::Int8` plans) -----
-    /// Quantize the `f32` input item into activation codes (always the
-    /// first step of a quantized plan).
+    /// Quantize the `f32` input into activation codes (always the first
+    /// step of a quantized plan).
     QuantizeInput {
         params: QuantParams,
     },
-    /// Fused quantized conv: LUT-gather GEMM over weight/patch codes with
-    /// `f32` accumulation, then bias (+ ReLU) and the output stage.
-    QConv {
-        /// Weight codes, `[Cout, Cin·Kh·Kw]` row-major (the LUT's `a` side).
-        qweight: Storage<u8>,
-        /// Product table over (weight, activation) codes (shared across
-        /// steps with identical quantizer pairs).
-        lut: Arc<ProductLut>,
-        bias: Vec<f32>,
-        cout: usize,
-        cin: usize,
-        kh: usize,
-        kw: usize,
-        stride: usize,
-        pad: usize,
-        fuse_relu: bool,
-        out: QOut,
-    },
-    /// Fused quantized dense layer: the `rows == 1` LUT GEMM with the
-    /// activation codes as the shared (`a`) operand — mirroring the f32
-    /// reference, whose dense GEMM also makes the activation the left
-    /// operand (approximate multipliers need not be commutative).
-    QDense {
-        /// Pre-transposed weight codes, `[In, Out]` row-major (the `b` side).
-        qwt: Storage<u8>,
-        /// Product table over (activation, weight) codes (shared across
-        /// steps with identical quantizer pairs).
-        lut: Arc<ProductLut>,
-        bias: Vec<f32>,
-        in_features: usize,
-        out_features: usize,
-        fuse_relu: bool,
-        out: QOut,
-    },
-    /// Fused **int4-weight** quantized conv, run *transposed*: patch pixels
-    /// are the GEMM rows and out-channels the vectorized columns, so the
-    /// 4-bit weight codes vary along the in-register shuffle axis (see
-    /// [`da_arith::quantized::lut4_gemm`]).
-    QConv4 {
-        /// Transposed weight codes, `[Cin·Kh·Kw, Cout]` row-major, low
-        /// nibble.
-        qweight_t: Storage<u8>,
-        /// 256×16 product table over (weight, activation) codes.
-        lut: Arc<ProductLut4>,
-        bias: Vec<f32>,
-        cout: usize,
-        cin: usize,
-        kh: usize,
-        kw: usize,
-        stride: usize,
-        pad: usize,
-        fuse_relu: bool,
-        out: QOut,
-    },
-    /// Fused int4-weight dense layer: a multi-row shuffle GEMM with the
-    /// activation codes as rows (the multiplier's left operand, mirroring
-    /// the f32 reference) and weight codes along the shuffle axis.
-    QDense4 {
-        /// Pre-transposed weight codes `[In, Out]` row-major, low nibble.
-        qwt: Storage<u8>,
-        /// 256×16 product table over (activation, weight) codes.
-        lut: Arc<ProductLut4>,
-        bias: Vec<f32>,
-        in_features: usize,
-        out_features: usize,
-        fuse_relu: bool,
-        out: QOut,
-    },
-    /// Max pooling directly on codes (dequantization is strictly
-    /// increasing, so the max code is the code of the max value).
-    QMaxPool {
-        window: usize,
-        stride: usize,
-    },
-    /// Standalone ReLU on codes: `max(code, zero_point)` (the zero point
-    /// dequantizes to exactly 0.0).
-    QRelu {
-        zero_point: u8,
-    },
     /// Decode codes back to `f32` (appended when a quantized plan does not
-    /// end in a conv/dense step, which produce `f32` logits directly).
+    /// end in a conv/dense step, which emit `f32` logits directly).
     QDequantize {
         params: QuantParams,
     },
+}
+
+impl Step {
+    /// The operand type the step consumes: codes (`Some(true)`), f32 values
+    /// (`Some(false)`), or either (`None`).
+    fn reads_codes(&self) -> Option<bool> {
+        match self {
+            Step::Conv { kernel, .. } | Step::Dense { kernel, .. } => Some(kernel.reads_codes()),
+            Step::MaxPool { .. } | Step::Flatten => None,
+            Step::QRelu { .. } | Step::QDequantize { .. } => Some(true),
+            Step::Relu | Step::BatchNorm { .. } | Step::QuantAct { .. } => Some(false),
+            Step::QuantizeInput { .. } => Some(false),
+        }
+    }
+
+    /// Whether the step writes codes, given whether its input is codes.
+    fn writes_codes(&self, codes_in: bool) -> bool {
+        match self {
+            Step::Conv { kernel, .. } | Step::Dense { kernel, .. } => {
+                matches!(kernel.out(), QOut::Codes(_))
+            }
+            Step::MaxPool { .. } | Step::Flatten => codes_in,
+            Step::QRelu { .. } | Step::QuantizeInput { .. } => true,
+            Step::Relu | Step::BatchNorm { .. } | Step::QuantAct { .. } => false,
+            Step::QDequantize { .. } => false,
+        }
+    }
+
+    /// This conv/dense step's geometry and bias around another kernel.
+    fn with_kernel(&self, kernel: Kernel, fuse_relu: bool) -> Step {
+        match self {
+            Step::Conv { geom, bias, .. } => {
+                Step::Conv { geom: *geom, bias: bias.clone(), fuse_relu, kernel }
+            }
+            Step::Dense { in_features, out_features, bias, .. } => Step::Dense {
+                in_features: *in_features,
+                out_features: *out_features,
+                bias: bias.clone(),
+                fuse_relu,
+                kernel,
+            },
+            _ => unreachable!("only conv/dense steps carry kernels"),
+        }
+    }
+}
+
+/// Whether every step receives the operand type it consumes, from the f32
+/// input to f32 logits — the executor's precondition. Compiled plans meet it
+/// by construction; snapshot load checks it.
+pub(crate) fn operand_types_agree(steps: &[Step]) -> bool {
+    let mut codes = false;
+    for step in steps {
+        if step.reads_codes().is_some_and(|c| c != codes) {
+            return false;
+        }
+        codes = step.writes_codes(codes);
+    }
+    !codes
 }
 
 /// Where a quantized conv/dense step sends its epilogue output.
@@ -491,6 +582,79 @@ struct ResolvedShape {
     out_shape: Vec<usize>,
 }
 
+impl ResolvedShape {
+    fn in_len(&self) -> usize {
+        self.in_shape.iter().product()
+    }
+
+    fn out_len(&self) -> usize {
+        self.out_shape.iter().product()
+    }
+}
+
+/// Scratch lengths a step needs beyond its input and output buffers.
+#[derive(Default, Clone, Copy)]
+struct ScratchLen {
+    /// `f32` patch gather (f32 convs).
+    gather: usize,
+    /// Code patch gather (quantized convs).
+    qgather: usize,
+    /// GEMM accumulator tile, independent of the item group (conv tiles
+    /// are capped at [`CONV_TILE`] / [`QCONV_TILE`] columns).
+    facc: usize,
+    /// Accumulator per group item (dense layers hold the whole group).
+    facc_per_item: usize,
+}
+
+impl ScratchLen {
+    /// The scratch `step` needs for its resolved `shapes`.
+    fn of(step: &Step, shapes: &ResolvedShape) -> ScratchLen {
+        match step {
+            Step::Conv { geom, kernel, .. } => {
+                let k = geom.taps();
+                let p_total = shapes.out_shape[1] * shapes.out_shape[2];
+                let (gather, qgather, tile) = match kernel {
+                    Kernel::Lut8 { .. } => {
+                        // Small planes share one tile across an item group;
+                        // large planes split into balanced tiles. Either way
+                        // columns stay under the QCONV_TILE cap.
+                        let tile = if p_total >= QCONV_TILE {
+                            qconv_tile_width(p_total)
+                        } else {
+                            (QCONV_TILE / p_total) * p_total
+                        };
+                        (0, k * tile, tile)
+                    }
+                    // Transposed tiling: pixel rows × tap columns, with the
+                    // accumulator `cout` wide per pixel row.
+                    Kernel::Lut4 { .. } => {
+                        let rows = QCONV_TILE.min(p_total).max(1);
+                        (0, rows * k, rows)
+                    }
+                    _ => {
+                        let tile = CONV_TILE.min(p_total);
+                        (k * tile, 0, tile)
+                    }
+                };
+                ScratchLen { gather, qgather, facc: geom.cout * tile, facc_per_item: 0 }
+            }
+            Step::Dense { out_features, .. } => {
+                ScratchLen { facc_per_item: *out_features, ..ScratchLen::default() }
+            }
+            _ => ScratchLen::default(),
+        }
+    }
+
+    fn max(self, o: ScratchLen) -> ScratchLen {
+        ScratchLen {
+            gather: self.gather.max(o.gather),
+            qgather: self.qgather.max(o.qgather),
+            facc: self.facc.max(o.facc),
+            facc_per_item: self.facc_per_item.max(o.facc_per_item),
+        }
+    }
+}
+
 /// Shape inference result for one per-item input shape: per-step shapes and
 /// workspace sizing. Computed on the first `predict_batch` call and cached.
 struct Layout {
@@ -498,67 +662,65 @@ struct Layout {
     resolved: Vec<ResolvedShape>,
     out_shape: Vec<usize>,
     out_len: usize,
-    /// Max intermediate activation length (sizes each ping-pong buffer).
-    buf_len: usize,
-    /// Max conv patch-gather buffer length.
-    gather_len: usize,
-    /// Max intermediate code length **per item** (the `u8` ping-pong
-    /// buffers of a quantized plan scale with the worker's item group;
-    /// zero for f32 plans).
-    qbuf_len: usize,
-    /// Max `u8` patch-gather buffer length (quantized convs; group
-    /// independent — conv tiles are capped at [`QCONV_TILE`] columns).
-    qgather_len: usize,
-    /// Max `f32` accumulator-tile length for quantized convs (group
-    /// independent, same cap).
-    facc_len: usize,
-    /// Max quantized-dense width per item (the dense accumulator holds the
-    /// whole item group: `group × dense_out_max`).
-    dense_out_max: usize,
+    /// Max intermediate `f32` / code length **per item** (the ping-pong
+    /// buffers scale with the worker's item group; the final step writes
+    /// the caller's output directly).
+    f_len: usize,
+    q_len: usize,
+    scratch: ScratchLen,
     /// Multiply-accumulates per item (parallelization heuristic).
     item_macs: usize,
 }
 
+/// Grow `buf` to `want` elements, counting the growth.
+fn grow<T: Copy + Default>(buf: &mut Vec<T>, want: usize, counter: &AtomicU64) {
+    if buf.len() < want {
+        buf.resize(want, T::default());
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// One ping-pong activation buffer: `f32` values or codes, whichever the
+/// step that writes it produces.
+#[derive(Default)]
+struct Buf {
+    f: Vec<f32>,
+    q: Vec<u8>,
+}
+
+/// Per-step scratch: conv patch gathers and the GEMM accumulator tile.
+#[derive(Default)]
+struct Scratch {
+    gather: Vec<f32>,
+    qgather: Vec<u8>,
+    facc: Vec<f32>,
+}
+
+impl Scratch {
+    fn ensure(&mut self, len: ScratchLen, group: usize, counter: &AtomicU64) {
+        grow(&mut self.gather, len.gather, counter);
+        grow(&mut self.qgather, len.qgather, counter);
+        grow(&mut self.facc, len.facc.max(group * len.facc_per_item), counter);
+    }
+}
+
 /// Reusable per-worker buffers: two ping-pong activation buffers and the
-/// conv patch-gather buffer.
+/// step scratch.
 #[derive(Default)]
 struct Workspace {
-    a: Vec<f32>,
-    b: Vec<f32>,
-    gather: Vec<f32>,
-    /// `u8` ping-pong code buffers and patch gather (quantized plans only).
-    qa: Vec<u8>,
-    qb: Vec<u8>,
-    qgather: Vec<u8>,
-    /// `f32` accumulator tile for the LUT GEMMs (quantized plans only).
-    facc: Vec<f32>,
+    bufs: [Buf; 2],
+    scratch: Scratch,
 }
 
 impl Workspace {
     /// Grow buffers to the layout's requirements for a worker serving item
     /// groups of up to `group` items, counting growths.
     fn ensure(&mut self, layout: &Layout, group: usize, counter: &AtomicU64) {
-        for (buf, want) in [
-            (&mut self.a, layout.buf_len),
-            (&mut self.b, layout.buf_len),
-            (&mut self.gather, layout.gather_len),
-            (&mut self.facc, layout.facc_len.max(group * layout.dense_out_max)),
-        ] {
-            if buf.len() < want {
-                buf.resize(want, 0.0);
-                counter.fetch_add(1, Ordering::Relaxed);
-            }
+        for buf in &mut self.bufs {
+            grow(&mut buf.f, group * layout.f_len, counter);
+            grow(&mut buf.q, group * layout.q_len, counter);
         }
-        for (buf, want) in [
-            (&mut self.qa, group * layout.qbuf_len),
-            (&mut self.qb, group * layout.qbuf_len),
-            (&mut self.qgather, layout.qgather_len),
-        ] {
-            if buf.len() < want {
-                buf.resize(want, 0);
-                counter.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.scratch.ensure(layout.scratch, group, counter);
     }
 }
 
@@ -567,7 +729,7 @@ impl Workspace {
 struct WorkerState<'p> {
     pool: &'p Mutex<Vec<Workspace>>,
     ws: Workspace,
-    kernel: Option<Box<dyn BatchKernel + Send + 'p>>,
+    arith: Option<Box<dyn BatchKernel + Send + 'p>>,
 }
 
 impl Drop for WorkerState<'_> {
@@ -576,12 +738,183 @@ impl Drop for WorkerState<'_> {
     }
 }
 
-/// Which buffer currently holds the step input.
+/// A step's input activations for a whole item group.
 #[derive(Clone, Copy)]
-enum SrcSlot {
-    Input,
-    A,
-    B,
+enum Acts<'a> {
+    F32(&'a [f32]),
+    Codes(&'a [u8]),
+}
+
+/// A step's output buffer for a whole item group.
+enum ActsMut<'a> {
+    F32(&'a mut [f32]),
+    Codes(&'a mut [u8]),
+}
+
+/// A conv/dense step's destination: `f32` values, or codes requantized with
+/// the step's output quantizer.
+enum Sink<'a> {
+    Float(&'a mut [f32]),
+    Codes(&'a mut [u8], QuantParams),
+}
+
+impl<'a> Sink<'a> {
+    fn new(dst: ActsMut<'a>, out: QOut) -> Sink<'a> {
+        match (dst, out) {
+            (ActsMut::F32(d), QOut::Float) => Sink::Float(d),
+            (ActsMut::Codes(d), QOut::Codes(params)) => Sink::Codes(d, params),
+            _ => unreachable!("the executor picks the destination from the step's output"),
+        }
+    }
+
+    /// The bias/ReLU epilogue every conv/dense kernel shares: element `j` of
+    /// `acc` becomes `relu?(acc[j] + bias_j)` at `at + j·stride`, stored as
+    /// `f32` or requantized — exactly
+    /// [`da_arith::quantized::requantize_bias_act`].
+    fn store(
+        &mut self,
+        at: usize,
+        stride: usize,
+        acc: &[f32],
+        bias: impl Iterator<Item = f32>,
+        relu: bool,
+    ) {
+        match self {
+            Sink::Float(dst) => scatter(dst, at, stride, acc, bias, relu, |v| v),
+            Sink::Codes(dst, params) => {
+                let params = *params;
+                scatter(dst, at, stride, acc, bias, relu, |v| params.quantize(v));
+            }
+        }
+    }
+}
+
+/// [`Sink::store`]'s loop for one output element type.
+#[inline(always)]
+fn scatter<T>(
+    dst: &mut [T],
+    at: usize,
+    stride: usize,
+    acc: &[f32],
+    bias: impl Iterator<Item = f32>,
+    relu: bool,
+    emit: impl Fn(f32) -> T,
+) {
+    let vals = acc.iter().zip(bias).map(|(&a, b)| {
+        let v = a + b;
+        emit(if relu { v.max(0.0) } else { v })
+    });
+    if stride == 1 {
+        for (o, v) in dst[at..at + acc.len()].iter_mut().zip(vals) {
+            *o = v;
+        }
+    } else {
+        for (o, v) in dst[at..].iter_mut().step_by(stride).zip(vals) {
+            *o = v;
+        }
+    }
+}
+
+/// Calibration activations as codes, `[n × item]`, advanced through each
+/// step the quantizing compiler has chosen — so every int4-vs-int8 gap is
+/// measured on the activations the finished plan really produces.
+struct CalCodes {
+    n: usize,
+    codes: Vec<u8>,
+    scratch: Scratch,
+}
+
+impl CalCodes {
+    /// Run the quantized `step` over the calibration codes into `dst`.
+    fn run(&mut self, step: &Step, shapes: &ResolvedShape, dst: ActsMut<'_>) {
+        self.scratch.ensure(ScratchLen::of(step, shapes), self.n, &AtomicU64::new(0));
+        let src = Acts::Codes(&self.codes);
+        exec_step(step, shapes, self.n, src, dst, &mut self.scratch, None);
+    }
+
+    /// `step`'s f32 outputs over the calibration codes.
+    fn measure(&mut self, step: &Step, shapes: &ResolvedShape) -> Vec<f32> {
+        let mut y = vec![0.0f32; self.n * shapes.out_len()];
+        self.run(step, shapes, ActsMut::F32(&mut y));
+        y
+    }
+
+    /// Replace the codes with `step`'s output codes.
+    fn advance(&mut self, step: &Step, shapes: &ResolvedShape) {
+        let mut next = vec![0u8; self.n * shapes.out_len()];
+        self.run(step, shapes, ActsMut::Codes(&mut next));
+        self.codes = next;
+    }
+}
+
+/// Quantize one f32 conv/dense `step` (input codes `act`, output codes
+/// `out`): per-tensor int8 weight codes over a product table of `m`. With
+/// calibration codes, an int4-weight candidate is measured against the int8
+/// one — both run through the executor, post-bias and pre-activation — and
+/// replaces it when the gap passes [`INT4_FALLBACK_GAP`]; the calibration
+/// codes then advance through the chosen step.
+fn quantize_gemm(
+    step: &Step,
+    shapes: &ResolvedShape,
+    act: QuantParams,
+    out: QuantParams,
+    m: &dyn Multiplier,
+    luts: &mut LutCache,
+    cal: Option<&mut CalCodes>,
+) -> Step {
+    let (kernel, relu, conv) = match step {
+        Step::Conv { kernel, fuse_relu, geom, .. } => (kernel, *fuse_relu, Some(geom)),
+        Step::Dense { kernel, fuse_relu, .. } => (kernel, *fuse_relu, None),
+        _ => unreachable!("only conv/dense steps carry kernels"),
+    };
+    let w = kernel.f32_weights();
+    let (wlo, whi) = QuantParams::observe(&w);
+    let wq = QuantParams::from_range(wlo, whi);
+    let lut = if conv.is_some() { luts.int8(m, wq, act) } else { luts.int8(m, act, wq) };
+    let codes = Storage::Owned(w.iter().map(|&v| wq.quantize(v)).collect());
+    let Some(cal) = cal else {
+        return step.with_kernel(Kernel::Lut8 { codes, lut, out: QOut::Codes(out) }, relu);
+    };
+    let int8 = step.with_kernel(Kernel::Lut8 { codes, lut, out: QOut::Float }, false);
+
+    let w4 = QuantParams4::from_range(wlo, whi);
+    let q4: Vec<u8> = w.iter().map(|&v| w4.quantize(v)).collect();
+    let (codes, order) = match conv {
+        Some(g) => {
+            let (k, cout) = (g.taps(), g.cout);
+            let mut t = vec![0u8; k * cout];
+            for (co, row) in q4.chunks_exact(k).enumerate() {
+                for (kk, &c) in row.iter().enumerate() {
+                    t[kk * cout + co] = c;
+                }
+            }
+            (t, Lut4Order::WeightsLeft)
+        }
+        None => (q4, Lut4Order::ActivationsLeft),
+    };
+    let lut = luts.int4(m, act, w4, order);
+    let int4 = step
+        .with_kernel(Kernel::Lut4 { codes: Storage::Owned(codes), lut, out: QOut::Float }, false);
+
+    let y8 = cal.measure(&int8, shapes);
+    let y4 = cal.measure(&int4, shapes);
+    let mut spread = (f32::INFINITY, f32::NEG_INFINITY);
+    let mut max_diff = 0.0f32;
+    for (&a, &b) in y8.iter().zip(&y4) {
+        spread = (spread.0.min(a), spread.1.max(a));
+        max_diff = max_diff.max((b - a).abs());
+    }
+    let mut chosen = if gap_accepts_int4(max_diff, spread) { int4 } else { int8 };
+    if let Step::Conv { fuse_relu, kernel, .. } | Step::Dense { fuse_relu, kernel, .. } =
+        &mut chosen
+    {
+        *fuse_relu = relu;
+        if let Kernel::Lut8 { out: o, .. } | Kernel::Lut4 { out: o, .. } = kernel {
+            *o = QOut::Codes(out);
+        }
+    }
+    cal.advance(&chosen, shapes);
+    chosen
 }
 
 /// A network compiled for serving: pre-decomposed weights, fused conv
@@ -599,10 +932,9 @@ pub struct InferencePlan {
 }
 
 impl InferencePlan {
-    /// Assemble a plan directly from executable steps — the snapshot-load
-    /// path (`crate::snapshot`), which reconstructs steps over mapped
-    /// storage. Derived state (`last_write`, layout cache, workspace pool)
-    /// is rebuilt exactly as the compile paths build it.
+    /// Assemble a plan from executable steps — the end of every compile path
+    /// and of the snapshot-load path (`crate::snapshot`), which
+    /// reconstructs steps over mapped storage.
     pub(crate) fn from_steps(
         multiplier: Option<Arc<dyn Multiplier>>,
         steps: Vec<Step>,
@@ -619,6 +951,7 @@ impl InferencePlan {
             workspace_allocs: AtomicU64::new(0),
         }
     }
+
     /// Compile `network` against `multiplier` (pass
     /// `network.multiplier().cloned()` to match the installed one).
     ///
@@ -648,32 +981,15 @@ impl InferencePlan {
                     if !same_multiplier(&multiplier, &layer_mult) {
                         return None;
                     }
-                    let (cout, cin, kh, kw) = (
-                        weight.shape()[0],
-                        weight.shape()[1],
-                        weight.shape()[2],
-                        weight.shape()[3],
-                    );
-                    let wmat = weight.into_vec();
-                    let weights = if multiplier.is_some() {
-                        ConvWeights::Prepared(PreparedOperands::from_matrix(
-                            &wmat,
-                            cout,
-                            cin * kh * kw,
-                        ))
-                    } else {
-                        ConvWeights::Raw(Storage::Owned(wmat))
-                    };
+                    let s = weight.shape();
+                    let geom = ConvGeom { cout: s[0], cin: s[1], kh: s[2], kw: s[3], stride, pad };
+                    let w = Storage::Owned(weight.into_vec());
+                    let kernel = Kernel::conv(&multiplier, w, &geom);
                     steps.push(Step::Conv {
-                        weights,
+                        geom,
                         bias: bias.into_vec(),
-                        cout,
-                        cin,
-                        kh,
-                        kw,
-                        stride,
-                        pad,
                         fuse_relu: false,
+                        kernel,
                     });
                 }
                 CompiledLayer::Dense { weight, bias, multiplier: layer_mult } => {
@@ -681,25 +997,13 @@ impl InferencePlan {
                         return None;
                     }
                     let (out_features, in_features) = (weight.shape()[0], weight.shape()[1]);
-                    let wt = transpose2d(&weight).into_vec();
-                    // Classify through the serving kernel so each kernel's
-                    // sweeps get exactly the class granularity they expect
-                    // (kernel-less plans run the raw native loop and never
-                    // read the classes).
-                    let wt_class = match &multiplier {
-                        Some(m) if out_features > 0 => {
-                            let classifier = m.batch_kernel();
-                            wt.chunks(out_features).map(|r| classifier.classify_rhs(r)).collect()
-                        }
-                        _ => vec![RowClass::Normal; in_features],
-                    };
+                    let wt = Storage::Owned(transpose2d(&weight).into_vec());
                     steps.push(Step::Dense {
-                        wt: Storage::Owned(wt),
-                        wt_class,
-                        bias: bias.into_vec(),
                         in_features,
                         out_features,
+                        bias: bias.into_vec(),
                         fuse_relu: false,
+                        kernel: Kernel::dense(&multiplier, wt, out_features),
                     });
                 }
                 CompiledLayer::MaxPool2d { kernel, stride } => {
@@ -713,24 +1017,15 @@ impl InferencePlan {
                 CompiledLayer::QuantAct { bits } => steps.push(Step::QuantAct { bits }),
             }
         }
-        let last_write = steps.iter().rposition(|s| !matches!(s, Step::Flatten));
-        Some(InferencePlan {
-            multiplier,
-            steps,
-            last_write,
-            precision: PlanPrecision::F32,
-            layout: Mutex::new(None),
-            pool: Mutex::new(Vec::new()),
-            workspace_allocs: AtomicU64::new(0),
-        })
+        Some(InferencePlan::from_steps(multiplier, steps, PlanPrecision::F32))
     }
 
     /// Compile `network` into an **int8 serving plan**: weights are
     /// quantized per tensor, activation ranges are calibrated by running
     /// `calibration` (a representative `[N, ...]` sample batch) through the
-    /// f32 plan, and every conv/dense GEMM becomes a
-    /// [`da_arith::quantized::lut_gemm`] gather over a per-layer
-    /// [`ProductLut`] built from the *actual* multiplier — gate-level kinds
+    /// f32 plan, and every conv/dense step gets an int8 (`Lut8`) kernel —
+    /// a [`da_arith::quantized::lut_gemm`] gather over a per-layer
+    /// [`ProductLut`] built from the *actual* multiplier, gate-level kinds
     /// included, so the table is exact w.r.t. the hardware model it
     /// replaces. Plans without a multiplier quantize against native `f32`
     /// products.
@@ -757,114 +1052,25 @@ impl InferencePlan {
         multiplier: Option<Arc<dyn Multiplier>>,
         calibration: &Tensor,
     ) -> Option<InferencePlan> {
-        let f32_plan = InferencePlan::compile(network, multiplier.clone())?;
-        // Every step must have a quantized form before paying for the
-        // calibration pass and the LUT builds.
-        if f32_plan
-            .steps
-            .iter()
-            .any(|s| matches!(s, Step::BatchNorm { .. } | Step::QuantAct { .. }))
-        {
-            return None;
-        }
-        let (input_range, step_ranges) = f32_plan.observe_ranges(calibration);
-        let lut_mult: Arc<dyn Multiplier> =
-            multiplier.clone().unwrap_or_else(|| Arc::new(ExactMultiplier));
-        let mut lut_cache = LutCache::default();
-
-        let mut act = QuantParams::from_range(input_range.0, input_range.1);
-        let mut steps = vec![Step::QuantizeInput { params: act }];
-        for (t, step) in f32_plan.steps.iter().enumerate() {
-            match step {
-                Step::Conv { weights, bias, cout, cin, kh, kw, stride, pad, fuse_relu } => {
-                    let wmat: Vec<f32> = match weights {
-                        ConvWeights::Raw(w) => w.as_slice().to_vec(),
-                        ConvWeights::Prepared(p) => (0..p.rows())
-                            .flat_map(|r| p.row(r).iter().map(|op| op.value()))
-                            .collect(),
-                    };
-                    let (wlo, whi) = QuantParams::observe(&wmat);
-                    let wq = QuantParams::from_range(wlo, whi);
-                    let qweight: Vec<u8> = wmat.iter().map(|&v| wq.quantize(v)).collect();
-                    let (olo, ohi) = step_ranges[t];
-                    let out_params = QuantParams::from_range(olo, ohi);
-                    steps.push(Step::QConv {
-                        qweight: Storage::Owned(qweight),
-                        lut: lut_cache.int8(&*lut_mult, wq, act),
-                        bias: bias.clone(),
-                        cout: *cout,
-                        cin: *cin,
-                        kh: *kh,
-                        kw: *kw,
-                        stride: *stride,
-                        pad: *pad,
-                        fuse_relu: *fuse_relu,
-                        out: QOut::Codes(out_params),
-                    });
-                    act = out_params;
-                }
-                Step::Dense { wt, bias, in_features, out_features, fuse_relu, .. } => {
-                    let wt = wt.as_slice();
-                    let (wlo, whi) = QuantParams::observe(wt);
-                    let wq = QuantParams::from_range(wlo, whi);
-                    let qwt: Vec<u8> = wt.iter().map(|&v| wq.quantize(v)).collect();
-                    let (olo, ohi) = step_ranges[t];
-                    let out_params = QuantParams::from_range(olo, ohi);
-                    steps.push(Step::QDense {
-                        qwt: Storage::Owned(qwt),
-                        lut: lut_cache.int8(&*lut_mult, act, wq),
-                        bias: bias.clone(),
-                        in_features: *in_features,
-                        out_features: *out_features,
-                        fuse_relu: *fuse_relu,
-                        out: QOut::Codes(out_params),
-                    });
-                    act = out_params;
-                }
-                Step::MaxPool { window, stride } => {
-                    steps.push(Step::QMaxPool { window: *window, stride: *stride });
-                }
-                Step::Relu => steps.push(Step::QRelu { zero_point: act.zero_point() }),
-                Step::Flatten => steps.push(Step::Flatten),
-                Step::BatchNorm { .. } | Step::QuantAct { .. } => return None,
-                _ => unreachable!("f32 plans contain only f32 steps"),
-            }
-        }
-        // The plan's logits are f32: a final conv/dense step emits them
-        // directly from its accumulator; anything else gets an explicit
-        // decode step.
-        match steps.iter_mut().rev().find(|s| !matches!(s, Step::Flatten)) {
-            Some(Step::QConv { out, .. }) | Some(Step::QDense { out, .. }) => *out = QOut::Float,
-            _ => steps.push(Step::QDequantize { params: act }),
-        }
-        let last_write = steps.iter().rposition(|s| !matches!(s, Step::Flatten));
-        Some(InferencePlan {
-            multiplier,
-            steps,
-            last_write,
-            precision: PlanPrecision::Int8,
-            layout: Mutex::new(None),
-            pool: Mutex::new(Vec::new()),
-            workspace_allocs: AtomicU64::new(0),
-        })
+        Self::quantize(network, multiplier, calibration, PlanPrecision::Int8)
     }
 
     /// Compile `network` into an **int4-weight serving plan**: like
     /// [`InferencePlan::compile_quantized`], but each conv/dense layer's
-    /// weights are additionally quantized to **16 codes** and the layer runs
-    /// the in-register shuffle GEMM ([`da_arith::quantized::lut4_gemm`]) —
-    /// unless the calibration batch measures too large an output gap
-    /// against the int8 layer, in which case that layer alone keeps the
-    /// int8 gather ([`INT4_FALLBACK_GAP`]; see
-    /// [`InferencePlan::int4_layer_mix`] for the resulting split).
+    /// weights are additionally quantized to **16 codes** and the layer gets
+    /// an int4 (`Lut4`) kernel, the in-register shuffle GEMM
+    /// ([`da_arith::quantized::lut4_gemm`]) — unless the calibration batch
+    /// measures too large an output gap against the int8 layer, in which
+    /// case that layer alone keeps the int8 gather ([`INT4_FALLBACK_GAP`];
+    /// see [`InferencePlan::int4_layer_mix`] for the resulting split).
     ///
     /// The gap is measured layer-locally on calibration *codes*: both
-    /// candidate layers consume the same upstream activations (produced by
-    /// the layers actually chosen so far), so the decision reflects the
-    /// plan that will really serve. Like the int8 plan, the result is
-    /// deterministic and schedule-independent; it is bit-identical to the
-    /// scalar int4 reference GEMM on every int4 layer and to the scalar
-    /// int8 reference on every fallback layer.
+    /// candidate steps run through the plan executor on the same upstream
+    /// activations (produced by the steps actually chosen so far), so the
+    /// decision reflects the plan that will really serve. Like the int8
+    /// plan, the result is deterministic and schedule-independent; it is
+    /// bit-identical to the scalar int4 reference GEMM on every int4 layer
+    /// and to the scalar int8 reference on every fallback layer.
     ///
     /// Returns `None` exactly when [`InferencePlan::compile_quantized`]
     /// would.
@@ -878,7 +1084,20 @@ impl InferencePlan {
         multiplier: Option<Arc<dyn Multiplier>>,
         calibration: &Tensor,
     ) -> Option<InferencePlan> {
+        Self::quantize(network, multiplier, calibration, PlanPrecision::Int4Weights)
+    }
+
+    /// The quantizing compiler behind both quantized constructors: int8
+    /// kernels everywhere, plus measured int4 candidates for `Int4Weights`.
+    fn quantize(
+        network: &Network,
+        multiplier: Option<Arc<dyn Multiplier>>,
+        calibration: &Tensor,
+        precision: PlanPrecision,
+    ) -> Option<InferencePlan> {
         let f32_plan = InferencePlan::compile(network, multiplier.clone())?;
+        // Every step must have a quantized form before paying for the
+        // calibration pass and the LUT builds.
         if f32_plan
             .steps
             .iter()
@@ -887,273 +1106,63 @@ impl InferencePlan {
             return None;
         }
         let (input_range, step_ranges) = f32_plan.observe_ranges(calibration);
+        let layout = f32_plan.layout_for(&calibration.shape()[1..]);
         let lut_mult: Arc<dyn Multiplier> =
             multiplier.clone().unwrap_or_else(|| Arc::new(ExactMultiplier));
-        let mut lut_cache = LutCache::default();
-
-        let layout = f32_plan.layout_for(&calibration.shape()[1..]);
-        let item_in: usize = layout.item_shape.iter().product();
-        let ncal = calibration.shape()[0];
-        let xd = calibration.data();
+        let mut luts = LutCache::default();
 
         let mut act = QuantParams::from_range(input_range.0, input_range.1);
-        // Calibration activations as codes, `[ncal × current_len]`, advanced
-        // through each *chosen* step so downstream gap measurements see the
-        // codes the compiled plan will actually produce.
-        let mut cal = vec![0u8; ncal * item_in];
-        act.quantize_slice(&xd[..ncal * item_in], &mut cal);
-        let mut next_cal: Vec<u8> = Vec::new();
-
+        let mut cal = (precision == PlanPrecision::Int4Weights).then(|| {
+            let n = calibration.shape()[0];
+            let mut codes = vec![0u8; calibration.data().len()];
+            act.quantize_slice(calibration.data(), &mut codes);
+            CalCodes { n, codes, scratch: Scratch::default() }
+        });
         let mut steps = vec![Step::QuantizeInput { params: act }];
         for (t, step) in f32_plan.steps.iter().enumerate() {
             let shapes = &layout.resolved[t];
-            let in_len: usize = shapes.in_shape.iter().product();
-            let out_len: usize = shapes.out_shape.iter().product();
-            match step {
-                Step::Conv { weights, bias, cout, cin, kh, kw, stride, pad, fuse_relu } => {
-                    let wmat: Vec<f32> = match weights {
-                        ConvWeights::Raw(w) => w.as_slice().to_vec(),
-                        ConvWeights::Prepared(p) => (0..p.rows())
-                            .flat_map(|r| p.row(r).iter().map(|op| op.value()))
-                            .collect(),
+            let q = match step {
+                Step::Conv { .. } | Step::Dense { .. } => {
+                    let out = QuantParams::from_range(step_ranges[t].0, step_ranges[t].1);
+                    let m = &*lut_mult;
+                    let q = quantize_gemm(step, shapes, act, out, m, &mut luts, cal.as_mut());
+                    act = out;
+                    q
+                }
+                Step::Flatten => Step::Flatten,
+                _ => {
+                    let q = match step {
+                        Step::MaxPool { window, stride } => {
+                            Step::MaxPool { window: *window, stride: *stride }
+                        }
+                        Step::Relu => Step::QRelu { zero_point: act.zero_point() },
+                        _ => unreachable!("BatchNorm/QuantAct were declined above"),
                     };
-                    let k = cin * kh * kw;
-                    let (wlo, whi) = QuantParams::observe(&wmat);
-                    let wq = QuantParams::from_range(wlo, whi);
-                    let qweight: Vec<u8> = wmat.iter().map(|&v| wq.quantize(v)).collect();
-                    let w4 = QuantParams4::from_range(wlo, whi);
-                    let q4: Vec<u8> = wmat.iter().map(|&v| w4.quantize(v)).collect();
-                    let mut qweight_t = vec![0u8; k * cout];
-                    for co in 0..*cout {
-                        for kk in 0..k {
-                            qweight_t[kk * cout + co] = q4[co * k + kk];
-                        }
+                    if let Some(cal) = cal.as_mut() {
+                        cal.advance(&q, shapes);
                     }
-                    let lut8 = lut_cache.int8(&*lut_mult, wq, act);
-                    let lut4 = lut_cache.int4(&*lut_mult, act, w4, Lut4Order::WeightsLeft);
-
-                    // Gap measurement: both candidates over the calibration
-                    // codes, compared post-bias pre-activation.
-                    let (h, w) = (shapes.in_shape[1], shapes.in_shape[2]);
-                    let (oh, ow) = (shapes.out_shape[1], shapes.out_shape[2]);
-                    let p_total = oh * ow;
-                    let pad_code = act.zero_point();
-                    let mut g8 = vec![0u8; k * p_total];
-                    let mut g4 = vec![0u8; p_total * k];
-                    let mut all8 = vec![0.0f32; ncal * cout * p_total];
-                    let mut all4 = vec![0.0f32; ncal * p_total * cout];
-                    for i in 0..ncal {
-                        let item = &cal[i * in_len..(i + 1) * in_len];
-                        gather_patches_u8(
-                            item, *cin, h, w, *kh, *kw, *stride, *pad, ow, 0, p_total, p_total, 0,
-                            &mut g8, pad_code,
-                        );
-                        let acc8 = &mut all8[i * cout * p_total..(i + 1) * cout * p_total];
-                        lut_gemm(&lut8, &qweight, *cout, k, &g8, p_total, acc8, p_total);
-                        gather_patch_rows_u8(
-                            item, *cin, h, w, *kh, *kw, *stride, *pad, ow, 0, p_total, &mut g4,
-                            pad_code,
-                        );
-                        let acc4 = &mut all4[i * p_total * cout..(i + 1) * p_total * cout];
-                        lut4_gemm(&lut4, &g4, p_total, k, &qweight_t, *cout, acc4, *cout);
-                    }
-                    let mut spread = (f32::INFINITY, f32::NEG_INFINITY);
-                    let mut max_diff = 0.0f32;
-                    for i in 0..ncal {
-                        for co in 0..*cout {
-                            for p in 0..p_total {
-                                let y8 = all8[(i * cout + co) * p_total + p] + bias[co];
-                                let y4 = all4[(i * p_total + p) * cout + co] + bias[co];
-                                spread.0 = spread.0.min(y8);
-                                spread.1 = spread.1.max(y8);
-                                max_diff = max_diff.max((y4 - y8).abs());
-                            }
-                        }
-                    }
-                    let (olo, ohi) = step_ranges[t];
-                    let out_params = QuantParams::from_range(olo, ohi);
-                    let use_int4 = gap_accepts_int4(max_diff, spread);
-                    // Advance calibration codes through the chosen layer.
-                    next_cal.clear();
-                    next_cal.resize(ncal * out_len, 0);
-                    for i in 0..ncal {
-                        for co in 0..*cout {
-                            for p in 0..p_total {
-                                let acc = if use_int4 {
-                                    all4[(i * p_total + p) * cout + co]
-                                } else {
-                                    all8[(i * cout + co) * p_total + p]
-                                };
-                                let v = acc + bias[co];
-                                let v = if *fuse_relu { v.max(0.0) } else { v };
-                                next_cal[i * out_len + co * p_total + p] = out_params.quantize(v);
-                            }
-                        }
-                    }
-                    std::mem::swap(&mut cal, &mut next_cal);
-                    if use_int4 {
-                        steps.push(Step::QConv4 {
-                            qweight_t: Storage::Owned(qweight_t),
-                            lut: lut4,
-                            bias: bias.clone(),
-                            cout: *cout,
-                            cin: *cin,
-                            kh: *kh,
-                            kw: *kw,
-                            stride: *stride,
-                            pad: *pad,
-                            fuse_relu: *fuse_relu,
-                            out: QOut::Codes(out_params),
-                        });
-                    } else {
-                        steps.push(Step::QConv {
-                            qweight: Storage::Owned(qweight),
-                            lut: lut8,
-                            bias: bias.clone(),
-                            cout: *cout,
-                            cin: *cin,
-                            kh: *kh,
-                            kw: *kw,
-                            stride: *stride,
-                            pad: *pad,
-                            fuse_relu: *fuse_relu,
-                            out: QOut::Codes(out_params),
-                        });
-                    }
-                    act = out_params;
+                    q
                 }
-                Step::Dense { wt, bias, in_features, out_features, fuse_relu, .. } => {
-                    let wt = wt.as_slice();
-                    let (inf, outf) = (*in_features, *out_features);
-                    let (wlo, whi) = QuantParams::observe(wt);
-                    let wq = QuantParams::from_range(wlo, whi);
-                    let qwt: Vec<u8> = wt.iter().map(|&v| wq.quantize(v)).collect();
-                    let w4 = QuantParams4::from_range(wlo, whi);
-                    let qwt4: Vec<u8> = wt.iter().map(|&v| w4.quantize(v)).collect();
-                    let lut8 = lut_cache.int8(&*lut_mult, act, wq);
-                    let lut4 = lut_cache.int4(&*lut_mult, act, w4, Lut4Order::ActivationsLeft);
-
-                    let mut all8 = vec![0.0f32; ncal * outf];
-                    for i in 0..ncal {
-                        lut_gemm(
-                            &lut8,
-                            &cal[i * inf..(i + 1) * inf],
-                            1,
-                            inf,
-                            &qwt,
-                            outf,
-                            &mut all8[i * outf..(i + 1) * outf],
-                            outf,
-                        );
-                    }
-                    let mut all4 = vec![0.0f32; ncal * outf];
-                    lut4_gemm(&lut4, &cal[..ncal * inf], ncal, inf, &qwt4, outf, &mut all4, outf);
-                    let mut spread = (f32::INFINITY, f32::NEG_INFINITY);
-                    let mut max_diff = 0.0f32;
-                    for i in 0..ncal * outf {
-                        let b = bias[i % outf];
-                        let (y8, y4) = (all8[i] + b, all4[i] + b);
-                        spread.0 = spread.0.min(y8);
-                        spread.1 = spread.1.max(y8);
-                        max_diff = max_diff.max((y4 - y8).abs());
-                    }
-                    let (olo, ohi) = step_ranges[t];
-                    let out_params = QuantParams::from_range(olo, ohi);
-                    let use_int4 = gap_accepts_int4(max_diff, spread);
-                    next_cal.clear();
-                    next_cal.resize(ncal * out_len, 0);
-                    for i in 0..ncal * outf {
-                        let acc = if use_int4 { all4[i] } else { all8[i] };
-                        let v = acc + bias[i % outf];
-                        let v = if *fuse_relu { v.max(0.0) } else { v };
-                        next_cal[i] = out_params.quantize(v);
-                    }
-                    std::mem::swap(&mut cal, &mut next_cal);
-                    if use_int4 {
-                        steps.push(Step::QDense4 {
-                            qwt: Storage::Owned(qwt4),
-                            lut: lut4,
-                            bias: bias.clone(),
-                            in_features: inf,
-                            out_features: outf,
-                            fuse_relu: *fuse_relu,
-                            out: QOut::Codes(out_params),
-                        });
-                    } else {
-                        steps.push(Step::QDense {
-                            qwt: Storage::Owned(qwt),
-                            lut: lut8,
-                            bias: bias.clone(),
-                            in_features: inf,
-                            out_features: outf,
-                            fuse_relu: *fuse_relu,
-                            out: QOut::Codes(out_params),
-                        });
-                    }
-                    act = out_params;
-                }
-                Step::MaxPool { window, stride } => {
-                    let (c, h, w) = (shapes.in_shape[0], shapes.in_shape[1], shapes.in_shape[2]);
-                    let (oh, ow) = (shapes.out_shape[1], shapes.out_shape[2]);
-                    next_cal.clear();
-                    next_cal.resize(ncal * out_len, 0);
-                    for i in 0..ncal {
-                        let src = &cal[i * in_len..(i + 1) * in_len];
-                        let dst = &mut next_cal[i * out_len..(i + 1) * out_len];
-                        for ci in 0..c {
-                            let plane = &src[ci * h * w..(ci + 1) * h * w];
-                            for oy in 0..oh {
-                                for ox in 0..ow {
-                                    let mut best = 0u8;
-                                    for ky in 0..*window {
-                                        for kx in 0..*window {
-                                            let v =
-                                                plane[(oy * stride + ky) * w + (ox * stride + kx)];
-                                            best = best.max(v);
-                                        }
-                                    }
-                                    dst[(ci * oh + oy) * ow + ox] = best;
-                                }
-                            }
-                        }
-                    }
-                    std::mem::swap(&mut cal, &mut next_cal);
-                    steps.push(Step::QMaxPool { window: *window, stride: *stride });
-                }
-                Step::Relu => {
-                    let zp = act.zero_point();
-                    for v in cal.iter_mut() {
-                        *v = (*v).max(zp);
-                    }
-                    steps.push(Step::QRelu { zero_point: zp });
-                }
-                Step::Flatten => steps.push(Step::Flatten),
-                Step::BatchNorm { .. } | Step::QuantAct { .. } => return None,
-                _ => unreachable!("f32 plans contain only f32 steps"),
-            }
+            };
+            steps.push(q);
         }
+        // The plan's logits are f32: a final conv/dense step emits them
+        // directly from its accumulator; anything else gets an explicit
+        // decode step.
         match steps.iter_mut().rev().find(|s| !matches!(s, Step::Flatten)) {
-            Some(Step::QConv { out, .. })
-            | Some(Step::QDense { out, .. })
-            | Some(Step::QConv4 { out, .. })
-            | Some(Step::QDense4 { out, .. }) => *out = QOut::Float,
+            Some(Step::Conv { kernel, .. } | Step::Dense { kernel, .. }) => {
+                if let Kernel::Lut8 { out, .. } | Kernel::Lut4 { out, .. } = kernel {
+                    *out = QOut::Float;
+                }
+            }
             _ => steps.push(Step::QDequantize { params: act }),
         }
-        let last_write = steps.iter().rposition(|s| !matches!(s, Step::Flatten));
-        Some(InferencePlan {
-            multiplier,
-            steps,
-            last_write,
-            precision: PlanPrecision::Int4Weights,
-            layout: Mutex::new(None),
-            pool: Mutex::new(Vec::new()),
-            workspace_allocs: AtomicU64::new(0),
-        })
+        Some(InferencePlan::from_steps(multiplier, steps, precision))
     }
 
     /// Run `x` through the f32 steps once, recording the `(min, max)` of the
     /// network input and of every step's output over the whole batch — the
-    /// calibration pass behind [`InferencePlan::compile_quantized`].
+    /// calibration pass behind the quantized constructors.
     fn observe_ranges(&self, x: &Tensor) -> ((f32, f32), Vec<(f32, f32)>) {
         assert!(x.shape().len() >= 2, "calibration expects a batched [N, ...] input");
         let n = x.shape()[0];
@@ -1165,6 +1174,7 @@ impl InferencePlan {
 
         let mut ranges = vec![(f32::INFINITY, f32::NEG_INFINITY); self.steps.len()];
         let mut state = self.worker_state(&layout, 1);
+        let WorkerState { ws, arith, .. } = &mut state;
         let mut cur: Vec<f32> = Vec::new();
         let mut next: Vec<f32> = Vec::new();
         for i in 0..n {
@@ -1176,17 +1186,10 @@ impl InferencePlan {
                     continue;
                 }
                 let shapes = &layout.resolved[t];
-                let out_len: usize = shapes.out_shape.iter().product();
                 next.clear();
-                next.resize(out_len, 0.0);
-                exec_step(
-                    step,
-                    shapes,
-                    &cur,
-                    &mut next,
-                    &mut state.ws.gather,
-                    state.kernel.as_deref_mut(),
-                );
+                next.resize(shapes.out_len(), 0.0);
+                let (src, dst) = (Acts::F32(&cur), ActsMut::F32(&mut next));
+                exec_step(step, shapes, 1, src, dst, &mut ws.scratch, arith.as_deref_mut());
                 let (lo, hi) = QuantParams::observe(&next);
                 ranges[t].0 = ranges[t].0.min(lo);
                 ranges[t].1 = ranges[t].1.max(hi);
@@ -1210,14 +1213,10 @@ impl InferencePlan {
         let mut output_features = None;
         for s in &self.steps {
             match s {
-                Step::Conv { cin, .. } | Step::QConv { cin, .. } | Step::QConv4 { cin, .. }
-                    if input.is_none() =>
-                {
-                    input = Some(PlanInput::Conv { cin: *cin });
+                Step::Conv { geom, .. } if input.is_none() => {
+                    input = Some(PlanInput::Conv { cin: geom.cin });
                 }
-                Step::Dense { in_features, out_features, .. }
-                | Step::QDense { in_features, out_features, .. }
-                | Step::QDense4 { in_features, out_features, .. } => {
+                Step::Dense { in_features, out_features, .. } => {
                     if input.is_none() {
                         input = Some(PlanInput::Dense { features: *in_features });
                     }
@@ -1233,19 +1232,21 @@ impl InferencePlan {
         PlanInterface { input, output_features, family }
     }
 
+    /// The plan's conv/dense kernels, in step order.
+    fn kernels(&self) -> impl Iterator<Item = &Kernel> {
+        self.steps.iter().filter_map(|s| match s {
+            Step::Conv { kernel, .. } | Step::Dense { kernel, .. } => Some(kernel),
+            _ => None,
+        })
+    }
+
     /// How [`InferencePlan::compile_quantized_int4`] split the GEMM layers:
     /// `(int4 shuffle layers, int8 gather fallback layers)`. Both counts are
     /// zero for f32 plans; the second is the full GEMM count for plain int8
     /// plans.
     pub fn int4_layer_mix(&self) -> (usize, usize) {
-        let (mut int4, mut int8) = (0usize, 0usize);
-        for s in &self.steps {
-            match s {
-                Step::QConv4 { .. } | Step::QDense4 { .. } => int4 += 1,
-                Step::QConv { .. } | Step::QDense { .. } => int8 += 1,
-                _ => {}
-            }
-        }
+        let int4 = self.kernels().filter(|k| matches!(k, Kernel::Lut4 { .. })).count();
+        let int8 = self.kernels().filter(|k| matches!(k, Kernel::Lut8 { .. })).count();
         (int4, int8)
     }
 
@@ -1254,29 +1255,20 @@ impl InferencePlan {
     /// drops below the first when layers with identical quantizer pairs
     /// share one `Arc`'d table (see [`InferencePlan::compile_quantized`]).
     pub fn product_lut_sharing(&self) -> (usize, usize) {
+        let mut tables: Vec<*const ()> = Vec::new();
         let mut steps = 0usize;
-        let mut seen8: Vec<*const ProductLut> = Vec::new();
-        let mut seen4: Vec<*const ProductLut4> = Vec::new();
-        for s in &self.steps {
-            match s {
-                Step::QConv { lut, .. } | Step::QDense { lut, .. } => {
-                    steps += 1;
-                    let p = Arc::as_ptr(lut);
-                    if !seen8.contains(&p) {
-                        seen8.push(p);
-                    }
-                }
-                Step::QConv4 { lut, .. } | Step::QDense4 { lut, .. } => {
-                    steps += 1;
-                    let p = Arc::as_ptr(lut);
-                    if !seen4.contains(&p) {
-                        seen4.push(p);
-                    }
-                }
-                _ => {}
+        for k in self.kernels() {
+            let p = match k {
+                Kernel::Lut8 { lut, .. } => Arc::as_ptr(lut).cast::<()>(),
+                Kernel::Lut4 { lut, .. } => Arc::as_ptr(lut).cast::<()>(),
+                _ => continue,
+            };
+            steps += 1;
+            if !tables.contains(&p) {
+                tables.push(p);
             }
         }
-        (steps, seen8.len() + seen4.len())
+        (steps, tables.len())
     }
 
     /// The multiplier the plan was compiled against.
@@ -1315,44 +1307,42 @@ impl InferencePlan {
         let mut out = vec![0.0f32; n * out_len];
         let xd = x.data();
 
-        let parallel = n > 1 && n * layout.item_macs >= PAR_MIN_MACS;
-        if matches!(self.precision, PlanPrecision::Int8 | PlanPrecision::Int4Weights) {
-            // Layer-major batched execution: each worker takes a contiguous
-            // *group* of items and runs every step for the whole group —
-            // product tables stay hot across items and small conv planes
-            // share wide tiles. Per-element accumulation order is
-            // group-independent, so results stay bit-identical to
-            // single-item runs (conformance-tested).
-            let threads = if parallel {
-                std::thread::available_parallelism().map(|t| t.get()).unwrap_or(1)
-            } else {
-                1
-            };
-            // `max(1)` is defensive: `Tensor` rejects zero dimensions, so
-            // `n == 0` cannot reach here today, but a zero chunk size
-            // would panic in the parallel splitter if it ever did.
-            let group = n.div_ceil(threads).max(1);
+        // Each worker runs every step over a contiguous group of items. f32
+        // plans keep one-item groups (per-item buffers stay small);
+        // quantized plans split the batch evenly across workers, so product
+        // tables stay hot across a group and small conv planes share wide
+        // tiles. Per-element accumulation order is group-independent, so
+        // logits are bit-identical to single-item runs (conformance-tested).
+        let threads = if n > 1 && n * layout.item_macs >= PAR_MIN_MACS {
+            std::thread::available_parallelism().map(|t| t.get()).unwrap_or(1)
+        } else {
+            1
+        };
+        // `max(1)` is defensive: `Tensor` rejects zero dimensions, so
+        // `n == 0` cannot reach here today, but a zero chunk size would
+        // panic in the splitter if it ever did.
+        let group = match self.precision {
+            PlanPrecision::F32 => 1,
+            PlanPrecision::Int8 | PlanPrecision::Int4Weights => n.div_ceil(threads).max(1),
+        };
+        let workers = threads.min(n.div_ceil(group));
+        self.reserve_workspaces(&layout, group, workers);
+        let run = |state: &mut WorkerState<'_>, gi: usize, piece: &mut [f32]| {
+            let items = piece.len() / out_len;
+            let xs = &xd[gi * group * item_in..][..items * item_in];
+            self.run_group(&layout, state, xs, items, piece);
+        };
+        if workers > 1 {
             par_map_chunks_with(
                 &mut out,
                 group * out_len,
                 || self.worker_state(&layout, group),
-                |state, gi, piece| {
-                    let items = piece.len() / out_len;
-                    let xs = &xd[gi * group * item_in..][..items * item_in];
-                    self.run_batch_q(&layout, state, xs, items, piece);
-                },
+                run,
             );
         } else {
-            let run = |state: &mut WorkerState<'_>, i: usize, piece: &mut [f32]| {
-                self.run_item(&layout, state, &xd[i * item_in..(i + 1) * item_in], piece);
-            };
-            if parallel {
-                par_map_chunks_with(&mut out, out_len, || self.worker_state(&layout, 1), run);
-            } else {
-                let mut state = self.worker_state(&layout, 1);
-                for (i, piece) in out.chunks_mut(out_len).enumerate() {
-                    run(&mut state, i, piece);
-                }
+            let mut state = self.worker_state(&layout, group);
+            for (gi, piece) in out.chunks_mut(group * out_len).enumerate() {
+                run(&mut state, gi, piece);
             }
         }
 
@@ -1369,6 +1359,22 @@ impl InferencePlan {
         logits.data().chunks(k).map(crate::loss::argmax_logits).collect()
     }
 
+    /// Top the workspace pool up to `workers` workspaces sized for
+    /// `group`-item groups before dispatch. How many workers
+    /// `par_map_chunks_with` really starts depends on whether another thread
+    /// holds the process-wide parallel region, so sizing all of them up
+    /// front keeps steady-state serving allocation-free whatever schedule
+    /// the first call happened to get.
+    fn reserve_workspaces(&self, layout: &Layout, group: usize, workers: usize) {
+        let mut pool = self.pool.lock().expect("workspace pool lock");
+        if pool.len() < workers {
+            pool.resize_with(workers, Workspace::default);
+        }
+        for ws in pool.iter_mut() {
+            ws.ensure(layout, group, &self.workspace_allocs);
+        }
+    }
+
     /// Check out a workspace sized for `group`-item batches (reusing pooled
     /// buffers) and build the per-worker kernel (quantized plans gather
     /// from their LUTs instead of running batch kernels, so they skip the
@@ -1376,11 +1382,11 @@ impl InferencePlan {
     fn worker_state(&self, layout: &Layout, group: usize) -> WorkerState<'_> {
         let mut ws = self.pool.lock().expect("workspace pool lock").pop().unwrap_or_default();
         ws.ensure(layout, group, &self.workspace_allocs);
-        let kernel = match self.precision {
+        let arith = match self.precision {
             PlanPrecision::F32 => self.multiplier.as_ref().map(|m| m.batch_kernel()),
             PlanPrecision::Int8 | PlanPrecision::Int4Weights => None,
         };
-        WorkerState { pool: &self.pool, ws, kernel }
+        WorkerState { pool: &self.pool, ws, arith }
     }
 
     /// The cached layout for `item_shape`, computing it on first use (or
@@ -1404,80 +1410,48 @@ impl InferencePlan {
     fn compute_layout(&self, item_shape: &[usize]) -> Layout {
         let mut shape = item_shape.to_vec();
         let mut resolved = Vec::with_capacity(self.steps.len());
-        let mut buf_len = 0usize;
-        let mut gather_len = 0usize;
-        let mut qbuf_len = 0usize;
-        let mut qgather_len = 0usize;
-        let mut facc_len = 0usize;
-        let mut dense_out_max = 0usize;
+        let (mut f_len, mut q_len) = (0usize, 0usize);
+        let mut scratch = ScratchLen::default();
         let mut item_macs = 0usize;
-        for step in &self.steps {
+        let mut codes = false;
+        for (t, step) in self.steps.iter().enumerate() {
             let in_shape = shape.clone();
             let out_shape = match step {
-                Step::Conv { cout, cin, kh, kw, stride, pad, .. }
-                | Step::QConv { cout, cin, kh, kw, stride, pad, .. }
-                | Step::QConv4 { cout, cin, kh, kw, stride, pad, .. } => {
+                Step::Conv { geom, .. } => {
                     assert_eq!(in_shape.len(), 3, "Conv2d expects [N, C, H, W]");
-                    assert_eq!(in_shape[0], *cin, "input channel mismatch");
-                    let geom = ConvGeometry {
+                    assert_eq!(in_shape[0], geom.cin, "input channel mismatch");
+                    let (oh, ow) = ConvGeometry {
                         input: (in_shape[1], in_shape[2]),
-                        kernel: (*kh, *kw),
-                        stride: *stride,
-                        pad: *pad,
-                    };
-                    let (oh, ow) = geom.output();
-                    let k = cin * kh * kw;
-                    if matches!(step, Step::QConv { .. }) {
-                        // Small planes share one tile across an item group;
-                        // large planes split into balanced tiles. Either
-                        // way columns stay under the QCONV_TILE cap.
-                        let p_total = oh * ow;
-                        let tile_cap = if p_total >= QCONV_TILE {
-                            qconv_tile_width(p_total)
-                        } else {
-                            (QCONV_TILE / p_total) * p_total
-                        };
-                        qgather_len = qgather_len.max(k * tile_cap);
-                        facc_len = facc_len.max(cout * tile_cap);
-                    } else if matches!(step, Step::QConv4 { .. }) {
-                        // Transposed tiling: pixel rows × tap columns, with
-                        // the accumulator `cout` wide per pixel row.
-                        let p_tile = QCONV_TILE.min(oh * ow).max(1);
-                        qgather_len = qgather_len.max(p_tile * k);
-                        facc_len = facc_len.max(p_tile * cout);
-                    } else {
-                        gather_len = gather_len.max(k * CONV_TILE.min(oh * ow));
+                        kernel: (geom.kh, geom.kw),
+                        stride: geom.stride,
+                        pad: geom.pad,
                     }
-                    item_macs += cout * k * oh * ow;
-                    vec![*cout, oh, ow]
+                    .output();
+                    item_macs += geom.cout * geom.taps() * oh * ow;
+                    vec![geom.cout, oh, ow]
                 }
-                Step::Dense { in_features, out_features, .. }
-                | Step::QDense { in_features, out_features, .. }
-                | Step::QDense4 { in_features, out_features, .. } => {
+                Step::Dense { in_features, out_features, .. } => {
                     assert_eq!(in_shape.len(), 1, "Dense expects [N, In]");
                     assert_eq!(in_shape[0], *in_features, "feature mismatch");
-                    if matches!(step, Step::QDense { .. } | Step::QDense4 { .. }) {
-                        dense_out_max = dense_out_max.max(*out_features);
-                    }
                     item_macs += in_features * out_features;
                     vec![*out_features]
                 }
-                Step::MaxPool { window, stride } | Step::QMaxPool { window, stride } => {
+                Step::MaxPool { window, stride } => {
                     assert_eq!(in_shape.len(), 3, "MaxPool2d expects [N, C, H, W]");
-                    let geom = ConvGeometry {
+                    let (oh, ow) = ConvGeometry {
                         input: (in_shape[1], in_shape[2]),
                         kernel: (*window, *window),
                         stride: *stride,
                         pad: 0,
-                    };
-                    let (oh, ow) = geom.output();
+                    }
+                    .output();
                     vec![in_shape[0], oh, ow]
                 }
                 Step::Flatten => vec![in_shape.iter().product()],
                 Step::Relu
+                | Step::QRelu { .. }
                 | Step::QuantAct { .. }
                 | Step::QuantizeInput { .. }
-                | Step::QRelu { .. }
                 | Step::QDequantize { .. } => in_shape.clone(),
                 Step::BatchNorm { gamma, .. } => {
                     assert!(
@@ -1488,89 +1462,35 @@ impl InferencePlan {
                     in_shape.clone()
                 }
             };
-            if !matches!(step, Step::Flatten) {
-                let out_len: usize = out_shape.iter().product();
-                if matches!(self.precision, PlanPrecision::Int8 | PlanPrecision::Int4Weights) {
-                    // Every quantized intermediate lives in the u8 ping-pong
-                    // buffers (the final f32 logits land in the caller's
-                    // output row directly).
-                    qbuf_len = qbuf_len.max(out_len);
-                } else {
-                    buf_len = buf_len.max(out_len);
-                }
+            let shapes = ResolvedShape { in_shape, out_shape };
+            scratch = scratch.max(ScratchLen::of(step, &shapes));
+            codes = step.writes_codes(codes);
+            // Intermediates ping-pong through the workspace; the last
+            // writing step lands in the caller's output row.
+            if !matches!(step, Step::Flatten) && Some(t) != self.last_write {
+                let len = if codes { &mut q_len } else { &mut f_len };
+                *len = (*len).max(shapes.out_len());
             }
-            shape = out_shape.clone();
-            resolved.push(ResolvedShape { in_shape, out_shape });
+            shape = shapes.out_shape.clone();
+            resolved.push(shapes);
         }
         Layout {
             item_shape: item_shape.to_vec(),
             resolved,
             out_len: shape.iter().product(),
             out_shape: shape,
-            buf_len,
-            gather_len,
-            qbuf_len,
-            qgather_len,
-            facc_len,
-            dense_out_max,
+            f_len,
+            q_len,
+            scratch,
             item_macs,
         }
     }
 
-    /// Run every step for one item, ping-ponging activations through the
-    /// workspace; the final writing step lands directly in `out_row`.
-    fn run_item(
-        &self,
-        layout: &Layout,
-        state: &mut WorkerState<'_>,
-        input: &[f32],
-        out_row: &mut [f32],
-    ) {
-        debug_assert_eq!(self.precision, PlanPrecision::F32, "int8 plans run run_batch_q");
-        let Some(last_write) = self.last_write else {
-            // Shape-only plan (or no layers at all): logits are the input.
-            out_row.copy_from_slice(input);
-            return;
-        };
-        let mut kernel = state.kernel.as_deref_mut();
-        let Workspace { a, b, gather, .. } = &mut state.ws;
-        let mut src_slot = SrcSlot::Input;
-        for (t, step) in self.steps.iter().enumerate() {
-            if matches!(step, Step::Flatten) {
-                continue;
-            }
-            let shapes = &layout.resolved[t];
-            let in_len: usize = shapes.in_shape.iter().product();
-            let out_len: usize = shapes.out_shape.iter().product();
-            let (src, dst): (&[f32], &mut [f32]) = match (src_slot, t == last_write) {
-                (SrcSlot::Input, true) => (&input[..in_len], &mut out_row[..out_len]),
-                (SrcSlot::Input, false) => (&input[..in_len], &mut a[..out_len]),
-                (SrcSlot::A, true) => (&a[..in_len], &mut out_row[..out_len]),
-                (SrcSlot::A, false) => (&a[..in_len], &mut b[..out_len]),
-                (SrcSlot::B, true) => (&b[..in_len], &mut out_row[..out_len]),
-                (SrcSlot::B, false) => (&b[..in_len], &mut a[..out_len]),
-            };
-            exec_step(step, shapes, src, dst, gather, kernel.as_deref_mut());
-            if t == last_write {
-                return;
-            }
-            src_slot = match src_slot {
-                SrcSlot::Input | SrcSlot::B => SrcSlot::A,
-                SrcSlot::A => SrcSlot::B,
-            };
-        }
-    }
-
-    /// The int8 executor, **layer-major over an item group**: quantize the
-    /// group's inputs once, ping-pong activation *codes* through the `u8`
-    /// workspace buffers, and run every conv/dense as a LUT-gather GEMM
-    /// with fused bias/ReLU/requantize — all `n` items per step before the
-    /// next step, so each layer's product table is swept while hot, small
-    /// conv planes share one wide tile, and dense layers run as true
-    /// multi-row GEMMs. Per output element the accumulation order is the
-    /// same ascending-`k` sequence regardless of grouping, so logits are
-    /// bit-identical to a single-item run (the serving contract).
-    fn run_batch_q(
+    /// The plan executor: run every step over a group of `n` items,
+    /// ping-ponging activations (`f32` values or codes, whichever each step
+    /// writes) through the workspace; the last writing step lands directly
+    /// in `out`.
+    fn run_group(
         &self,
         layout: &Layout,
         state: &mut WorkerState<'_>,
@@ -1578,360 +1498,45 @@ impl InferencePlan {
         n: usize,
         out: &mut [f32],
     ) {
-        let last_write = self.last_write.expect("quantized plans always write");
-        let Workspace { qa, qb, qgather, facc, .. } = &mut state.ws;
-        // `true` while the current codes live in `qa` (QuantizeInput's
-        // destination), flipping after every writing step.
-        let mut src_is_a = true;
+        let Some(last_write) = self.last_write else {
+            // Shape-only plan (or no layers at all): logits are the input.
+            out.copy_from_slice(xs);
+            return;
+        };
+        let mut arith = state.arith.as_deref_mut();
+        let Workspace { bufs: [b0, b1], scratch } = &mut state.ws;
+        // The buffer holding the current activations (`None`: the input).
+        let mut cur: Option<usize> = None;
+        let mut codes = false;
         for (t, step) in self.steps.iter().enumerate() {
             if matches!(step, Step::Flatten) {
                 continue;
             }
             let shapes = &layout.resolved[t];
-            let in_len: usize = shapes.in_shape.iter().product();
-            let out_len: usize = shapes.out_shape.iter().product();
-            let to_out = t == last_write;
-            if let Step::QuantizeInput { params } = step {
-                params.quantize_slice(&xs[..n * in_len], &mut qa[..n * out_len]);
-                src_is_a = true;
-                continue;
-            }
-            let (src, dst): (&[u8], &mut [u8]) = if src_is_a {
-                (&qa[..n * in_len], &mut qb[..])
-            } else {
-                (&qb[..n * in_len], &mut qa[..])
+            let (in_len, out_len) = (n * shapes.in_len(), n * shapes.out_len());
+            let (src, next) = match cur {
+                None => (None, &mut *b0),
+                Some(0) => (Some(&*b0), &mut *b1),
+                Some(_) => (Some(&*b1), &mut *b0),
             };
-            match step {
-                Step::QConv {
-                    qweight,
-                    lut,
-                    bias,
-                    cout,
-                    cin,
-                    kh,
-                    kw,
-                    stride,
-                    pad,
-                    fuse_relu,
-                    out: qout,
-                } => {
-                    let (h, w) = (shapes.in_shape[1], shapes.in_shape[2]);
-                    let (oh, ow) = (shapes.out_shape[1], shapes.out_shape[2]);
-                    let k = cin * kh * kw;
-                    let p_total = oh * ow;
-                    // Padded taps gather the activation zero point — the
-                    // code for exactly 0.0, matching the f32 path's zeros.
-                    let pad_code = lut.b_params().zero_point();
-                    // Small output planes pack several items into one tile
-                    // so the gather kernels amortize table traffic.
-                    let group = if p_total >= QCONV_TILE { 1 } else { QCONV_TILE / p_total };
-                    let tile_width = qconv_tile_width(p_total);
-                    let mut i0 = 0usize;
-                    while i0 < n {
-                        let g = group.min(n - i0);
-                        let tile_cols = g * p_total;
-                        for p0 in (0..p_total).step_by(tile_width) {
-                            let cols = tile_width.min(p_total - p0);
-                            let tile = if g == 1 { cols } else { tile_cols };
-                            for li in 0..g {
-                                gather_patches_u8(
-                                    &src[(i0 + li) * in_len..(i0 + li + 1) * in_len],
-                                    *cin,
-                                    h,
-                                    w,
-                                    *kh,
-                                    *kw,
-                                    *stride,
-                                    *pad,
-                                    ow,
-                                    p0,
-                                    cols,
-                                    tile,
-                                    li * p_total,
-                                    qgather,
-                                    pad_code,
-                                );
-                            }
-                            let acc = &mut facc[..cout * tile];
-                            acc.fill(0.0);
-                            lut_gemm(
-                                lut,
-                                qweight.as_slice(),
-                                *cout,
-                                k,
-                                &qgather[..k * tile],
-                                tile,
-                                acc,
-                                tile,
-                            );
-                            match qout {
-                                QOut::Codes(params) => {
-                                    debug_assert!(!to_out, "code output cannot be the plan output");
-                                    for li in 0..g {
-                                        let dst_item = (i0 + li) * out_len;
-                                        for co in 0..*cout {
-                                            requantize_bias_act(
-                                                &acc[co * tile + li * p_total..][..cols],
-                                                bias[co],
-                                                *fuse_relu,
-                                                params,
-                                                &mut dst[dst_item + co * p_total + p0..][..cols],
-                                            );
-                                        }
-                                    }
-                                }
-                                QOut::Float => {
-                                    debug_assert!(to_out, "float output is the plan output");
-                                    for li in 0..g {
-                                        let out_item = (i0 + li) * out_len;
-                                        for co in 0..*cout {
-                                            let acc_row = &acc[co * tile + li * p_total..][..cols];
-                                            let orow =
-                                                &mut out[out_item + co * p_total + p0..][..cols];
-                                            for (o, &v) in orow.iter_mut().zip(acc_row) {
-                                                let v = v + bias[co];
-                                                *o = if *fuse_relu { v.max(0.0) } else { v };
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        i0 += g;
-                    }
-                }
-                Step::QDense {
-                    qwt,
-                    lut,
-                    bias,
-                    in_features,
-                    out_features,
-                    fuse_relu,
-                    out: qout,
-                } => {
-                    // Per-item single-row GEMMs: the single-row path skips
-                    // zero-point activation codes (ubiquitous after ReLU),
-                    // which beats a multi-row sweep — the weight-code
-                    // matrix stays hot across the item group either way.
-                    let outf = *out_features;
-                    let acc = &mut facc[..n * outf];
-                    acc.fill(0.0);
-                    for i in 0..n {
-                        lut_gemm(
-                            lut,
-                            &src[i * in_features..(i + 1) * in_features],
-                            1,
-                            *in_features,
-                            qwt.as_slice(),
-                            outf,
-                            &mut acc[i * outf..(i + 1) * outf],
-                            outf,
-                        );
-                    }
-                    match qout {
-                        QOut::Codes(params) => {
-                            debug_assert!(!to_out, "code output cannot be the plan output");
-                            for i in 0..n {
-                                for (j, &b) in bias.iter().enumerate() {
-                                    let v = acc[i * outf + j] + b;
-                                    let v = if *fuse_relu { v.max(0.0) } else { v };
-                                    dst[i * out_len + j] = params.quantize(v);
-                                }
-                            }
-                        }
-                        QOut::Float => {
-                            debug_assert!(to_out, "float output is the plan output");
-                            for i in 0..n {
-                                for (j, &b) in bias.iter().enumerate() {
-                                    let v = acc[i * outf + j] + b;
-                                    out[i * out_len + j] = if *fuse_relu { v.max(0.0) } else { v };
-                                }
-                            }
-                        }
-                    }
-                }
-                Step::QConv4 {
-                    qweight_t,
-                    lut,
-                    bias,
-                    cout,
-                    cin,
-                    kh,
-                    kw,
-                    stride,
-                    pad,
-                    fuse_relu,
-                    out: qout,
-                } => {
-                    // Transposed execution: pixel rows × tap columns against
-                    // `[k, Cout]` weight codes, so the 4-bit codes vary along
-                    // the shuffle axis. Per output element accumulation is
-                    // the same ascending-`k` order as the int8 path, and the
-                    // tiling is per item, so grouping cannot change bits.
-                    let (h, w) = (shapes.in_shape[1], shapes.in_shape[2]);
-                    let (oh, ow) = (shapes.out_shape[1], shapes.out_shape[2]);
-                    let k = cin * kh * kw;
-                    let p_total = oh * ow;
-                    let pad_code = lut.act_params().zero_point();
-                    for item in 0..n {
-                        let src_item = &src[item * in_len..(item + 1) * in_len];
-                        for p0 in (0..p_total).step_by(QCONV_TILE) {
-                            let prows = QCONV_TILE.min(p_total - p0);
-                            gather_patch_rows_u8(
-                                src_item, *cin, h, w, *kh, *kw, *stride, *pad, ow, p0, prows,
-                                qgather, pad_code,
-                            );
-                            let acc = &mut facc[..prows * cout];
-                            acc.fill(0.0);
-                            lut4_gemm(
-                                lut,
-                                &qgather[..prows * k],
-                                prows,
-                                k,
-                                qweight_t.as_slice(),
-                                *cout,
-                                acc,
-                                *cout,
-                            );
-                            match qout {
-                                QOut::Codes(params) => {
-                                    debug_assert!(!to_out, "code output cannot be the plan output");
-                                    let dst_item = item * out_len;
-                                    for (pi, arow) in acc.chunks_exact(*cout).enumerate() {
-                                        let p = p0 + pi;
-                                        for (co, &v) in arow.iter().enumerate() {
-                                            let v = v + bias[co];
-                                            let v = if *fuse_relu { v.max(0.0) } else { v };
-                                            dst[dst_item + co * p_total + p] = params.quantize(v);
-                                        }
-                                    }
-                                }
-                                QOut::Float => {
-                                    debug_assert!(to_out, "float output is the plan output");
-                                    let out_item = item * out_len;
-                                    for (pi, arow) in acc.chunks_exact(*cout).enumerate() {
-                                        let p = p0 + pi;
-                                        for (co, &v) in arow.iter().enumerate() {
-                                            let v = v + bias[co];
-                                            out[out_item + co * p_total + p] =
-                                                if *fuse_relu { v.max(0.0) } else { v };
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                Step::QDense4 {
-                    qwt,
-                    lut,
-                    bias,
-                    in_features,
-                    out_features,
-                    fuse_relu,
-                    out: qout,
-                } => {
-                    // One true multi-row shuffle GEMM over the whole item
-                    // group — rows are independent (each owns its
-                    // accumulators and its zero-code skip), so grouping is
-                    // bit-neutral here too.
-                    let outf = *out_features;
-                    let acc = &mut facc[..n * outf];
-                    acc.fill(0.0);
-                    lut4_gemm(
-                        lut,
-                        &src[..n * in_features],
-                        n,
-                        *in_features,
-                        qwt.as_slice(),
-                        outf,
-                        acc,
-                        outf,
-                    );
-                    match qout {
-                        QOut::Codes(params) => {
-                            debug_assert!(!to_out, "code output cannot be the plan output");
-                            for i in 0..n {
-                                for (j, &b) in bias.iter().enumerate() {
-                                    let v = acc[i * outf + j] + b;
-                                    let v = if *fuse_relu { v.max(0.0) } else { v };
-                                    dst[i * out_len + j] = params.quantize(v);
-                                }
-                            }
-                        }
-                        QOut::Float => {
-                            debug_assert!(to_out, "float output is the plan output");
-                            for i in 0..n {
-                                for (j, &b) in bias.iter().enumerate() {
-                                    let v = acc[i * outf + j] + b;
-                                    out[i * out_len + j] = if *fuse_relu { v.max(0.0) } else { v };
-                                }
-                            }
-                        }
-                    }
-                }
-                Step::QMaxPool { window, stride } => {
-                    let (c, h, w) = (shapes.in_shape[0], shapes.in_shape[1], shapes.in_shape[2]);
-                    let (oh, ow) = (shapes.out_shape[1], shapes.out_shape[2]);
-                    for item in 0..n {
-                        let src_item = &src[item * in_len..(item + 1) * in_len];
-                        let dst_item = &mut dst[item * out_len..(item + 1) * out_len];
-                        if *window == 2 && *stride == 2 {
-                            // The ubiquitous 2×2/2 case as slice max-pairs
-                            // (vectorizes to packed u8 max).
-                            for ci in 0..c {
-                                let plane = &src_item[ci * h * w..(ci + 1) * h * w];
-                                for oy in 0..oh {
-                                    let r0 = &plane[2 * oy * w..2 * oy * w + 2 * ow];
-                                    let r1 = &plane[(2 * oy + 1) * w..(2 * oy + 1) * w + 2 * ow];
-                                    let orow = &mut dst_item
-                                        [(ci * oh + oy) * ow..(ci * oh + oy) * ow + ow];
-                                    for ((o, p0), p1) in orow
-                                        .iter_mut()
-                                        .zip(r0.chunks_exact(2))
-                                        .zip(r1.chunks_exact(2))
-                                    {
-                                        *o = p0[0].max(p0[1]).max(p1[0]).max(p1[1]);
-                                    }
-                                }
-                            }
-                        } else {
-                            for ci in 0..c {
-                                let plane = &src_item[ci * h * w..(ci + 1) * h * w];
-                                for oy in 0..oh {
-                                    for ox in 0..ow {
-                                        let mut best = 0u8;
-                                        for ky in 0..*window {
-                                            for kx in 0..*window {
-                                                let v = plane
-                                                    [(oy * stride + ky) * w + (ox * stride + kx)];
-                                                if v > best {
-                                                    best = v;
-                                                }
-                                            }
-                                        }
-                                        dst_item[(ci * oh + oy) * ow + ox] = best;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                Step::QRelu { zero_point } => {
-                    for (o, &v) in dst[..n * out_len].iter_mut().zip(&src[..n * in_len]) {
-                        *o = v.max(*zero_point);
-                    }
-                }
-                Step::QDequantize { params } => {
-                    debug_assert!(to_out, "decode is always the plan output");
-                    params.dequantize_slice(&src[..n * in_len], &mut out[..n * out_len]);
-                }
-                _ => unreachable!("int8 plans contain only quantized steps"),
-            }
-            if to_out {
+            let src = match src {
+                None => Acts::F32(&xs[..in_len]),
+                Some(b) if codes => Acts::Codes(&b.q[..in_len]),
+                Some(b) => Acts::F32(&b.f[..in_len]),
+            };
+            codes = step.writes_codes(codes);
+            let dst = if t == last_write {
+                ActsMut::F32(&mut out[..out_len])
+            } else if codes {
+                ActsMut::Codes(&mut next.q[..out_len])
+            } else {
+                ActsMut::F32(&mut next.f[..out_len])
+            };
+            exec_step(step, shapes, n, src, dst, scratch, arith.as_deref_mut());
+            if t == last_write {
                 return;
             }
-            src_is_a = !src_is_a;
+            cur = Some(if cur == Some(0) { 1 } else { 0 });
         }
     }
 }
@@ -1975,206 +1580,313 @@ fn same_multiplier(
     }
 }
 
-/// Execute one compiled step from `src` into `dst`.
-fn exec_step<'k>(
+/// Run one step over a group of `n` items from `src` into `dst` — every
+/// precision's step executor.
+fn exec_step(
     step: &Step,
     shapes: &ResolvedShape,
-    src: &[f32],
-    dst: &mut [f32],
-    gather: &mut [f32],
-    kernel: Option<&mut (dyn BatchKernel + Send + 'k)>,
+    n: usize,
+    src: Acts<'_>,
+    dst: ActsMut<'_>,
+    scratch: &mut Scratch,
+    arith: Option<&mut (dyn BatchKernel + Send + '_)>,
 ) {
-    match step {
-        Step::Conv { weights, bias, cout, cin, kh, kw, stride, pad, fuse_relu } => {
-            let (h, w) = (shapes.in_shape[1], shapes.in_shape[2]);
-            let (oh, ow) = (shapes.out_shape[1], shapes.out_shape[2]);
-            let k = cin * kh * kw;
-            let p_total = oh * ow;
-            let mut kernel = kernel;
-            // One covering row class for every patch tile of this step,
-            // derived from the input plane (patch rows only ever contain
-            // plane values plus padding zeros): removes all per-tile
-            // classification scans from the serving hot path. The scan
-            // granularity is the kernel's own (`classify_rhs`).
-            let plane_class = kernel.as_ref().map(|kern| {
-                let plane = kern.classify_rhs(src);
-                if *pad > 0 && plane == RowClass::Normal {
-                    RowClass::Zeros
-                } else {
-                    plane
-                }
-            });
-            for p0 in (0..p_total).step_by(CONV_TILE) {
-                let tile = CONV_TILE.min(p_total - p0);
-                gather_patches(src, *cin, h, w, *kh, *kw, *stride, *pad, ow, p0, tile, gather);
-                for co in 0..*cout {
-                    dst[co * p_total + p0..co * p_total + p0 + tile].fill(0.0);
-                }
-                // Compile stores prepared weights iff the plan has a
-                // multiplier, which is also the only case with a kernel.
-                match (kernel.as_deref_mut(), weights) {
-                    (Some(kern), ConvWeights::Prepared(prep)) => {
-                        // Approximate path: the whole weight block sweeps
-                        // the shared patch tile in one fused kernel call —
-                        // per element `k` ascending, the batched GEMM's
-                        // accumulation order.
-                        let class = plane_class.expect("kernel implies class");
-                        let gb = &gather[..k * tile];
-                        kern.gemm_tile_classed(prep, gb, tile, class, &mut dst[p0..], p_total);
-                    }
-                    (None, ConvWeights::Raw(wmat)) => {
-                        let wmat = wmat.as_slice();
-                        // Exact path: mirror `da_tensor::ops::matmul`,
-                        // including its zero-weight skip.
-                        for co in 0..*cout {
-                            let acc = &mut dst[co * p_total + p0..co * p_total + p0 + tile];
-                            for (ki, &av) in wmat[co * k..(co + 1) * k].iter().enumerate() {
-                                if av == 0.0 {
-                                    continue;
-                                }
-                                let g = &gather[ki * tile..(ki + 1) * tile];
-                                for (o, &gv) in acc.iter_mut().zip(g) {
-                                    *o += av * gv;
-                                }
-                            }
-                        }
-                    }
-                    _ => unreachable!("conv weight form always matches the kernel mode"),
-                }
-                for co in 0..*cout {
-                    let acc = &mut dst[co * p_total + p0..co * p_total + p0 + tile];
-                    let bv = bias[co];
-                    for v in acc.iter_mut() {
-                        *v += bv;
-                    }
-                    if *fuse_relu {
-                        for v in acc.iter_mut() {
-                            *v = v.max(0.0);
-                        }
-                    }
-                }
-            }
+    match (step, src, dst) {
+        (Step::Conv { geom, bias, fuse_relu, kernel }, src, dst) => {
+            conv(geom, bias, *fuse_relu, kernel, shapes, n, src, dst, scratch, arith);
         }
-        Step::Dense { wt, wt_class, bias, in_features, out_features, fuse_relu } => {
-            let wt = wt.as_slice();
-            let outf = *out_features;
-            dst.fill(0.0);
-            match kernel {
-                Some(kern) => {
-                    // The batched GEMM's loop with the activation as the
-                    // shared operand (operand order must match
-                    // `multiply(x, wᵀ)` — see `gemm_with`). Weight rows were
-                    // classified at compile time, so the kernel goes
-                    // straight to the class-matched lane sweep.
-                    for ki in 0..*in_features {
-                        let row = &wt[ki * outf..(ki + 1) * outf];
-                        kern.axpy_classified(src[ki], row, wt_class[ki], dst);
-                    }
-                }
-                None => {
+        (Step::Dense { in_features, out_features, bias, fuse_relu, kernel }, src, dst) => {
+            let out = kernel.out();
+            let (inf, outf) = (*in_features, *out_features);
+            let acc = &mut scratch.facc[..n * outf];
+            acc.fill(0.0);
+            match (kernel, src) {
+                (Kernel::F32(wt), Acts::F32(x)) => {
                     // Exact path: mirror `matmul(x, wᵀ)` with its
                     // zero-activation skip.
-                    for ki in 0..*in_features {
-                        let av = src[ki];
-                        if av == 0.0 {
-                            continue;
-                        }
-                        for (o, &bv) in dst.iter_mut().zip(&wt[ki * outf..(ki + 1) * outf]) {
-                            *o += av * bv;
-                        }
-                    }
-                }
-            }
-            for (o, &bv) in dst.iter_mut().zip(bias) {
-                *o += bv;
-            }
-            if *fuse_relu {
-                for v in dst.iter_mut() {
-                    *v = v.max(0.0);
-                }
-            }
-        }
-        Step::MaxPool { window, stride } => {
-            let (c, h, w) = (shapes.in_shape[0], shapes.in_shape[1], shapes.in_shape[2]);
-            let (oh, ow) = (shapes.out_shape[1], shapes.out_shape[2]);
-            for ci in 0..c {
-                let plane = &src[ci * h * w..(ci + 1) * h * w];
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        for ky in 0..*window {
-                            for kx in 0..*window {
-                                let v = plane[(oy * stride + ky) * w + (ox * stride + kx)];
-                                if v > best {
-                                    best = v;
-                                }
+                    for (xi, ai) in x.chunks_exact(inf).zip(acc.chunks_exact_mut(outf)) {
+                        for (&av, wrow) in xi.iter().zip(wt.as_slice().chunks_exact(outf)) {
+                            if av == 0.0 {
+                                continue;
+                            }
+                            for (o, &bv) in ai.iter_mut().zip(wrow) {
+                                *o += av * bv;
                             }
                         }
-                        dst[(ci * oh + oy) * ow + ox] = best;
                     }
                 }
+                (Kernel::Classified { wt, class }, Acts::F32(x)) => {
+                    // The batched GEMM's loop with the activation as the
+                    // shared operand (operand order must match
+                    // `multiply(x, wᵀ)` — see `gemm_with`).
+                    let a = arith.expect("classified weights imply a batch kernel");
+                    for (xi, ai) in x.chunks_exact(inf).zip(acc.chunks_exact_mut(outf)) {
+                        let rows = xi.iter().zip(wt.as_slice().chunks_exact(outf)).zip(class);
+                        for ((&av, wrow), &c) in rows {
+                            a.axpy_classified(av, wrow, c, ai);
+                        }
+                    }
+                }
+                (Kernel::Lut8 { codes, lut, .. }, Acts::Codes(x)) => {
+                    // Per-item single-row GEMMs: the single-row path skips
+                    // zero-point activation codes (ubiquitous after ReLU),
+                    // which beats a multi-row sweep — the weight-code
+                    // matrix stays hot across the item group either way.
+                    for (xi, ai) in x.chunks_exact(inf).zip(acc.chunks_exact_mut(outf)) {
+                        lut_gemm(lut, xi, 1, inf, codes.as_slice(), outf, ai, outf);
+                    }
+                }
+                (Kernel::Lut4 { codes, lut, .. }, Acts::Codes(x)) => {
+                    // One true multi-row shuffle GEMM over the whole item
+                    // group — rows are independent (each owns its
+                    // accumulators and its zero-code skip), so grouping is
+                    // bit-neutral here too.
+                    lut4_gemm(lut, x, n, inf, codes.as_slice(), outf, acc, outf);
+                }
+                _ => unreachable!("dense operands agree with the kernel"),
+            }
+            let mut sink = Sink::new(dst, out);
+            for (i, row) in acc.chunks_exact(outf).enumerate() {
+                sink.store(i * outf, 1, row, bias.iter().copied(), *fuse_relu);
             }
         }
-        Step::Relu => {
-            for (o, &v) in dst.iter_mut().zip(src) {
+        (Step::MaxPool { window, stride }, Acts::F32(s), ActsMut::F32(d)) => {
+            max_pool(shapes, *window, *stride, s, d, f32::NEG_INFINITY);
+        }
+        (Step::MaxPool { window, stride }, Acts::Codes(s), ActsMut::Codes(d)) => {
+            max_pool(shapes, *window, *stride, s, d, 0);
+        }
+        (Step::Relu, Acts::F32(s), ActsMut::F32(d)) => {
+            for (o, &v) in d.iter_mut().zip(s) {
                 *o = v.max(0.0);
             }
         }
-        Step::BatchNorm { mean, denom, gamma, beta } => {
+        (Step::QRelu { zero_point }, Acts::Codes(s), ActsMut::Codes(d)) => {
+            for (o, &v) in d.iter_mut().zip(s) {
+                *o = v.max(*zero_point);
+            }
+        }
+        (Step::BatchNorm { mean, denom, gamma, beta }, Acts::F32(s), ActsMut::F32(d)) => {
             let c = gamma.len();
             let plane = if shapes.in_shape.len() == 3 {
                 shapes.in_shape[1] * shapes.in_shape[2]
             } else {
                 1
             };
-            for (i, (o, &v)) in dst.iter_mut().zip(src).enumerate() {
+            for (i, (o, &v)) in d.iter_mut().zip(s).enumerate() {
                 let ch = (i / plane) % c;
                 let h = (v - mean[ch]) / denom[ch];
                 *o = gamma[ch] * h + beta[ch];
             }
         }
-        Step::QuantAct { bits } => {
-            for (o, &v) in dst.iter_mut().zip(src) {
+        (Step::QuantAct { bits }, Acts::F32(s), ActsMut::F32(d)) => {
+            for (o, &v) in d.iter_mut().zip(s) {
                 *o = quantize_k(v.clamp(0.0, 1.0), *bits);
             }
         }
-        Step::Flatten => unreachable!("flatten steps are skipped by run_item"),
-        Step::QuantizeInput { .. }
-        | Step::QConv { .. }
-        | Step::QDense { .. }
-        | Step::QConv4 { .. }
-        | Step::QDense4 { .. }
-        | Step::QMaxPool { .. }
-        | Step::QRelu { .. }
-        | Step::QDequantize { .. } => {
-            unreachable!("quantized steps run in run_item_q")
+        (Step::QuantizeInput { params }, Acts::F32(s), ActsMut::Codes(d)) => {
+            params.quantize_slice(s, d);
+        }
+        (Step::QDequantize { params }, Acts::Codes(s), ActsMut::F32(d)) => {
+            params.dequantize_slice(s, d);
+        }
+        _ => unreachable!("operand types agree (by construction, and checked at snapshot load)"),
+    }
+}
+
+/// The conv step over `n` items: per tile, gather input patches, run the
+/// kernel's GEMM into the accumulator tile, then the shared epilogue.
+#[allow(clippy::too_many_arguments)]
+fn conv(
+    g: &ConvGeom,
+    bias: &[f32],
+    relu: bool,
+    kernel: &Kernel,
+    shapes: &ResolvedShape,
+    n: usize,
+    src: Acts<'_>,
+    dst: ActsMut<'_>,
+    ws: &mut Scratch,
+    mut arith: Option<&mut (dyn BatchKernel + Send + '_)>,
+) {
+    let (h, w) = (shapes.in_shape[1], shapes.in_shape[2]);
+    let ow = shapes.out_shape[2];
+    let (k, p_total) = (g.taps(), shapes.out_shape[1] * ow);
+    let (in_len, out_len) = (g.cin * h * w, g.cout * p_total);
+    let mut sink = Sink::new(dst, kernel.out());
+    match (kernel, src) {
+        (Kernel::F32(_) | Kernel::Prepared(_), Acts::F32(src)) => {
+            for (item, x) in src.chunks_exact(in_len).enumerate() {
+                // One covering row class for every patch tile of this item,
+                // derived from the input plane (patch rows only ever contain
+                // plane values plus padding zeros): removes all per-tile
+                // classification scans from the serving hot path. The scan
+                // granularity is the kernel's own (`classify_rhs`).
+                let plane_class = arith.as_ref().map(|a| match a.classify_rhs(x) {
+                    RowClass::Normal if g.pad > 0 => RowClass::Zeros,
+                    class => class,
+                });
+                for p0 in (0..p_total).step_by(CONV_TILE) {
+                    let tile = CONV_TILE.min(p_total - p0);
+                    gather_patches(x, g, h, w, ow, p0, tile, tile, 0, &mut ws.gather, 0.0);
+                    let gb = &ws.gather[..k * tile];
+                    let acc = &mut ws.facc[..g.cout * tile];
+                    acc.fill(0.0);
+                    match (arith.as_deref_mut(), kernel) {
+                        (Some(a), Kernel::Prepared(prep)) => {
+                            // Approximate path: the whole weight block
+                            // sweeps the shared patch tile in one fused
+                            // kernel call — per element `k` ascending, the
+                            // batched GEMM's accumulation order.
+                            let class = plane_class.expect("kernel implies class");
+                            a.gemm_tile_classed(prep, gb, tile, class, acc, tile);
+                        }
+                        (None, Kernel::F32(wmat)) => {
+                            // Exact path: mirror `da_tensor::ops::matmul`,
+                            // including its zero-weight skip.
+                            let rows = wmat.as_slice().chunks_exact(k);
+                            for (arow, wrow) in acc.chunks_exact_mut(tile).zip(rows) {
+                                for (&av, grow) in wrow.iter().zip(gb.chunks_exact(tile)) {
+                                    if av == 0.0 {
+                                        continue;
+                                    }
+                                    for (o, &gv) in arow.iter_mut().zip(grow) {
+                                        *o += av * gv;
+                                    }
+                                }
+                            }
+                        }
+                        _ => unreachable!("conv weight form always matches the kernel mode"),
+                    }
+                    for (co, row) in acc.chunks_exact(tile).enumerate() {
+                        let at = item * out_len + co * p_total + p0;
+                        sink.store(at, 1, row, std::iter::repeat(bias[co]), relu);
+                    }
+                }
+            }
+        }
+        (Kernel::Lut8 { codes, lut, .. }, Acts::Codes(src)) => {
+            // Padded taps gather the activation zero point — the code for
+            // exactly 0.0, matching the f32 path's zeros.
+            let pad_code = lut.b_params().zero_point();
+            // Small output planes pack several items into one tile so the
+            // gather kernels amortize table traffic.
+            let per_tile = if p_total >= QCONV_TILE { 1 } else { QCONV_TILE / p_total };
+            let tile_width = qconv_tile_width(p_total);
+            let mut i0 = 0usize;
+            while i0 < n {
+                let items = per_tile.min(n - i0);
+                for p0 in (0..p_total).step_by(tile_width) {
+                    let cols = tile_width.min(p_total - p0);
+                    let tile = if items == 1 { cols } else { items * p_total };
+                    for li in 0..items {
+                        let x = &src[(i0 + li) * in_len..][..in_len];
+                        let (gather, col0) = (&mut ws.qgather, li * p_total);
+                        gather_patches(x, g, h, w, ow, p0, cols, tile, col0, gather, pad_code);
+                    }
+                    let acc = &mut ws.facc[..g.cout * tile];
+                    acc.fill(0.0);
+                    let gb = &ws.qgather[..k * tile];
+                    lut_gemm(lut, codes.as_slice(), g.cout, k, gb, tile, acc, tile);
+                    for li in 0..items {
+                        for (co, row) in acc.chunks_exact(tile).enumerate() {
+                            let at = (i0 + li) * out_len + co * p_total + p0;
+                            let row = &row[li * p_total..][..cols];
+                            sink.store(at, 1, row, std::iter::repeat(bias[co]), relu);
+                        }
+                    }
+                }
+                i0 += items;
+            }
+        }
+        (Kernel::Lut4 { codes, lut, .. }, Acts::Codes(src)) => {
+            // Transposed execution: pixel rows × tap columns against
+            // `[k, Cout]` weight codes, so the 4-bit codes vary along the
+            // shuffle axis. Per output element accumulation is the same
+            // ascending-`k` order as the int8 path, and the tiling is per
+            // item, so grouping cannot change bits.
+            let pad_code = lut.act_params().zero_point();
+            for (item, x) in src.chunks_exact(in_len).enumerate() {
+                for p0 in (0..p_total).step_by(QCONV_TILE) {
+                    let rows = QCONV_TILE.min(p_total - p0);
+                    gather_patch_rows_u8(x, g, h, w, ow, p0, rows, &mut ws.qgather, pad_code);
+                    let acc = &mut ws.facc[..rows * g.cout];
+                    acc.fill(0.0);
+                    let gb = &ws.qgather[..rows * k];
+                    lut4_gemm(lut, gb, rows, k, codes.as_slice(), g.cout, acc, g.cout);
+                    for (pi, row) in acc.chunks_exact(g.cout).enumerate() {
+                        let at = item * out_len + p0 + pi;
+                        sink.store(at, p_total, row, bias.iter().copied(), relu);
+                    }
+                }
+            }
+        }
+        _ => unreachable!("conv operands agree with the kernel"),
+    }
+}
+
+/// Max pooling over `[C, H, W]` items, on `f32` values or on codes. Each
+/// window starts at `floor` (`-inf`, or code 0) and takes a value only when
+/// it is strictly greater — the reference's first-maximum, NaN-skipping
+/// order.
+fn max_pool<T: Copy + PartialOrd>(
+    shapes: &ResolvedShape,
+    window: usize,
+    stride: usize,
+    src: &[T],
+    dst: &mut [T],
+    floor: T,
+) {
+    let (h, w) = (shapes.in_shape[1], shapes.in_shape[2]);
+    let (oh, ow) = (shapes.out_shape[1], shapes.out_shape[2]);
+    let max = |m: T, v: T| if v > m { v } else { m };
+    for (plane, out) in src.chunks_exact(h * w).zip(dst.chunks_exact_mut(oh * ow)) {
+        for (oy, orow) in out.chunks_exact_mut(ow).enumerate() {
+            if window == 2 && stride == 2 {
+                // The ubiquitous 2×2/2 case as slice max-pairs (vectorizes
+                // to packed max on codes).
+                let r0 = &plane[2 * oy * w..][..2 * ow];
+                let r1 = &plane[(2 * oy + 1) * w..][..2 * ow];
+                for ((o, a), b) in orow.iter_mut().zip(r0.chunks_exact(2)).zip(r1.chunks_exact(2)) {
+                    *o = max(max(max(max(floor, a[0]), a[1]), b[0]), b[1]);
+                }
+            } else {
+                for (ox, o) in orow.iter_mut().enumerate() {
+                    let mut best = floor;
+                    for ky in 0..window {
+                        let row = &plane[(oy * stride + ky) * w + ox * stride..];
+                        for &v in &row[..window] {
+                            best = max(best, v);
+                        }
+                    }
+                    *o = best;
+                }
+            }
         }
     }
 }
 
-/// [`gather_patches`] over activation *codes*: identical tap addressing,
-/// with padded taps filled by `pad_code` (the activation quantizer's zero
-/// point — the code for exactly `0.0`). Writes output pixels `p0..p0+cols`
-/// of one item into columns `col0..col0+cols` of each `row_stride`-wide
-/// gather row, so several small items can share one tile.
+/// Gather the im2col rows for output pixels `p0..p0+cols` of one item —
+/// `f32` values or activation codes — into columns `col0..col0+cols` of
+/// each `row_stride`-wide gather row (so several small items can share one
+/// tile), filling padded taps with `pad_code` (`0.0`, or the activation
+/// quantizer's zero point: the code for exactly `0.0`). The on-the-fly
+/// replacement for materializing full im2col columns.
 #[allow(clippy::too_many_arguments)]
-fn gather_patches_u8(
-    src: &[u8],
-    cin: usize,
+fn gather_patches<T: Copy>(
+    src: &[T],
+    g: &ConvGeom,
     h: usize,
     w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
     ow: usize,
     p0: usize,
     cols: usize,
     row_stride: usize,
     col0: usize,
-    gather: &mut [u8],
-    pad_code: u8,
+    gather: &mut [T],
+    pad_code: T,
 ) {
+    let ConvGeom { cin, kh, kw, stride, pad, .. } = *g;
     let mut row = 0usize;
     for c in 0..cin {
         let plane = &src[c * h * w..(c + 1) * h * w];
@@ -2236,28 +1948,25 @@ fn gather_patches_u8(
     }
 }
 
-/// [`gather_patches_u8`] **transposed**: one gather row per output *pixel*
-/// (`gather[(p - p0)·k + tap]` for pixels `p0..p0+rows`), each holding the
+/// [`gather_patches`] over codes, **transposed**: one gather row per output
+/// *pixel* (`gather[(p - p0)·k + tap]` for pixels `p0..p0+rows`), each holding the
 /// pixel's `Cin·Kh·Kw` tap codes in ascending-tap order. This is the left
 /// matrix of the int4 shuffle conv, whose GEMM runs pixels-as-rows so the
 /// weight codes land on the vectorized axis.
 #[allow(clippy::too_many_arguments)]
 fn gather_patch_rows_u8(
     src: &[u8],
-    cin: usize,
+    g: &ConvGeom,
     h: usize,
     w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
     ow: usize,
     p0: usize,
     rows: usize,
     gather: &mut [u8],
     pad_code: u8,
 ) {
-    let k = cin * kh * kw;
+    let ConvGeom { cin, kh, kw, stride, pad, .. } = *g;
+    let k = g.taps();
     for s in 0..rows {
         let p = p0 + s;
         let (oy, ox) = (p / ow, p % ow);
@@ -2279,56 +1988,6 @@ fn gather_patch_rows_u8(
                         if ix >= 0 && ix < w as isize { src_row[ix as usize] } else { pad_code };
                     tap += 1;
                 }
-            }
-        }
-    }
-}
-
-/// Gather the im2col rows for output pixels `p0..p0+tile` into
-/// `gather[row·tile..]`, zero-filling padded taps — the on-the-fly
-/// replacement for materializing full im2col columns.
-#[allow(clippy::too_many_arguments)]
-fn gather_patches(
-    src: &[f32],
-    cin: usize,
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-    ow: usize,
-    p0: usize,
-    tile: usize,
-    gather: &mut [f32],
-) {
-    let mut row = 0usize;
-    for c in 0..cin {
-        let plane = &src[c * h * w..(c + 1) * h * w];
-        for ky in 0..kh {
-            for kx in 0..kw {
-                let out_row = &mut gather[row * tile..(row + 1) * tile];
-                let mut idx = 0usize;
-                let mut p = p0;
-                while idx < tile {
-                    let oy = p / ow;
-                    let ox0 = p % ow;
-                    let seg = (ow - ox0).min(tile - idx);
-                    let iy = (oy * stride + ky) as isize - pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        out_row[idx..idx + seg].fill(0.0);
-                    } else {
-                        let src_row = &plane[iy as usize * w..(iy as usize + 1) * w];
-                        for (s, o) in out_row[idx..idx + seg].iter_mut().enumerate() {
-                            let ix = ((ox0 + s) * stride + kx) as isize - pad as isize;
-                            *o =
-                                if ix >= 0 && ix < w as isize { src_row[ix as usize] } else { 0.0 };
-                        }
-                    }
-                    idx += seg;
-                    p += seg;
-                }
-                row += 1;
             }
         }
     }

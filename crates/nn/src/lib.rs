@@ -72,7 +72,7 @@
 //! On top of the engine, [`serve::BatchServer`] is a thread-based
 //! micro-batching front end: concurrent callers submit single samples,
 //! workers coalesce them (configurable batch size and flush deadline) and
-//! execute them on a shard pool of plan replicas, replying through
+//! execute them on one shared compiled plan, replying through
 //! per-request channels with backpressure when the queue fills. Batching
 //! never changes a sample's logits — bit-identity under any concurrent
 //! schedule is part of the contract (see [`serve`]'s module docs) and is

@@ -17,7 +17,7 @@
 //!                                  serve::BatchServer (bounded queue)
 //!                                         │ micro-batches
 //!                                         ▼
-//!                                  engine::InferencePlan replicas
+//!                                  engine::InferencePlan (one, shared)
 //! ```
 //!
 //! * [`frame`] — the wire format: framing, message codec, hostile-input

@@ -120,7 +120,7 @@ impl Network {
     ///
     /// Holders of compiled snapshots — a cached
     /// [`Arc`]`<`[`InferencePlan`]`>` or a [`crate::serve::BatchServer`]'s
-    /// replica pool — record this at compile time and compare later to
+    /// plan — record this at compile time and compare later to
     /// detect that the network has diverged from their snapshot (see
     /// [`crate::serve::BatchServer::is_stale`]).
     pub fn plan_epoch(&self) -> u64 {

@@ -3,10 +3,10 @@
 //!
 //! The engine ([`crate::engine`]) made one process fast; this module makes
 //! that process *serve*: many concurrent callers submit single samples, a
-//! [`BatchServer`] coalesces them into batches and executes them on a shard
-//! pool of [`InferencePlan`] replicas — one plan per worker thread, so each
-//! worker reuses its own pooled workspace arenas without contending (at the
-//! cost of one prepared-weight snapshot per worker).
+//! [`BatchServer`] coalesces them into batches and executes them on one
+//! shared [`InferencePlan`]: plans are `&self` to execute and pool their
+//! workspace arenas per call, so every worker thread runs the same `Arc`
+//! and N workers cost one copy of the prepared weights and product tables.
 //!
 //! # The batching contract
 //!
@@ -70,7 +70,7 @@
 //!   the server returns to the primary only after
 //!   [`ServeConfig::brownout_exit_quiet`] with no sheds.
 //! * **Hot reload.** [`BatchServer::reload_plan`] /
-//!   [`BatchServer::reload_from_snapshot`] atomically swap the shard pool
+//!   [`BatchServer::reload_from_snapshot`] atomically swap the served plan
 //!   under live traffic: a replacement snapshot is fully validated before
 //!   the swap (a corrupt file is rejected and the old plans keep serving),
 //!   and [`ServeStats::generation`] records each successful swap. The
@@ -81,15 +81,15 @@
 //!   in would silently change what connected clients get back.
 //!
 //!   [`SnapshotError::Incompatible`]: crate::snapshot::SnapshotError::Incompatible
-//! * **Snapshot semantics.** Replicas snapshot the network at
+//! * **Snapshot semantics.** The server's plan snapshots the network at
 //!   [`BatchServer::compile`] time, exactly like [`Network::plan`].
 //!   Mutating the network afterwards (`set_multiplier`, `params_mut`, a
 //!   training forward) invalidates the network's own cached plan but *not*
-//!   the server's replicas: the server keeps serving the snapshot, and
+//!   the server's plan: the server keeps serving the snapshot, and
 //!   [`BatchServer::is_stale`] reports the divergence (via
 //!   [`Network::plan_epoch`]) so operators can rebuild.
 //!
-//! Servers can also shard **int8 plans**
+//! Servers can also serve **int8 plans**
 //! ([`BatchServer::compile_quantized`]): the queue, batching, backpressure,
 //! and failure-containment machinery is plan-agnostic, and quantized plans
 //! are deterministic with independent batch items, so the bit-identity
@@ -133,7 +133,8 @@ use crate::Network;
 /// Micro-batching knobs for a [`BatchServer`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads, each owning one [`InferencePlan`] replica.
+    /// Worker threads, all executing the server's one shared
+    /// [`InferencePlan`].
     ///
     /// `0` builds an accept-only server (requests queue but never execute)
     /// — useful for deterministic backpressure/shutdown tests; production
@@ -371,7 +372,7 @@ struct Counters {
     worker_restarts: AtomicU64,
     /// Requests shed with [`ServeError::DeadlineExceeded`] before execution.
     deadline_expired: AtomicU64,
-    /// Plan-pool generation: 0 at start, +1 per successful
+    /// Plan generation: 0 at start, +1 per successful
     /// [`BatchServer::reload_plan`].
     generation: AtomicU64,
     /// Requests shed with [`ServeError::Overloaded`] (estimate-shed at
@@ -393,12 +394,11 @@ struct Shared {
     /// Blocked submitters wait here for queue space.
     space: Condvar,
     counters: Counters,
-    /// The shard pool of plan replicas. Workers fetch their replica per
-    /// batch (`pool[i % len]`), so a hot reload
-    /// ([`BatchServer::reload_plan`]) atomically swaps what the *next*
-    /// batch executes on — in-flight batches finish on the plan they
-    /// started with (the `Arc` keeps it alive).
-    plans: RwLock<Vec<Arc<InferencePlan>>>,
+    /// The served plan, shared by every worker. Workers fetch it per
+    /// batch, so a hot reload ([`BatchServer::reload_plan`]) atomically
+    /// swaps what the *next* batch executes on — in-flight batches finish
+    /// on the plan they started with (the `Arc` keeps it alive).
+    plan: RwLock<Arc<InferencePlan>>,
     /// The cheaper plan brownout dispatch fails over to (`None` until
     /// [`BatchServer::set_fallback_plan`] installs one).
     fallback: RwLock<Option<Arc<InferencePlan>>>,
@@ -519,7 +519,7 @@ fn lock_queue(shared: &Shared) -> MutexGuard<'_, QueueState> {
 /// A snapshot of the server's serving counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Batches dispatched to plan replicas.
+    /// Batches dispatched to the plan.
     pub batches: u64,
     /// Samples served (successfully executed).
     pub items: u64,
@@ -539,7 +539,7 @@ pub struct ServeStats {
     /// execution — by admission, by the dispatching worker, or by the
     /// background expiry sweep.
     pub deadline_expired: u64,
-    /// Plan-pool generation: 0 for the plans the server started with,
+    /// Plan generation: 0 for the plan the server started with,
     /// bumped by each successful [`BatchServer::reload_plan`] /
     /// [`BatchServer::reload_from_snapshot`].
     pub generation: u64,
@@ -595,8 +595,8 @@ impl Pending {
     }
 }
 
-/// A thread-based micro-batching front end over [`InferencePlan`] replicas
-/// (see the module docs for the batching contract).
+/// A thread-based micro-batching front end over one shared
+/// [`InferencePlan`] (see the module docs for the batching contract).
 pub struct BatchServer {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -609,7 +609,8 @@ pub struct BatchServer {
 }
 
 impl BatchServer {
-    /// Compile one plan replica per worker from `network` and start serving.
+    /// Compile `network` into one plan, shared by every worker, and start
+    /// serving.
     ///
     /// Returns `None` when the network has no compiled form (the same
     /// condition under which [`Network::plan`] returns `None`) — callers
@@ -624,21 +625,15 @@ impl BatchServer {
         // Read the epoch *before* compiling: a concurrent mutation mid-compile
         // then flags the server stale instead of going unnoticed.
         let source_epoch = network.plan_epoch();
-        let replicas: Option<Vec<Arc<InferencePlan>>> = (0..config.workers.max(1))
-            .map(|_| InferencePlan::compile(network, network.multiplier().cloned()).map(Arc::new))
-            .collect();
-        let mut replicas = replicas?;
-        replicas.truncate(config.workers);
-        Self::start(replicas, config, source_epoch)
+        let plan = InferencePlan::compile(network, network.multiplier().cloned())?;
+        Some(Self::start(Arc::new(plan), config, source_epoch))
     }
 
-    /// [`compile`](BatchServer::compile) in **int8 mode**: the shard pool
+    /// [`compile`](BatchServer::compile) in **int8 mode**: the server
     /// serves one [`InferencePlan::compile_quantized`] plan, calibrated on
-    /// `calibration`, shared by every worker. Quantized plans carry
-    /// multi-MiB product tables (and, for gate-level multipliers, a
-    /// 65 536-product build cost), so workers share one snapshot instead of
-    /// replicating it — plans are `&self` to execute and workspaces are
-    /// pooled per call, so sharing adds no contention beyond the pool lock.
+    /// `calibration`, shared by every worker (sharing matters most here:
+    /// quantized plans carry multi-MiB product tables and, for gate-level
+    /// multipliers, a 65 536-product build cost).
     ///
     /// The batching contract is unchanged: quantized plans are
     /// deterministic and run batch items independently, so served logits
@@ -666,8 +661,7 @@ impl BatchServer {
             network.multiplier().cloned(),
             calibration,
         )?);
-        let replicas = vec![plan; config.workers];
-        Self::start(replicas, config, source_epoch)
+        Some(Self::start(plan, config, source_epoch))
     }
 
     /// [`compile_quantized`](BatchServer::compile_quantized) in
@@ -697,12 +691,11 @@ impl BatchServer {
             network.multiplier().cloned(),
             calibration,
         )?);
-        let replicas = vec![plan; config.workers];
-        Self::start(replicas, config, source_epoch)
+        Some(Self::start(plan, config, source_epoch))
     }
 
     /// Serve an already-compiled (or snapshot-loaded) plan: every worker
-    /// shards the same `Arc`, so a plan whose tables borrow an `mmap`ed
+    /// runs the same `Arc`, so a plan whose tables borrow an `mmap`ed
     /// snapshot is served by N workers over **one** mapping — no per-worker
     /// copy of the multi-MiB product tables or weight matrices.
     ///
@@ -718,8 +711,7 @@ impl BatchServer {
     pub fn from_plan(plan: Arc<InferencePlan>, config: ServeConfig) -> BatchServer {
         assert!(config.max_batch >= 1, "max_batch must be at least 1");
         assert!(config.queue_capacity >= 1, "queue_capacity must be at least 1");
-        let replicas = vec![plan; config.workers];
-        Self::start(replicas, config, u64::MAX).expect("start never fails")
+        Self::start(plan, config, u64::MAX)
     }
 
     /// Map the plan snapshot at `path` (see [`crate::snapshot`]) and serve
@@ -739,26 +731,20 @@ impl BatchServer {
         Ok(Self::from_plan(plan, config))
     }
 
-    /// Shared startup: install the panic hook, park the plan replicas in
-    /// the shard pool, and spawn one supervised worker per replica plus the
-    /// deadline-expiry sweep. `source_epoch` is the network's
-    /// [`Network::plan_epoch`] read *before* compiling, so a concurrent
-    /// mutation mid-compile flags the server stale instead of going
-    /// unnoticed.
-    fn start(
-        replicas: Vec<Arc<InferencePlan>>,
-        config: ServeConfig,
-        source_epoch: u64,
-    ) -> Option<BatchServer> {
+    /// Shared startup: install the panic hook, install the plan, and spawn
+    /// `config.workers` supervised workers plus the deadline-expiry sweep.
+    /// `source_epoch` is the network's [`Network::plan_epoch`] read
+    /// *before* compiling, so a concurrent mutation mid-compile flags the
+    /// server stale instead of going unnoticed.
+    fn start(plan: Arc<InferencePlan>, config: ServeConfig, source_epoch: u64) -> BatchServer {
         install_quiet_panic_hook();
-        let worker_count = replicas.len();
         let now = Instant::now();
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState { queue: VecDeque::new(), shutdown: false }),
             not_empty: Condvar::new(),
             space: Condvar::new(),
             counters: Counters::default(),
-            plans: RwLock::new(replicas),
+            plan: RwLock::new(plan),
             fallback: RwLock::new(None),
             degraded: std::sync::atomic::AtomicBool::new(false),
             brownout: Mutex::new(BrownoutState { window_start: now, sheds: 0, last_shed: now }),
@@ -768,7 +754,7 @@ impl BatchServer {
                 exit_quiet: config.brownout_exit_quiet,
             },
         });
-        let workers = (0..worker_count)
+        let workers = (0..config.workers)
             .map(|i| {
                 let shared = shared.clone();
                 let max_batch = config.max_batch;
@@ -778,7 +764,7 @@ impl BatchServer {
                 };
                 std::thread::Builder::new()
                     .name(format!("da-serve-{i}"))
-                    .spawn(move || supervised_worker(i, shared, max_batch, flush))
+                    .spawn(move || supervised_worker(shared, max_batch, flush))
                     .expect("spawn serve worker")
             })
             .collect();
@@ -791,14 +777,14 @@ impl BatchServer {
                     .expect("spawn serve sweeper"),
             )
         };
-        Some(BatchServer {
+        BatchServer {
             shared,
             workers,
             sweeper,
             queue_capacity: config.queue_capacity,
             default_deadline: config.default_deadline,
             source_epoch,
-        })
+        }
     }
 
     /// Queue one sample (`[C, H, W]` or `[features...]`, *no* batch axis),
@@ -990,7 +976,7 @@ impl BatchServer {
     /// Serve a whole `[N, ...]` batch *through the request queue*: every
     /// item becomes one submission (interleaving freely with concurrent
     /// callers), and the rows are reassembled in submission order.
-    /// Bit-identical to [`InferencePlan::predict_batch`] on a replica.
+    /// Bit-identical to [`InferencePlan::predict_batch`] on the served plan.
     ///
     /// A full queue is not an error here: submissions use the blocking
     /// [`submit`](BatchServer::submit), so backpressure stalls this caller
@@ -1020,7 +1006,7 @@ impl BatchServer {
     }
 
     /// Whether `network` has been invalidated since this server compiled its
-    /// replicas (weights, multiplier, or training-mode statistics changed).
+    /// plan (weights, multiplier, or training-mode statistics changed).
     ///
     /// A stale server keeps serving its compile-time snapshot — exactly like
     /// a held [`Arc`]`<`[`InferencePlan`]`>` — so callers decide when to
@@ -1030,7 +1016,7 @@ impl BatchServer {
         network.plan_epoch() != self.source_epoch
     }
 
-    /// Worker-thread count (plan replicas).
+    /// Worker-thread count.
     pub fn workers(&self) -> usize {
         self.workers.len()
     }
@@ -1071,17 +1057,12 @@ impl BatchServer {
         &self,
         plan: Arc<InferencePlan>,
     ) -> Result<(), crate::snapshot::SnapshotError> {
-        let want = {
-            let pool = self.shared.plans.read().unwrap_or_else(PoisonError::into_inner);
-            pool.first().map(|p| p.interface())
-        };
-        if let Some(want) = want {
-            let got = plan.interface();
-            if got.input != want.input || got.output_features != want.output_features {
-                return Err(crate::snapshot::SnapshotError::Incompatible(format!(
-                    "fallback plan serves [{got}] but the primary serves [{want}]"
-                )));
-            }
+        let want = self.shared.plan.read().unwrap_or_else(PoisonError::into_inner).interface();
+        let got = plan.interface();
+        if got.input != want.input || got.output_features != want.output_features {
+            return Err(crate::snapshot::SnapshotError::Incompatible(format!(
+                "fallback plan serves [{got}] but the primary serves [{want}]"
+            )));
         }
         *self.shared.fallback.write().unwrap_or_else(PoisonError::into_inner) = Some(plan);
         Ok(())
@@ -1115,13 +1096,13 @@ impl BatchServer {
         self.shared.counters.ewma_service_ns.store(ns, Ordering::Relaxed);
     }
 
-    /// Current plan-pool generation: 0 until the first successful
+    /// Current plan generation: 0 until the first successful
     /// [`reload_plan`](BatchServer::reload_plan).
     pub fn generation(&self) -> u64 {
         self.shared.counters.generation.load(Ordering::Relaxed)
     }
 
-    /// Atomically replace the shard pool with `plan` and return the new
+    /// Atomically replace the served plan with `plan` and return the new
     /// generation. The swap never drops a request: batches already
     /// executing finish on the plan they started with (their `Arc` keeps it
     /// alive), every batch dispatched after the swap runs on `plan`, and
@@ -1130,7 +1111,7 @@ impl BatchServer {
     /// The swap performs a **shape handshake**: a replacement whose
     /// serving interface ([`InferencePlan::interface`] — input constraint,
     /// logit width, or precision family) differs from the current plan's
-    /// is rejected with [`SnapshotError::Incompatible`] and the old pool
+    /// is rejected with [`SnapshotError::Incompatible`] and the old plan
     /// keeps serving, generation unchanged. Connected clients pipelining
     /// requests across the swap would otherwise silently start getting
     /// different shapes (or a different numeric contract) back.
@@ -1141,18 +1122,14 @@ impl BatchServer {
         plan: Arc<InferencePlan>,
     ) -> Result<u64, crate::snapshot::SnapshotError> {
         {
-            let mut pool = self.shared.plans.write().unwrap_or_else(PoisonError::into_inner);
-            if let Some(current) = pool.first() {
-                let want = current.interface();
-                let got = plan.interface();
-                if got != want {
-                    return Err(crate::snapshot::SnapshotError::Incompatible(format!(
-                        "replacement serves [{got}] but the current plan serves [{want}]"
-                    )));
-                }
+            let mut current = self.shared.plan.write().unwrap_or_else(PoisonError::into_inner);
+            let (want, got) = (current.interface(), plan.interface());
+            if got != want {
+                return Err(crate::snapshot::SnapshotError::Incompatible(format!(
+                    "replacement serves [{got}] but the current plan serves [{want}]"
+                )));
             }
-            let n = pool.len().max(1);
-            *pool = vec![plan; n];
+            *current = plan;
         }
         Ok(self.shared.counters.generation.fetch_add(1, Ordering::Relaxed) + 1)
     }
@@ -1256,14 +1233,13 @@ impl FlushPolicy {
 
 /// Worker supervision: run [`worker_loop`] and, if a panic escapes it
 /// (poisoned mutex included — every lock site recovers), count the restart
-/// and re-enter the loop with a fresh plan handle from the shard pool. The
+/// and re-enter the loop with a fresh handle on the served plan. The
 /// dying iteration's in-flight requests were already failed with
 /// [`ServeError::WorkerDied`] by their [`ReplySink`] drop guards as the
 /// panic unwound, so no caller hangs across the restart.
-fn supervised_worker(index: usize, shared: Arc<Shared>, max_batch: usize, flush: FlushPolicy) {
+fn supervised_worker(shared: Arc<Shared>, max_batch: usize, flush: FlushPolicy) {
     loop {
-        let result =
-            catch_unwind(AssertUnwindSafe(|| worker_loop(index, &shared, max_batch, flush)));
+        let result = catch_unwind(AssertUnwindSafe(|| worker_loop(&shared, max_batch, flush)));
         // The panic may have unwound past the quiet-hook flag set; clear it
         // so genuine later panics on this thread still print.
         IN_PLAN_EXECUTION.with(|flag| flag.set(false));
@@ -1281,10 +1257,10 @@ fn supervised_worker(index: usize, shared: Arc<Shared>, max_batch: usize, flush:
 
 /// One worker: wait for requests, form a batch (FIFO, same-shape prefix, up
 /// to `max_batch`, holding up to the adaptive flush deadline for it to
-/// fill), shed expired members, execute the rest on this worker's plan
-/// replica (fetched from the shard pool per batch, so hot reloads take
-/// effect at the next dispatch), and reply per request.
-fn worker_loop(index: usize, shared: &Arc<Shared>, max_batch: usize, flush: FlushPolicy) {
+/// fill), shed expired members, execute the rest on the served plan
+/// (fetched per batch, so hot reloads take effect at the next dispatch),
+/// and reply per request.
+fn worker_loop(shared: &Arc<Shared>, max_batch: usize, flush: FlushPolicy) {
     let mut deadline = flush.max;
     loop {
         let (batch, filled): (Vec<Request>, bool) = {
@@ -1387,15 +1363,7 @@ fn worker_loop(index: usize, shared: &Arc<Shared>, max_batch: usize, flush: Flus
             .flatten();
         let (plan, degraded) = match degraded {
             Some(fallback) => (fallback, true),
-            None => {
-                let pool = shared.plans.read().unwrap_or_else(PoisonError::into_inner);
-                if pool.is_empty() {
-                    // Unreachable in practice (a zero-worker server runs no
-                    // worker loops), but never index an empty pool.
-                    continue;
-                }
-                (pool[index % pool.len()].clone(), false)
-            }
+            None => (shared.plan.read().unwrap_or_else(PoisonError::into_inner).clone(), false),
         };
         run_batch(&plan, batch, &shared.counters, degraded);
         observe_service_time(&shared.counters, dispatch_start.elapsed(), n_items);

@@ -66,6 +66,7 @@
 //! precompile one snapshot per [`MultiplierKind`] and later swap serving
 //! pools in milliseconds (see `examples/snapshot.rs`).
 
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -74,12 +75,13 @@ use std::sync::Arc;
 use da_arith::quantized::{CODES, CODES4};
 use da_arith::storage::{ByteRegion, Storage, StorageError};
 use da_arith::{
-    Lut4Order, Multiplier, MultiplierKind, PreparedOperands, ProductLut, ProductLut4, QuantParams,
-    QuantParams4, RowClass,
+    Lut4Order, Multiplier, MultiplierKind, ProductLut, ProductLut4, QuantParams, QuantParams4,
 };
 use memmap2::Mmap;
 
-use crate::engine::{ConvWeights, InferencePlan, PlanPrecision, QOut, Step};
+use crate::engine::{
+    operand_types_agree, ConvGeom, InferencePlan, Kernel, PlanPrecision, QOut, Step,
+};
 
 /// Magic bytes at offset 0 of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"DASNAPv1";
@@ -310,7 +312,9 @@ impl<'a> MetaCursor<'a> {
     }
 }
 
-// Step tags (format version 1; append-only).
+// Step tags (format version 1; append-only). `TAG_QUANTIZE_INPUT` through
+// `TAG_QDEQUANTIZE` are the quantized family, which the load-time family
+// check reads off the tag.
 const TAG_CONV: u8 = 0;
 const TAG_DENSE: u8 = 1;
 const TAG_MAXPOOL: u8 = 2;
@@ -389,46 +393,38 @@ fn encode_plan(plan: &InferencePlan) -> Result<Vec<u8>, SnapshotError> {
     };
 
     let mut blobs: Vec<Blob<'_>> = Vec::new();
-    // LUT interning by Arc identity: steps that share a table in memory
-    // share one payload section in the file.
-    let mut lut8: Vec<(*const ProductLut, u32)> = Vec::new();
-    let mut lut4: Vec<(*const ProductLut4, u32)> = Vec::new();
-    let mut lut8_meta = MetaBuf::default();
-    let mut lut4_meta = MetaBuf::default();
+    let mut luts = LutRegistry::default();
+    let quantized = plan.precision != PlanPrecision::F32;
 
     let mut steps = MetaBuf::default();
     steps.dim(plan.steps.len())?;
     for step in &plan.steps {
         match step {
-            Step::Conv { weights, bias, cout, cin, kh, kw, stride, pad, fuse_relu } => {
-                let blob = match weights {
-                    ConvWeights::Raw(w) => Blob::F32Borrowed(w.as_slice()),
-                    // Prepared operands keep the original value of every
-                    // weight; the decomposition is recomputed at load.
-                    ConvWeights::Prepared(p) => Blob::F32Owned(
-                        (0..p.rows()).flat_map(|r| p.row(r).iter().map(|op| op.value())).collect(),
-                    ),
-                };
-                let section = push_blob(&mut blobs, blob)?;
-                steps.u8(TAG_CONV);
-                steps.u32(section);
+            Step::Conv { geom, bias, fuse_relu, kernel } => {
+                let tags = [TAG_CONV, TAG_QCONV, TAG_QCONV4];
+                let out = encode_kernel(kernel, tags, &mut steps, &mut blobs, &mut luts)?;
                 steps.f32s(bias)?;
-                for &d in &[*cout, *cin, *kh, *kw, *stride, *pad] {
+                for d in geom.dims() {
                     steps.dim(d)?;
                 }
                 steps.u8(u8::from(*fuse_relu));
+                if let Some(out) = out {
+                    encode_qout(&mut steps, &out);
+                }
             }
-            Step::Dense { wt, bias, in_features, out_features, fuse_relu, .. } => {
-                let section = push_blob(&mut blobs, Blob::F32Borrowed(wt.as_slice()))?;
-                steps.u8(TAG_DENSE);
-                steps.u32(section);
+            Step::Dense { in_features, out_features, bias, fuse_relu, kernel } => {
+                let tags = [TAG_DENSE, TAG_QDENSE, TAG_QDENSE4];
+                let out = encode_kernel(kernel, tags, &mut steps, &mut blobs, &mut luts)?;
                 steps.f32s(bias)?;
                 steps.dim(*in_features)?;
                 steps.dim(*out_features)?;
                 steps.u8(u8::from(*fuse_relu));
+                if let Some(out) = out {
+                    encode_qout(&mut steps, &out);
+                }
             }
             Step::MaxPool { window, stride } => {
-                steps.u8(TAG_MAXPOOL);
+                steps.u8(if quantized { TAG_QMAXPOOL } else { TAG_MAXPOOL });
                 steps.dim(*window)?;
                 steps.dim(*stride)?;
             }
@@ -449,73 +445,6 @@ fn encode_plan(plan: &InferencePlan) -> Result<Vec<u8>, SnapshotError> {
                 steps.u8(TAG_QUANTIZE_INPUT);
                 steps.quant(*params);
             }
-            Step::QConv { qweight, lut, bias, cout, cin, kh, kw, stride, pad, fuse_relu, out } => {
-                let lut_idx = intern_lut8(&mut lut8, &mut lut8_meta, &mut blobs, lut)?;
-                let section = push_blob(&mut blobs, Blob::U8(qweight.as_slice()))?;
-                steps.u8(TAG_QCONV);
-                steps.u32(section);
-                steps.u32(lut_idx);
-                steps.f32s(bias)?;
-                for &d in &[*cout, *cin, *kh, *kw, *stride, *pad] {
-                    steps.dim(d)?;
-                }
-                steps.u8(u8::from(*fuse_relu));
-                encode_qout(&mut steps, out);
-            }
-            Step::QDense { qwt, lut, bias, in_features, out_features, fuse_relu, out } => {
-                let lut_idx = intern_lut8(&mut lut8, &mut lut8_meta, &mut blobs, lut)?;
-                let section = push_blob(&mut blobs, Blob::U8(qwt.as_slice()))?;
-                steps.u8(TAG_QDENSE);
-                steps.u32(section);
-                steps.u32(lut_idx);
-                steps.f32s(bias)?;
-                steps.dim(*in_features)?;
-                steps.dim(*out_features)?;
-                steps.u8(u8::from(*fuse_relu));
-                encode_qout(&mut steps, out);
-            }
-            Step::QConv4 {
-                qweight_t,
-                lut,
-                bias,
-                cout,
-                cin,
-                kh,
-                kw,
-                stride,
-                pad,
-                fuse_relu,
-                out,
-            } => {
-                let lut_idx = intern_lut4(&mut lut4, &mut lut4_meta, &mut blobs, lut)?;
-                let section = push_blob(&mut blobs, Blob::U8(qweight_t.as_slice()))?;
-                steps.u8(TAG_QCONV4);
-                steps.u32(section);
-                steps.u32(lut_idx);
-                steps.f32s(bias)?;
-                for &d in &[*cout, *cin, *kh, *kw, *stride, *pad] {
-                    steps.dim(d)?;
-                }
-                steps.u8(u8::from(*fuse_relu));
-                encode_qout(&mut steps, out);
-            }
-            Step::QDense4 { qwt, lut, bias, in_features, out_features, fuse_relu, out } => {
-                let lut_idx = intern_lut4(&mut lut4, &mut lut4_meta, &mut blobs, lut)?;
-                let section = push_blob(&mut blobs, Blob::U8(qwt.as_slice()))?;
-                steps.u8(TAG_QDENSE4);
-                steps.u32(section);
-                steps.u32(lut_idx);
-                steps.f32s(bias)?;
-                steps.dim(*in_features)?;
-                steps.dim(*out_features)?;
-                steps.u8(u8::from(*fuse_relu));
-                encode_qout(&mut steps, out);
-            }
-            Step::QMaxPool { window, stride } => {
-                steps.u8(TAG_QMAXPOOL);
-                steps.dim(*window)?;
-                steps.dim(*stride)?;
-            }
             Step::QRelu { zero_point } => {
                 steps.u8(TAG_QRELU);
                 steps.u8(*zero_point);
@@ -535,10 +464,10 @@ fn encode_plan(plan: &InferencePlan) -> Result<Vec<u8>, SnapshotError> {
         PlanPrecision::Int8 => 1,
         PlanPrecision::Int4Weights => 2,
     });
-    meta.dim(lut8.len())?;
-    meta.buf.extend_from_slice(&lut8_meta.buf);
-    meta.dim(lut4.len())?;
-    meta.buf.extend_from_slice(&lut4_meta.buf);
+    meta.dim(luts.lut8.len())?;
+    meta.buf.extend_from_slice(&luts.lut8_meta.buf);
+    meta.dim(luts.lut4.len())?;
+    meta.buf.extend_from_slice(&luts.lut4_meta.buf);
     meta.buf.extend_from_slice(&steps.buf);
 
     // Lay the file out: header, section table, META, aligned blobs.
@@ -587,50 +516,91 @@ fn encode_qout(meta: &mut MetaBuf, out: &QOut) {
     }
 }
 
-fn intern_lut8<'a>(
-    seen: &mut Vec<(*const ProductLut, u32)>,
-    meta: &mut MetaBuf,
-    blobs: &mut Vec<Blob<'a>>,
-    lut: &'a Arc<ProductLut>,
-) -> Result<u32, SnapshotError> {
-    let ptr = Arc::as_ptr(lut);
-    if let Some((_, idx)) = seen.iter().find(|(p, _)| *p == ptr) {
-        return Ok(*idx);
-    }
-    let section = u32::try_from(blobs.len() + 1)
-        .map_err(|_| SnapshotError::Unsupported("too many sections"))?;
-    blobs.push(Blob::F32Borrowed(lut.table()));
-    let idx = u32::try_from(seen.len()).expect("fewer LUTs than sections");
-    meta.quant(lut.a_params());
-    meta.quant(lut.b_params());
-    meta.u32(section);
-    seen.push((ptr, idx));
-    Ok(idx)
+/// LUT interning by `Arc` identity while saving: steps that share a table
+/// in memory share one payload section in the file.
+#[derive(Default)]
+struct LutRegistry {
+    lut8: Vec<*const ProductLut>,
+    lut4: Vec<*const ProductLut4>,
+    lut8_meta: MetaBuf,
+    lut4_meta: MetaBuf,
 }
 
-fn intern_lut4<'a>(
-    seen: &mut Vec<(*const ProductLut4, u32)>,
-    meta: &mut MetaBuf,
+/// Write a conv/dense step's kernel header — the tag (`tags` holds the f32,
+/// int8 and int4 tag of the step kind), the weight section, and for
+/// quantized kernels the LUT index — and return the `QOut` the step's
+/// encoding ends with, if any.
+fn encode_kernel<'a>(
+    kernel: &'a Kernel,
+    tags: [u8; 3],
+    steps: &mut MetaBuf,
     blobs: &mut Vec<Blob<'a>>,
-    lut: &'a Arc<ProductLut4>,
-) -> Result<u32, SnapshotError> {
-    let ptr = Arc::as_ptr(lut);
-    if let Some((_, idx)) = seen.iter().find(|(p, _)| *p == ptr) {
-        return Ok(*idx);
+    luts: &mut LutRegistry,
+) -> Result<Option<QOut>, SnapshotError> {
+    let (tag, blob, lut, out) = match kernel {
+        Kernel::F32(_) | Kernel::Prepared(_) | Kernel::Classified { .. } => {
+            // Prepared operands keep the original value of every weight;
+            // the decomposition is recomputed at load.
+            let blob = match kernel.f32_weights() {
+                Cow::Borrowed(w) => Blob::F32Borrowed(w),
+                Cow::Owned(w) => Blob::F32Owned(w),
+            };
+            (tags[0], blob, None, None)
+        }
+        Kernel::Lut8 { codes, lut, out } => {
+            let ptr = Arc::as_ptr(lut);
+            let meta = &mut luts.lut8_meta;
+            let idx = intern_lut(&mut luts.lut8, ptr, blobs, lut.table(), meta, |m| {
+                m.quant(lut.a_params());
+                m.quant(lut.b_params());
+            })?;
+            (tags[1], Blob::U8(codes.as_slice()), Some(idx), Some(*out))
+        }
+        Kernel::Lut4 { codes, lut, out } => {
+            let ptr = Arc::as_ptr(lut);
+            let meta = &mut luts.lut4_meta;
+            let idx = intern_lut(&mut luts.lut4, ptr, blobs, lut.table(), meta, |m| {
+                m.quant(lut.act_params());
+                m.quant4(lut.w_params());
+                m.u8(match lut.order() {
+                    Lut4Order::WeightsLeft => 0,
+                    Lut4Order::ActivationsLeft => 1,
+                });
+            })?;
+            (tags[2], Blob::U8(codes.as_slice()), Some(idx), Some(*out))
+        }
+    };
+    let section = push_blob(blobs, blob)?;
+    steps.u8(tag);
+    steps.u32(section);
+    if let Some(idx) = lut {
+        steps.u32(idx);
     }
-    let section = u32::try_from(blobs.len() + 1)
-        .map_err(|_| SnapshotError::Unsupported("too many sections"))?;
-    blobs.push(Blob::F32Borrowed(lut.table()));
-    let idx = u32::try_from(seen.len()).expect("fewer LUTs than sections");
-    meta.quant(lut.act_params());
-    meta.quant4(lut.w_params());
-    meta.u8(match lut.order() {
-        Lut4Order::WeightsLeft => 0,
-        Lut4Order::ActivationsLeft => 1,
-    });
-    meta.u32(section);
-    seen.push((ptr, idx));
-    Ok(idx)
+    Ok(out)
+}
+
+/// The registry index of the table at `ptr`, registering it on first
+/// sight: its payload section is pushed and the registry entry written to
+/// `meta` — `describe`'s quantizers, then the section index.
+fn intern_lut<'a, T>(
+    seen: &mut Vec<*const T>,
+    ptr: *const T,
+    blobs: &mut Vec<Blob<'a>>,
+    table: &'a [f32],
+    meta: &mut MetaBuf,
+    describe: impl FnOnce(&mut MetaBuf),
+) -> Result<u32, SnapshotError> {
+    let idx = match seen.iter().position(|p| *p == ptr) {
+        Some(idx) => idx,
+        None => {
+            let section = push_blob(blobs, Blob::F32Borrowed(table))?;
+            describe(meta);
+            meta.u32(section);
+            seen.push(ptr);
+            seen.len() - 1
+        }
+    };
+    Ok(u32::try_from(idx).expect("fewer LUTs than sections"))
 }
 
 // ---------------------------------------------------------------------------
@@ -693,6 +663,12 @@ fn validate_container(bytes: &[u8]) -> Result<Vec<Section>, SnapshotError> {
     Ok(sections)
 }
 
+/// A quantized kernel's product table, resolved from its registry index.
+enum Lut {
+    Int8(Arc<ProductLut>),
+    Int4(Arc<ProductLut4>),
+}
+
 /// Shared state while decoding steps.
 struct Decoder<'a> {
     region: Arc<dyn ByteRegion>,
@@ -738,6 +714,36 @@ impl Decoder<'_> {
 
     fn lut4(&self, idx: u32) -> Result<Arc<ProductLut4>, SnapshotError> {
         self.lut4.get(idx as usize).cloned().ok_or(SnapshotError::Corrupt("LUT index out of range"))
+    }
+
+    /// The table of a quantized conv/dense `tag`, read from its LUT index
+    /// (`None` for the f32 tags, which carry no index).
+    fn kernel_lut(&self, tag: u8, c: &mut MetaCursor<'_>) -> Result<Option<Lut>, SnapshotError> {
+        Ok(match tag {
+            TAG_QCONV | TAG_QDENSE => Some(Lut::Int8(self.lut8(c.u32()?)?)),
+            TAG_QCONV4 | TAG_QDENSE4 => Some(Lut::Int4(self.lut4(c.u32()?)?)),
+            _ => None,
+        })
+    }
+
+    /// The kernel over weight `section` (`len` elements): codes for a
+    /// quantized kernel, else `f32` weights handed to `f32_kernel`.
+    fn kernel(
+        &self,
+        section: u32,
+        len: usize,
+        quantized: Option<(Lut, QOut)>,
+        f32_kernel: impl FnOnce(Storage<f32>) -> Kernel,
+    ) -> Result<Kernel, SnapshotError> {
+        Ok(match quantized {
+            Some((Lut::Int8(lut), out)) => {
+                Kernel::Lut8 { codes: self.u8_payload(section, len)?, lut, out }
+            }
+            Some((Lut::Int4(lut), out)) => {
+                Kernel::Lut4 { codes: self.u8_payload(section, len)?, lut, out }
+            }
+            None => f32_kernel(self.f32_payload(section, len)?),
+        })
     }
 }
 
@@ -845,47 +851,40 @@ fn decode_plan(bytes: &[u8], region: Arc<dyn ByteRegion>) -> Result<InferencePla
     // hundreds of MB up front. Growth past the clamp is amortised as steps
     // actually decode.
     let mut steps = Vec::with_capacity(n_steps.min(256));
+    let wants_quantized = precision != PlanPrecision::F32;
+    let mut family_mismatch = false;
     for _ in 0..n_steps {
-        let step = match c.u8()? {
-            TAG_CONV => {
+        let tag = c.u8()?;
+        let quantized_tag = matches!(tag, TAG_QUANTIZE_INPUT..=TAG_QDEQUANTIZE);
+        family_mismatch |= tag != TAG_FLATTEN && quantized_tag != wants_quantized;
+        let step = match tag {
+            TAG_CONV | TAG_QCONV | TAG_QCONV4 => {
                 let section = c.u32()?;
+                let lut = dec.kernel_lut(tag, &mut c)?;
                 let bias = c.f32s()?;
                 let d = conv_dims(&mut c)?;
                 let fuse_relu = c.u8()? != 0;
+                let out = lut.as_ref().map(|_| decode_qout(&mut c)).transpose()?;
                 if bias.len() != d[0] {
                     return Err(SnapshotError::Corrupt("conv bias length"));
                 }
-                let wlen = conv_weight_len(&d)?;
-                let wmat = dec.f32_payload(section, wlen)?;
-                let weights = match &multiplier {
+                let geom = ConvGeom::from_dims(d);
+                let kernel = dec.kernel(section, conv_weight_len(&d)?, lut.zip(out), |w| {
                     // The kernel path consumes pre-decomposed operands;
                     // rebuilding them is cheap and deterministic, and
                     // `PreparedOperand::value` preserved the exact f32s.
-                    Some(_) => ConvWeights::Prepared(PreparedOperands::from_matrix(
-                        wmat.as_slice(),
-                        d[0],
-                        d[1] * d[2] * d[3],
-                    )),
-                    None => ConvWeights::Raw(wmat),
-                };
-                Step::Conv {
-                    weights,
-                    bias,
-                    cout: d[0],
-                    cin: d[1],
-                    kh: d[2],
-                    kw: d[3],
-                    stride: d[4],
-                    pad: d[5],
-                    fuse_relu,
-                }
+                    Kernel::conv(&multiplier, w, &geom)
+                })?;
+                Step::Conv { geom, bias, fuse_relu, kernel }
             }
-            TAG_DENSE => {
+            TAG_DENSE | TAG_QDENSE | TAG_QDENSE4 => {
                 let section = c.u32()?;
+                let lut = dec.kernel_lut(tag, &mut c)?;
                 let bias = c.f32s()?;
                 let in_features = c.dim()?;
                 let out_features = c.dim()?;
                 let fuse_relu = c.u8()? != 0;
+                let out = lut.as_ref().map(|_| decode_qout(&mut c)).transpose()?;
                 if in_features == 0 || out_features == 0 {
                     return Err(SnapshotError::Corrupt("zero dense dimension"));
                 }
@@ -895,22 +894,14 @@ fn decode_plan(bytes: &[u8], region: Arc<dyn ByteRegion>) -> Result<InferencePla
                 let wlen = in_features
                     .checked_mul(out_features)
                     .ok_or(SnapshotError::Corrupt("dense shape overflow"))?;
-                let wt = dec.f32_payload(section, wlen)?;
                 // Row classes are a compile-time acceleration, rebuilt here
                 // exactly as `InferencePlan::compile` builds them.
-                let wt_class = match &multiplier {
-                    Some(m) => {
-                        let classifier = m.batch_kernel();
-                        wt.as_slice()
-                            .chunks(out_features)
-                            .map(|r| classifier.classify_rhs(r))
-                            .collect()
-                    }
-                    None => vec![RowClass::Normal; in_features],
-                };
-                Step::Dense { wt, wt_class, bias, in_features, out_features, fuse_relu }
+                let kernel = dec.kernel(section, wlen, lut.zip(out), |wt| {
+                    Kernel::dense(&multiplier, wt, out_features)
+                })?;
+                Step::Dense { in_features, out_features, bias, fuse_relu, kernel }
             }
-            TAG_MAXPOOL => {
+            TAG_MAXPOOL | TAG_QMAXPOOL => {
                 let window = c.dim()?;
                 let stride = c.dim()?;
                 if window == 0 || stride == 0 {
@@ -941,104 +932,6 @@ fn decode_plan(bytes: &[u8], region: Arc<dyn ByteRegion>) -> Result<InferencePla
                 Step::QuantAct { bits }
             }
             TAG_QUANTIZE_INPUT => Step::QuantizeInput { params: c.quant()? },
-            TAG_QCONV => {
-                let section = c.u32()?;
-                let lut = dec.lut8(c.u32()?)?;
-                let bias = c.f32s()?;
-                let d = conv_dims(&mut c)?;
-                let fuse_relu = c.u8()? != 0;
-                let out = decode_qout(&mut c)?;
-                if bias.len() != d[0] {
-                    return Err(SnapshotError::Corrupt("conv bias length"));
-                }
-                let qweight = dec.u8_payload(section, conv_weight_len(&d)?)?;
-                Step::QConv {
-                    qweight,
-                    lut,
-                    bias,
-                    cout: d[0],
-                    cin: d[1],
-                    kh: d[2],
-                    kw: d[3],
-                    stride: d[4],
-                    pad: d[5],
-                    fuse_relu,
-                    out,
-                }
-            }
-            TAG_QDENSE => {
-                let section = c.u32()?;
-                let lut = dec.lut8(c.u32()?)?;
-                let bias = c.f32s()?;
-                let in_features = c.dim()?;
-                let out_features = c.dim()?;
-                let fuse_relu = c.u8()? != 0;
-                let out = decode_qout(&mut c)?;
-                if in_features == 0 || out_features == 0 {
-                    return Err(SnapshotError::Corrupt("zero dense dimension"));
-                }
-                if bias.len() != out_features {
-                    return Err(SnapshotError::Corrupt("dense bias length"));
-                }
-                let wlen = in_features
-                    .checked_mul(out_features)
-                    .ok_or(SnapshotError::Corrupt("dense shape overflow"))?;
-                let qwt = dec.u8_payload(section, wlen)?;
-                Step::QDense { qwt, lut, bias, in_features, out_features, fuse_relu, out }
-            }
-            TAG_QCONV4 => {
-                let section = c.u32()?;
-                let lut = dec.lut4(c.u32()?)?;
-                let bias = c.f32s()?;
-                let d = conv_dims(&mut c)?;
-                let fuse_relu = c.u8()? != 0;
-                let out = decode_qout(&mut c)?;
-                if bias.len() != d[0] {
-                    return Err(SnapshotError::Corrupt("conv bias length"));
-                }
-                let qweight_t = dec.u8_payload(section, conv_weight_len(&d)?)?;
-                Step::QConv4 {
-                    qweight_t,
-                    lut,
-                    bias,
-                    cout: d[0],
-                    cin: d[1],
-                    kh: d[2],
-                    kw: d[3],
-                    stride: d[4],
-                    pad: d[5],
-                    fuse_relu,
-                    out,
-                }
-            }
-            TAG_QDENSE4 => {
-                let section = c.u32()?;
-                let lut = dec.lut4(c.u32()?)?;
-                let bias = c.f32s()?;
-                let in_features = c.dim()?;
-                let out_features = c.dim()?;
-                let fuse_relu = c.u8()? != 0;
-                let out = decode_qout(&mut c)?;
-                if in_features == 0 || out_features == 0 {
-                    return Err(SnapshotError::Corrupt("zero dense dimension"));
-                }
-                if bias.len() != out_features {
-                    return Err(SnapshotError::Corrupt("dense bias length"));
-                }
-                let wlen = in_features
-                    .checked_mul(out_features)
-                    .ok_or(SnapshotError::Corrupt("dense shape overflow"))?;
-                let qwt = dec.u8_payload(section, wlen)?;
-                Step::QDense4 { qwt, lut, bias, in_features, out_features, fuse_relu, out }
-            }
-            TAG_QMAXPOOL => {
-                let window = c.dim()?;
-                let stride = c.dim()?;
-                if window == 0 || stride == 0 {
-                    return Err(SnapshotError::Corrupt("zero pool dimension"));
-                }
-                Step::QMaxPool { window, stride }
-            }
             TAG_QRELU => Step::QRelu { zero_point: c.u8()? },
             TAG_QDEQUANTIZE => Step::QDequantize { params: c.quant()? },
             _ => return Err(SnapshotError::Corrupt("unknown step tag")),
@@ -1049,25 +942,15 @@ fn decode_plan(bytes: &[u8], region: Arc<dyn ByteRegion>) -> Result<InferencePla
         return Err(SnapshotError::Corrupt("trailing bytes in meta"));
     }
 
-    // Precision/step-family consistency: the execution engine dispatches on
-    // precision and treats a mismatched step as unreachable, so reject it
-    // here instead of panicking in a worker.
-    for step in &steps {
-        let quantized = matches!(
-            step,
-            Step::QuantizeInput { .. }
-                | Step::QConv { .. }
-                | Step::QDense { .. }
-                | Step::QConv4 { .. }
-                | Step::QDense4 { .. }
-                | Step::QMaxPool { .. }
-                | Step::QRelu { .. }
-                | Step::QDequantize { .. }
-        );
-        let wants_quantized = precision != PlanPrecision::F32;
-        if quantized != wants_quantized && !matches!(step, Step::Flatten) {
-            return Err(SnapshotError::Corrupt("step family disagrees with plan precision"));
-        }
+    // Precision/step-family consistency, then the operand-type chain: the
+    // executor hands every step the values or codes its predecessor wrote
+    // and treats a mismatch as unreachable, so reject it here instead of
+    // panicking in a worker.
+    if family_mismatch {
+        return Err(SnapshotError::Corrupt("step family disagrees with plan precision"));
+    }
+    if !operand_types_agree(&steps) {
+        return Err(SnapshotError::Corrupt("step operand types do not chain"));
     }
 
     Ok(InferencePlan::from_steps(multiplier, steps, precision))

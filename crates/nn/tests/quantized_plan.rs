@@ -18,7 +18,7 @@
 //! * steady-state serving does not allocate;
 //! * stacks without a quantized form decline to compile.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use da_arith::MultiplierKind;
@@ -27,6 +27,7 @@ use da_nn::layers::{Conv2d, Dense, Dropout, Flatten, Layer, MaxPool2d, Relu};
 use da_nn::serve::{BatchServer, Pending, ServeConfig};
 use da_nn::zoo::{dq_convnet, DqMode};
 use da_nn::Network;
+use da_tensor::parallel::par_for;
 use da_tensor::Tensor;
 use rand::{Rng, SeedableRng};
 
@@ -455,6 +456,56 @@ fn int4_plan_keeps_the_serving_contract() {
         let _ = plan.predict_batch(&x);
     }
     assert_eq!(plan.workspace_allocations(), after_first, "steady state must not allocate");
+}
+
+/// Regression input for the steady-state allocation check: the warm-up
+/// call runs while another thread holds the process-wide parallel region,
+/// so it executes inline on one worker, and the later uncontended calls fan
+/// out across every CPU. The first call must already have pooled a sized
+/// workspace for each worker `predict_batch` may use, whatever the region
+/// state was, or those later calls allocate.
+#[test]
+fn warmup_under_a_held_parallel_region_sizes_every_worker() {
+    let mut net = tiny_cnn(121);
+    net.set_multiplier(Some(MultiplierKind::AxFpm.build()));
+    let mut r = rng(122);
+    let calibration = Tensor::rand_uniform(&[8, 1, 10, 10], 0.0, 1.0, &mut r);
+    let mult = net.multiplier().cloned();
+    let plans = [
+        InferencePlan::compile(&net, mult.clone()).expect("f32 plan"),
+        InferencePlan::compile_quantized(&net, mult.clone(), &calibration).expect("int8 plan"),
+        InferencePlan::compile_quantized_int4(&net, mult, &calibration).expect("int4 plan"),
+    ];
+    // Six items clear the plan's parallel threshold.
+    let x = Tensor::rand_uniform(&[6, 1, 10, 10], 0.0, 1.0, &mut r);
+    for plan in &plans {
+        let (entered, release) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|s| {
+            // Item 0 parks inside the region until the warm-up is done (on
+            // one CPU `par_for` runs inline and holds nothing, harmlessly).
+            s.spawn(|| {
+                par_for(2, |i| {
+                    if i == 0 {
+                        entered.wait();
+                        release.wait();
+                    }
+                })
+            });
+            entered.wait();
+            let _ = plan.predict_batch(&x);
+            release.wait();
+        });
+        let after_warmup = plan.workspace_allocations();
+        for _ in 0..5 {
+            let _ = plan.predict_batch(&x);
+        }
+        assert_eq!(
+            plan.workspace_allocations(),
+            after_warmup,
+            "{:?}: steady state must not allocate",
+            plan.precision()
+        );
+    }
 }
 
 /// Served int4 logits are bit-identical to a serial run of the same

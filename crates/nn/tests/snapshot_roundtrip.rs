@@ -392,3 +392,74 @@ fn hostile_counts_are_rejected_before_allocation() {
     reseal(&mut overlap);
     assert!(load_bytes("hostile-overlap", &overlap).is_err());
 }
+
+/// Step lists whose operand types do not chain — a code-reading step fed
+/// the f32 input, or a quantized plan ending in codes instead of f32 logits
+/// — are rejected at load (behind a valid checksum and correct precision
+/// family), never handed to a serving worker.
+#[test]
+fn steps_whose_operand_types_do_not_chain_are_rejected() {
+    let int8_plan = |step: &[u8]| {
+        let mut meta = Vec::new();
+        meta.extend_from_slice(&0u32.to_le_bytes()); // multiplier name: ""
+        meta.push(1); // precision: int8
+        meta.extend_from_slice(&0u32.to_le_bytes()); // n8 = 0
+        meta.extend_from_slice(&0u32.to_le_bytes()); // n4 = 0
+        meta.extend_from_slice(&1u32.to_le_bytes()); // n_steps = 1
+        meta.extend_from_slice(step);
+        forged_container(&meta)
+    };
+    // TAG_QRELU with zero point 0, reading the f32 input as codes.
+    assert!(matches!(
+        load_bytes("hostile-chain-input", &int8_plan(&[13, 0])),
+        Err(SnapshotError::Corrupt(_))
+    ));
+    // TAG_QUANTIZE_INPUT (scale 1.0, zero point 0) alone: the plan's
+    // output would be codes.
+    let mut quantize = vec![7u8];
+    quantize.extend_from_slice(&1.0f32.to_le_bytes());
+    quantize.push(0);
+    assert!(matches!(
+        load_bytes("hostile-chain-output", &int8_plan(&quantize)),
+        Err(SnapshotError::Corrupt(_))
+    ));
+}
+
+/// The saved images of one seeded tiny net, pinned byte for byte by their
+/// whole-file checksums: any change to the step encoding, the section
+/// layout, the quantizing compiler's calibration, or the per-layer int4/int8
+/// choice shows up here. The seeds give a mixed int4 plan (three int4
+/// layers, one int8 fallback), so the choice itself is pinned too. Update
+/// the constants only together with a deliberate format change (and a
+/// `VERSION` bump).
+#[test]
+fn saved_images_match_golden_checksums() {
+    let mut net = tiny_cnn(2);
+    net.set_multiplier(Some(MultiplierKind::AxFpm.build()));
+    let mut r = rng(3);
+    let calibration = Tensor::rand_uniform(&[8, 1, 10, 10], 0.0, 1.0, &mut r);
+    let mult = net.multiplier().cloned();
+    let int4 =
+        InferencePlan::compile_quantized_int4(&net, mult.clone(), &calibration).expect("int4 plan");
+    assert_eq!(int4.int4_layer_mix(), (3, 1), "the seeds pin a mixed int4 plan");
+    let plans = [
+        ("f32", InferencePlan::compile(&net, mult.clone()).expect("f32 plan"), GOLDEN_F32),
+        (
+            "int8",
+            InferencePlan::compile_quantized(&net, mult, &calibration).expect("int8 plan"),
+            GOLDEN_INT8,
+        ),
+        ("int4", int4, GOLDEN_INT4),
+    ];
+    for (name, plan, want) in &plans {
+        let path = temp_path(&format!("golden-{name}"));
+        plan.save(&path).expect("save");
+        let bytes = std::fs::read(&path).expect("read back");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(file_checksum(&bytes), *want, "{name} image checksum");
+    }
+}
+
+const GOLDEN_F32: u64 = 0xfe36_837e_f1a7_2baf;
+const GOLDEN_INT8: u64 = 0xe0a8_8cd8_1fd5_bed6;
+const GOLDEN_INT4: u64 = 0x8a02_f6af_3c5a_d85d;

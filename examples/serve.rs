@@ -6,8 +6,8 @@
 //!
 //! Deploys a LeNet-5 on the paper's Ax-FPM multiplier and stands up a
 //! `da_nn::serve::BatchServer`: client threads submit single samples, the
-//! server coalesces them into micro-batches and executes them on a shard
-//! pool of compiled `InferencePlan` replicas. The demo then verifies the
+//! server coalesces them into micro-batches and executes them on one
+//! shared compiled `InferencePlan`. The demo then verifies the
 //! serving contract end to end:
 //!
 //! 1. every concurrently served logits row is **bit-identical** to a serial

@@ -18,7 +18,7 @@
 //!    times — loads are zero-parse and zero-copy (tables and weights are
 //!    served straight out of the `mmap`), so the cold start collapses from
 //!    seconds to milliseconds.
-//! 3. **Serve and rotate**: stand a `BatchServer` shard pool on one mapped
+//! 3. **Serve and rotate**: stand a `BatchServer` on one mapped
 //!    plan, verify logits are bit-identical to the originally compiled
 //!    plan, then "rotate" to a different wiring by mapping its snapshot.
 
@@ -87,7 +87,7 @@ fn main() {
     println!("pool ready: {:?}", cache.keys());
 
     // 3. Rotation: serve each wiring in turn from its snapshot alone. A
-    // rotating defense swaps the datapath by pointing the shard pool at a
+    // rotating defense swaps the datapath by pointing the server at a
     // different mapping — milliseconds, no recompilation, no calibration.
     let total = data.images.shape()[0];
     for (kind, want) in &reference {
