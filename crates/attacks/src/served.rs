@@ -8,7 +8,9 @@
 //! attack — `logits`, `predict`, `probabilities`, and the harness's batched
 //! `predict_batch` clean filter and replay — through a
 //! [`BatchServer`], while gradient queries (white-box access) delegate to
-//! the wrapped [`Network`]'s per-layer backward pass, exactly as before.
+//! the wrapped [`Network`]: its cached compiled plan's gradient sweep
+//! ([`Network::input_gradient`]), or the per-layer backward pass for stacks
+//! whose plan has no gradient form (batch norm) — bit-identical either way.
 //!
 //! Because batching is bit-identical to serial inference (the serve
 //! module's core contract), attack trajectories and transfer rates are
@@ -22,7 +24,8 @@ use da_tensor::Tensor;
 use crate::traits::TargetModel;
 
 /// A [`Network`] served through a [`BatchServer`] for all non-gradient
-/// queries.
+/// queries; gradients come from the wrapped network (its plan's gradient
+/// sweep, with the per-layer fallback of [`Network::input_gradient`]).
 ///
 /// # Examples
 ///

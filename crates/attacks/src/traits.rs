@@ -17,9 +17,13 @@ pub trait TargetModel: Send + Sync {
 
     /// Cross-entropy loss and its input gradient (white-box access; under an
     /// approximate multiplier this is the BPDA straight-through gradient).
+    /// For a [`Network`] it runs on the compiled plan's gradient sweep, or on
+    /// the per-layer backward when the plan has none (see
+    /// [`Network::input_gradient`]).
     fn loss_gradient(&self, x: &Tensor, label: usize) -> (f32, Tensor);
 
-    /// Input gradient of one logit (white-box access).
+    /// Input gradient of one logit (white-box access); same path as
+    /// [`TargetModel::loss_gradient`].
     fn class_gradient(&self, x: &Tensor, class: usize) -> Tensor;
 
     /// Softmax probabilities (score-based access).

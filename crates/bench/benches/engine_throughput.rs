@@ -1,8 +1,8 @@
 //! Serving-engine throughput: compiled [`InferencePlan`]s vs the per-layer
 //! `Network::forward(Mode::Eval)` path, in items/s — plus the **int8
 //! plan** (`InferencePlan::compile_quantized`, LUT-gather GEMMs) against
-//! the planned f32 path, and a concurrent-load scenario for the
-//! cross-request batch server.
+//! the planned f32 path, a gradient scenario, and a concurrent-load
+//! scenario for the cross-request batch server.
 //!
 //! This is the perf baseline for the serving layer (ROADMAP: SIMD slice
 //! kernels and int8 GEMM plug in next): run
@@ -13,16 +13,21 @@
 //! serving shapes. `DA_BENCH_JSON=<path>` writes the tables as a
 //! machine-readable document (see [`da_bench::json`]); `DA_BENCH_SMOKE=1`
 //! restricts the run to LeNet-5 × Ax-FPM at batch 1 and skips the
-//! concurrent-load scenario (CI's emit-and-schema-check smoke job). The second table then replays single-sample traffic from
-//! N submitter threads through `da_nn::serve::BatchServer` (micro-batching,
-//! every worker on one shared plan) against a sequential one-at-a-time baseline
-//! on the same plan.
+//! concurrent-load scenario (CI's emit-and-schema-check smoke job). The
+//! second table (`scenario=gradient`) times LeNet-5 batch-1 input gradients,
+//! native and Ax-FPM: the per-layer reference (`forward(Mode::Eval)` +
+//! `backward`) against `Network::input_gradient` on the plan's dX-only
+//! reverse sweep, in ns/item. The third table then replays single-sample
+//! traffic from N submitter threads through `da_nn::serve::BatchServer`
+//! (micro-batching, every worker on one shared plan) against a sequential
+//! one-at-a-time baseline on the same plan.
 
 use std::time::{Duration, Instant};
 
 use da_arith::MultiplierKind;
 use da_bench::json::{JsonEmitter, Record};
 use da_nn::engine::InferencePlan;
+use da_nn::loss::softmax_cross_entropy;
 use da_nn::serve::{BatchServer, Pending, ServeConfig};
 use da_nn::zoo::{alexnet_cifar, lenet5};
 use da_nn::{Mode, Network};
@@ -149,12 +154,60 @@ fn main() {
         println!();
     }
 
+    gradients(&mut rng, &mut emitter, smoke);
     if !smoke {
         concurrent_load(&mut rng, &mut emitter);
     }
     if let Some(path) = emitter.finish() {
         println!("wrote {}", path.display());
     }
+}
+
+/// Gradient scenario: LeNet-5 batch-1 loss gradients through the per-layer
+/// reference (`forward(Mode::Eval)` + `backward`) vs `Network::input_gradient`
+/// (the compiled plan's dX-only reverse sweep; bit-identical results).
+fn gradients(rng: &mut rand::rngs::StdRng, emitter: &mut JsonEmitter, smoke: bool) {
+    println!("Input gradients (LeNet-5, batch 1: per-layer forward + backward vs the plan's");
+    println!("dX-only reverse sweep; ns/item, lower is better)");
+    println!();
+    println!(
+        "{:<10} {:<12} {:>14} {:>14} {:>8}",
+        "model", "multiplier", "reference", "planned", "speedup"
+    );
+    let mut net = lenet5(10, rng);
+    let x = Tensor::rand_uniform(&[1, 1, 28, 28], 0.0, 1.0, rng);
+    let labels = [3];
+    let reps = if smoke { 1 } else { 200 };
+    for kind in [None, Some(MultiplierKind::AxFpm)] {
+        net.set_multiplier(kind.map(|k| k.build()));
+        let reference = 1e9
+            / items_per_sec(1, reps, || {
+                let (logits, caches) = net.forward(&x, Mode::Eval);
+                let (_, dlogits) = softmax_cross_entropy(&logits, &labels);
+                net.backward(&caches, &dlogits).0
+            });
+        let planned = 1e9 / items_per_sec(1, reps, || net.input_gradient(&x, &labels).1);
+        let multiplier = kind.map_or("native", |k| k.as_str());
+        println!(
+            "{:<10} {:<12} {:>11.0} ns {:>11.0} ns {:>7.2}x",
+            "lenet5",
+            multiplier,
+            reference,
+            planned,
+            reference / planned
+        );
+        emitter.record(
+            Record::new()
+                .label("model", "lenet5")
+                .label("multiplier", multiplier)
+                .label("batch", "1")
+                .label("scenario", "gradient")
+                .metric("reference_ns_per_item", reference)
+                .metric("planned_ns_per_item", planned)
+                .metric("speedup", reference / planned),
+        );
+    }
+    println!();
 }
 
 /// Wall-clock seconds for one run of `f`, best of `reps` (after a warmup).

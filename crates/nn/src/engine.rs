@@ -45,6 +45,24 @@
 //! `probabilities`, `accuracy`, and the attack harness's `predict_batch`
 //! all ride the compiled path transparently.
 //!
+//! # Gradients
+//!
+//! White-box attacks ride the plan too: `Network::input_gradient` and
+//! `Network::class_gradient` run the forward through the same executor,
+//! keeping every step's `f32` output on a per-item tape, then a reverse
+//! sweep over the steps that forms the input gradient and no parameter
+//! gradient (conv: `Wᵀ·g` per tap row fused with the `col2im` scatter;
+//! dense: `g·W`; ReLU, pooling and the activation quantizer: masks and
+//! argmax routes recomputed from the tape). The gradient stays
+//! BPDA/straight-through — the forward uses the plan's multiplier, the
+//! backward the exact `f32` weights — and is **bit-identical** to the
+//! per-layer `forward(Mode::Eval)` + `Network::backward` input gradient
+//! (property-tested in `tests/engine_equivalence.rs`). Plans with no
+//! gradient form fall back to that per-layer path: batch norm (whose
+//! per-layer backward couples the items of a batch), quantized steps, and
+//! stacks that do not compile. The per-layer `Layer::backward` stays the
+//! training path and the reference.
+//!
 //! # Choosing plan precision
 //!
 //! Plans compile in one of three numeric modes ([`PlanPrecision`]):
@@ -670,6 +688,17 @@ struct Layout {
     scratch: ScratchLen,
     /// Multiply-accumulates per item (parallelization heuristic).
     item_macs: usize,
+    /// Where each step's output sits in an item's gradient tape: `None` is
+    /// the item's input (leading shape-only steps), and a `Flatten` shares
+    /// its input's slot.
+    tape_at: Vec<Option<usize>>,
+    /// Gradient tape length per item: every writing step's `f32` output,
+    /// in step order.
+    tape_len: usize,
+    /// Longest step input or output per item (the reverse sweep's gradient
+    /// buffers) and longest conv output plane (its tap row).
+    grad_len: usize,
+    row_len: usize,
 }
 
 /// Grow `buf` to `want` elements, counting the growth.
@@ -704,12 +733,24 @@ impl Scratch {
     }
 }
 
-/// Reusable per-worker buffers: two ping-pong activation buffers and the
-/// step scratch.
+/// The reverse sweep's per-item buffers: the gradient with respect to the
+/// current step's output (`dy`) and input (`dx`), and one conv tap row.
+#[derive(Default)]
+struct GradBufs {
+    dy: Vec<f32>,
+    dx: Vec<f32>,
+    row: Vec<f32>,
+}
+
+/// Reusable per-worker buffers: two ping-pong activation buffers, the step
+/// scratch, and (once the plan has taken a gradient) the forward tape and
+/// the reverse sweep's buffers.
 #[derive(Default)]
 struct Workspace {
     bufs: [Buf; 2],
     scratch: Scratch,
+    tape: Vec<f32>,
+    grad: GradBufs,
 }
 
 impl Workspace {
@@ -721,6 +762,15 @@ impl Workspace {
             grow(&mut buf.q, group * layout.q_len, counter);
         }
         self.scratch.ensure(layout.scratch, group, counter);
+    }
+
+    /// Grow the tape and reverse-sweep buffers for an `n`-item gradient,
+    /// counting growths.
+    fn ensure_grad(&mut self, layout: &Layout, n: usize, counter: &AtomicU64) {
+        grow(&mut self.tape, n * layout.tape_len, counter);
+        grow(&mut self.grad.dy, layout.grad_len, counter);
+        grow(&mut self.grad.dx, layout.grad_len, counter);
+        grow(&mut self.grad.row, layout.row_len, counter);
     }
 }
 
@@ -1330,7 +1380,7 @@ impl InferencePlan {
         let run = |state: &mut WorkerState<'_>, gi: usize, piece: &mut [f32]| {
             let items = piece.len() / out_len;
             let xs = &xd[gi * group * item_in..][..items * item_in];
-            self.run_group(&layout, state, xs, items, piece);
+            self.run_group(&layout, state, xs, items, Keep::Logits(piece));
         };
         if workers > 1 {
             par_map_chunks_with(
@@ -1375,10 +1425,10 @@ impl InferencePlan {
         }
     }
 
-    /// Check out a workspace sized for `group`-item batches (reusing pooled
-    /// buffers) and build the per-worker kernel (quantized plans gather
-    /// from their LUTs instead of running batch kernels, so they skip the
-    /// kernel).
+    /// Check out a workspace sized for `group`-item batches, reusing pooled
+    /// buffers, and build the per-worker kernel
+    /// (quantized plans gather from their LUTs instead of running batch
+    /// kernels, so they skip the kernel).
     fn worker_state(&self, layout: &Layout, group: usize) -> WorkerState<'_> {
         let mut ws = self.pool.lock().expect("workspace pool lock").pop().unwrap_or_default();
         ws.ensure(layout, group, &self.workspace_allocs);
@@ -1414,6 +1464,8 @@ impl InferencePlan {
         let mut scratch = ScratchLen::default();
         let mut item_macs = 0usize;
         let mut codes = false;
+        let (mut tape_at, mut at, mut tape_len) = (Vec::new(), None, 0usize);
+        let (mut grad_len, mut row_len) = (item_shape.iter().product::<usize>(), 0usize);
         for (t, step) in self.steps.iter().enumerate() {
             let in_shape = shape.clone();
             let out_shape = match step {
@@ -1471,6 +1523,15 @@ impl InferencePlan {
                 let len = if codes { &mut q_len } else { &mut f_len };
                 *len = (*len).max(shapes.out_len());
             }
+            if !matches!(step, Step::Flatten) {
+                at = Some(tape_len);
+                tape_len += shapes.out_len();
+            }
+            tape_at.push(at);
+            grad_len = grad_len.max(shapes.out_len());
+            if let Step::Conv { .. } = step {
+                row_len = row_len.max(shapes.out_shape[1] * shapes.out_shape[2]);
+            }
             shape = shapes.out_shape.clone();
             resolved.push(shapes);
         }
@@ -1483,28 +1544,36 @@ impl InferencePlan {
             q_len,
             scratch,
             item_macs,
+            tape_at,
+            tape_len,
+            grad_len,
+            row_len,
         }
     }
 
-    /// The plan executor: run every step over a group of `n` items,
-    /// ping-ponging activations (`f32` values or codes, whichever each step
-    /// writes) through the workspace; the last writing step lands directly
-    /// in `out`.
+    /// The plan executor: run every step over a group of `n` items. For
+    /// serving, activations (`f32` values or codes, whichever each step
+    /// writes) ping-pong through the workspace and the last writing step
+    /// lands directly in the logits; for a gradient, every step's output
+    /// stays on the item's tape.
     fn run_group(
         &self,
         layout: &Layout,
         state: &mut WorkerState<'_>,
         xs: &[f32],
         n: usize,
-        out: &mut [f32],
+        mut keep: Keep<'_>,
     ) {
         let Some(last_write) = self.last_write else {
-            // Shape-only plan (or no layers at all): logits are the input.
-            out.copy_from_slice(xs);
+            // Shape-only plan (or no layers at all): logits are the input,
+            // and a tape has no slots.
+            if let Keep::Logits(out) = keep {
+                out.copy_from_slice(xs);
+            }
             return;
         };
         let mut arith = state.arith.as_deref_mut();
-        let Workspace { bufs: [b0, b1], scratch } = &mut state.ws;
+        let Workspace { bufs: [b0, b1], scratch, .. } = &mut state.ws;
         // The buffer holding the current activations (`None`: the input).
         let mut cur: Option<usize> = None;
         let mut codes = false;
@@ -1514,29 +1583,327 @@ impl InferencePlan {
             }
             let shapes = &layout.resolved[t];
             let (in_len, out_len) = (n * shapes.in_len(), n * shapes.out_len());
-            let (src, next) = match cur {
-                None => (None, &mut *b0),
-                Some(0) => (Some(&*b0), &mut *b1),
-                Some(_) => (Some(&*b1), &mut *b0),
-            };
-            let src = match src {
-                None => Acts::F32(&xs[..in_len]),
-                Some(b) if codes => Acts::Codes(&b.q[..in_len]),
-                Some(b) => Acts::F32(&b.f[..in_len]),
-            };
-            codes = step.writes_codes(codes);
-            let dst = if t == last_write {
-                ActsMut::F32(&mut out[..out_len])
-            } else if codes {
-                ActsMut::Codes(&mut next.q[..out_len])
-            } else {
-                ActsMut::F32(&mut next.f[..out_len])
+            let (src, dst) = match &mut keep {
+                Keep::Tape(tape) => {
+                    // One f32 item: read the previous step's slot (which
+                    // precedes this step's), write this step's.
+                    let (done, rest) =
+                        tape.split_at_mut(layout.tape_at[t].expect("writing steps own a slot"));
+                    let at = t.checked_sub(1).and_then(|p| layout.tape_at[p]);
+                    (Acts::F32(tape_slot(xs, done, at, in_len)), ActsMut::F32(&mut rest[..out_len]))
+                }
+                Keep::Logits(out) => {
+                    let (src, next) = match cur {
+                        None => (None, &mut *b0),
+                        Some(0) => (Some(&*b0), &mut *b1),
+                        Some(_) => (Some(&*b1), &mut *b0),
+                    };
+                    let src = match src {
+                        None => Acts::F32(&xs[..in_len]),
+                        Some(b) if codes => Acts::Codes(&b.q[..in_len]),
+                        Some(b) => Acts::F32(&b.f[..in_len]),
+                    };
+                    codes = step.writes_codes(codes);
+                    let dst = if t == last_write {
+                        ActsMut::F32(&mut out[..out_len])
+                    } else if codes {
+                        ActsMut::Codes(&mut next.q[..out_len])
+                    } else {
+                        ActsMut::F32(&mut next.f[..out_len])
+                    };
+                    cur = Some(if cur == Some(0) { 1 } else { 0 });
+                    (src, dst)
+                }
             };
             exec_step(step, shapes, n, src, dst, scratch, arith.as_deref_mut());
             if t == last_write {
                 return;
             }
-            cur = Some(if cur == Some(0) { 1 } else { 0 });
+        }
+    }
+
+    /// Whether the plan has a gradient form: an f32 plan whose every step
+    /// has a dX-only reverse rule. Batch norm has none (its per-layer
+    /// backward couples the items of a batch), and quantized steps have
+    /// none.
+    pub(crate) fn differentiable(&self) -> bool {
+        self.precision == PlanPrecision::F32
+            && self.steps.iter().all(|s| match s {
+                Step::Conv { kernel, .. } | Step::Dense { kernel, .. } => !kernel.reads_codes(),
+                Step::MaxPool { .. } | Step::Relu | Step::Flatten | Step::QuantAct { .. } => true,
+                _ => false,
+            })
+    }
+
+    /// The input gradient of a `[N, ...]` batch for the logit gradient
+    /// `seed(logits)`: a forward pass through the executor that keeps every
+    /// step's output on a per-item tape, then the dX-only reverse sweep
+    /// ([`InferencePlan::backprop`]). Bit-identical to the per-layer
+    /// `forward(Mode::Eval)` + `Network::backward` input gradient for the
+    /// same seed, so it is the BPDA/straight-through gradient under an
+    /// approximate multiplier. Every item runs inline on one worker:
+    /// attacks take gradients one image at a time, where spawning workers
+    /// costs more than it saves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan is not [`InferencePlan::differentiable`], on the
+    /// shape mismatches `predict_batch` rejects, or if `seed` returns a
+    /// tensor not shaped like the logits.
+    pub(crate) fn input_gradient(
+        &self,
+        x: &Tensor,
+        seed: impl FnOnce(&Tensor) -> Tensor,
+    ) -> Tensor {
+        assert!(self.differentiable(), "the plan has no gradient form");
+        assert!(x.shape().len() >= 2, "input_gradient expects a batched [N, ...] input");
+        let n = x.shape()[0];
+        let layout = self.layout_for(&x.shape()[1..]);
+        let (item_in, out_len, tape_len) = (x.len() / n, layout.out_len, layout.tape_len);
+        let item = |i: usize| &x.data()[i * item_in..][..item_in];
+
+        let mut state = self.worker_state(&layout, 1);
+        state.ws.ensure_grad(&layout, n, &self.workspace_allocs);
+        // The tape leaves the workspace while the executor borrows it.
+        let mut tape_buf = std::mem::take(&mut state.ws.tape);
+        let tape = &mut tape_buf[..n * tape_len];
+        if tape_len > 0 {
+            for (i, item_tape) in tape.chunks_mut(tape_len).enumerate() {
+                self.run_group(&layout, &mut state, item(i), 1, Keep::Tape(item_tape));
+            }
+        }
+        let tape = &*tape;
+        let tape_of = |i: usize| &tape[i * tape_len..][..tape_len];
+        let logits_at = layout.tape_at.last().copied().flatten();
+        let mut logits = Vec::with_capacity(n * out_len);
+        for i in 0..n {
+            logits.extend_from_slice(tape_slot(item(i), tape_of(i), logits_at, out_len));
+        }
+        let mut shape = vec![n];
+        shape.extend_from_slice(&layout.out_shape);
+        let dlogits = seed(&Tensor::from_vec(logits, &shape));
+        assert_eq!(dlogits.shape(), &shape[..], "the logit gradient must match the logits");
+
+        let mut dx = vec![0.0f32; n * item_in];
+        let dl = dlogits.data();
+        for (i, dxi) in dx.chunks_mut(item_in).enumerate() {
+            let seed = &dl[i * out_len..][..out_len];
+            self.backprop(&layout, &mut state.ws.grad, item(i), tape_of(i), seed, dxi);
+        }
+        state.ws.tape = tape_buf;
+        Tensor::from_vec(dx, x.shape())
+    }
+
+    /// The dX-only reverse sweep for one item: from the logit gradient
+    /// `seed` back through every step to the input gradient `dx`, reading
+    /// step inputs and outputs from the item's input `x` and forward
+    /// `tape`. No parameter gradient is formed. Each rule reproduces the
+    /// per-layer `Layer::backward`'s dX bit for bit, with the exact `f32`
+    /// weights whatever the forward multiplier (straight-through).
+    fn backprop(
+        &self,
+        layout: &Layout,
+        bufs: &mut GradBufs,
+        x: &[f32],
+        tape: &[f32],
+        seed: &[f32],
+        dx: &mut [f32],
+    ) {
+        let GradBufs { dy, dx: din, row } = bufs;
+        dy[..seed.len()].copy_from_slice(seed);
+        for (t, step) in self.steps.iter().enumerate().rev() {
+            let shapes = &layout.resolved[t];
+            let (in_len, out_len) = (shapes.in_len(), shapes.out_len());
+            let input_at = t.checked_sub(1).and_then(|p| layout.tape_at[p]);
+            let input = tape_slot(x, tape, input_at, in_len);
+            let output = tape_slot(x, tape, layout.tape_at[t], out_len);
+            let (gy, gx) = (&mut dy[..out_len], &mut din[..in_len]);
+            match step {
+                Step::Flatten => continue,
+                Step::Relu => {
+                    relu_mask(gy, output);
+                    continue;
+                }
+                Step::QuantAct { .. } => {
+                    // Straight-through inside the clip range.
+                    for (g, &v) in gy.iter_mut().zip(input) {
+                        if !(0.0..=1.0).contains(&v) {
+                            *g = 0.0;
+                        }
+                    }
+                    continue;
+                }
+                Step::MaxPool { window, stride } => {
+                    max_pool_dx(shapes, *window, *stride, input, gy, gx);
+                }
+                Step::Conv { geom, fuse_relu, kernel, .. } => {
+                    if *fuse_relu {
+                        relu_mask(gy, output);
+                    }
+                    match kernel {
+                        Kernel::F32(w) => {
+                            let (w, k) = (w.as_slice(), geom.taps());
+                            conv_dx(geom, shapes, |co, tap| w[co * k + tap], gy, gx, row);
+                        }
+                        Kernel::Prepared(p) => {
+                            conv_dx(geom, shapes, |co, tap| p.row(co)[tap].value(), gy, gx, row);
+                        }
+                        _ => unreachable!("differentiable conv steps carry f32 weights"),
+                    }
+                }
+                Step::Dense { out_features, fuse_relu, kernel, .. } => {
+                    if *fuse_relu {
+                        relu_mask(gy, output);
+                    }
+                    let (Kernel::F32(wt) | Kernel::Classified { wt, .. }) = kernel else {
+                        unreachable!("differentiable dense steps carry f32 weights")
+                    };
+                    dense_dx(wt.as_slice(), *out_features, gy, gx);
+                }
+                _ => unreachable!("only differentiable plans run the reverse sweep"),
+            }
+            std::mem::swap(dy, din);
+        }
+        dx.copy_from_slice(&dy[..dx.len()]);
+    }
+}
+
+/// Where [`InferencePlan::run_group`] keeps step outputs.
+enum Keep<'a> {
+    /// Serving: intermediates ping-pong through the workspace, and the last
+    /// writing step lands in these logits.
+    Logits(&'a mut [f32]),
+    /// A gradient: one f32 item's tape, every writing step's output in its
+    /// slot (`Layout::tape_at`).
+    Tape(&'a mut [f32]),
+}
+
+/// The `len` values at tape slot `at` (`None`: the item's input `x`).
+fn tape_slot<'a>(x: &'a [f32], tape: &'a [f32], at: Option<usize>, len: usize) -> &'a [f32] {
+    match at {
+        Some(at) => &tape[at..][..len],
+        None => &x[..len],
+    }
+}
+
+/// ReLU's backward from its output: `out > 0` holds exactly when the input
+/// was `> 0` (NaN and `±0` inputs give `0` outputs), so this is
+/// `Relu::backward`'s mask.
+fn relu_mask(g: &mut [f32], out: &[f32]) {
+    for (g, &o) in g.iter_mut().zip(out) {
+        *g = if o > 0.0 { *g } else { 0.0 };
+    }
+}
+
+/// Conv input gradient for one item: per tap row, `Wᵀ·g` in the
+/// reference's `matmul(Wᵀ, g)` order (`Cout` ascending, zero weights
+/// skipped), scattered into `gx` as `col2im` does, so each input pixel sums
+/// its terms in the same order. `weight(co, tap)` reads the exact weights.
+fn conv_dx(
+    g: &ConvGeom,
+    shapes: &ResolvedShape,
+    weight: impl Fn(usize, usize) -> f32,
+    gy: &[f32],
+    gx: &mut [f32],
+    row: &mut [f32],
+) {
+    let (h, w) = (shapes.in_shape[1], shapes.in_shape[2]);
+    let (oh, ow) = (shapes.out_shape[1], shapes.out_shape[2]);
+    let row = &mut row[..oh * ow];
+    gx.fill(0.0);
+    let mut tap = 0usize;
+    for plane in gx.chunks_exact_mut(h * w) {
+        for ky in 0..g.kh {
+            for kx in 0..g.kw {
+                row.fill(0.0);
+                for (co, gco) in gy.chunks_exact(oh * ow).enumerate() {
+                    let a = weight(co, tap);
+                    if a == 0.0 {
+                        continue;
+                    }
+                    for (o, &gv) in row.iter_mut().zip(gco) {
+                        *o += a * gv;
+                    }
+                }
+                tap += 1;
+                let ix0 = kx as isize - g.pad as isize;
+                for (oy, rrow) in row.chunks_exact(ow).enumerate() {
+                    let iy = (oy * g.stride + ky) as isize - g.pad as isize;
+                    if iy < 0 || iy >= h as isize {
+                        continue;
+                    }
+                    let prow = &mut plane[iy as usize * w..][..w];
+                    if g.stride == 1 {
+                        // Contiguous taps: the in-plane span of the row.
+                        let lo = (-ix0).clamp(0, ow as isize);
+                        let hi = (w as isize - ix0).clamp(lo, ow as isize);
+                        let dst = &mut prow[(lo + ix0) as usize..(hi + ix0) as usize];
+                        for (d, &v) in dst.iter_mut().zip(&rrow[lo as usize..hi as usize]) {
+                            *d += v;
+                        }
+                    } else {
+                        for (ox, &v) in rrow.iter().enumerate() {
+                            let ix = (ox * g.stride) as isize + ix0;
+                            if ix >= 0 && ix < w as isize {
+                                prow[ix as usize] += v;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Dense input gradient `g·W` over `[In, Out]` weights `wt`: per input
+/// feature, `o` ascending with `g == 0` terms skipped — `matmul(g, W)`'s
+/// per-element order.
+fn dense_dx(wt: &[f32], out_features: usize, gy: &[f32], gx: &mut [f32]) {
+    // Eight features at a time: independent accumulator chains.
+    const BLOCK: usize = 8;
+    for (xs, rows) in gx.chunks_mut(BLOCK).zip(wt.chunks(BLOCK * out_features)) {
+        let mut acc = [0.0f32; BLOCK];
+        for (o, &gv) in gy.iter().enumerate() {
+            if gv == 0.0 {
+                continue;
+            }
+            for (a, wrow) in acc.iter_mut().zip(rows.chunks_exact(out_features)) {
+                *a += gv * wrow[o];
+            }
+        }
+        xs.copy_from_slice(&acc[..xs.len()]);
+    }
+}
+
+/// Max-pool input gradient for one item: each output's gradient lands on its
+/// window's first strict maximum, recomputed from the step input —
+/// `MaxPool2d`'s rule, under which a window with no value above `-inf`
+/// routes to its first tap.
+fn max_pool_dx(
+    shapes: &ResolvedShape,
+    window: usize,
+    stride: usize,
+    input: &[f32],
+    gy: &[f32],
+    gx: &mut [f32],
+) {
+    let (h, w) = (shapes.in_shape[1], shapes.in_shape[2]);
+    let (oh, ow) = (shapes.out_shape[1], shapes.out_shape[2]);
+    gx.fill(0.0);
+    let planes = input.chunks_exact(h * w).zip(gy.chunks_exact(oh * ow));
+    for ((plane, gplane), dplane) in planes.zip(gx.chunks_exact_mut(h * w)) {
+        for (o, &gv) in gplane.iter().enumerate() {
+            let first = (o / ow) * stride * w + (o % ow) * stride;
+            let (mut best, mut at) = (f32::NEG_INFINITY, first);
+            for ky in 0..window {
+                for i in first + ky * w..first + ky * w + window {
+                    if plane[i] > best {
+                        best = plane[i];
+                        at = i;
+                    }
+                }
+            }
+            dplane[at] += gv;
         }
     }
 }

@@ -63,8 +63,10 @@ impl Layer for MaxPool2d {
                 let plane = &xd[(ni * c + ci) * h * w..(ni * c + ci + 1) * h * w];
                 for oy in 0..oh {
                     for ox in 0..ow {
+                        // A window with no value above -inf (all -inf or
+                        // NaN) routes its gradient to its own first tap.
                         let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
+                        let mut best_idx = oy * self.stride * w + ox * self.stride;
                         for ky in 0..self.kernel {
                             for kx in 0..self.kernel {
                                 let iy = oy * self.stride + ky;
@@ -141,6 +143,17 @@ mod tests {
         let (dx, params) = pool.backward(&cache, &grad);
         assert!(params.is_empty());
         assert_eq!(dx.data(), &[0.0, 2.5, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn window_without_a_maximum_routes_gradient_inside_itself() {
+        let inf = f32::NEG_INFINITY;
+        let x = Tensor::from_vec(vec![1.0, 2.0, inf, inf, 3.0, 4.0, inf, f32::NAN], &[1, 1, 2, 4]);
+        let pool = MaxPool2d::new(2, 2);
+        let (y, cache) = pool.forward(&x, Mode::Eval);
+        assert_eq!(y.data(), &[4.0, inf]);
+        let (dx, _) = pool.backward(&cache, &Tensor::from_vec(vec![10.0, 1.0], &[1, 1, 1, 2]));
+        assert_eq!(dx.data(), &[0.0, 0.0, 1.0, 0.0, 0.0, 10.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -25,7 +25,10 @@
 //! exact arithmetic over the stored (possibly approximate) activations. This
 //! is the straight-through/BPDA estimator — exactly the "approximate
 //! gradients" a white-box attacker of the paper's §5.3 has access to, since
-//! the gate-level netlist has no useful analytic derivative.
+//! the gate-level netlist has no useful analytic derivative. Attack-side
+//! input gradients ([`Network::input_gradient`], [`Network::class_gradient`])
+//! run on the compiled plan with the same semantics, bit for bit (see
+//! [`engine`]).
 //!
 //! ## Arithmetic backend
 //!

@@ -230,25 +230,50 @@ impl Network {
 
     /// Cross-entropy loss and its gradient with respect to the *input* —
     /// the primitive every gradient-based attack builds on. Under an
-    /// approximate multiplier this is the BPDA/straight-through gradient.
+    /// approximate multiplier this is the BPDA/straight-through gradient:
+    /// the forward runs on the multiplier, the backward on the exact
+    /// weights.
+    ///
+    /// Runs on the compiled plan ([`crate::engine`]) when it has a gradient
+    /// form — bit-identical to the per-layer `forward(x, Mode::Eval)` +
+    /// [`Network::backward`], which remains the fallback for stacks with
+    /// batch norm and for stacks with no compiled form.
     pub fn input_gradient(&self, x: &Tensor, labels: &[usize]) -> (f32, Tensor) {
-        let (logits, caches) = self.forward(x, Mode::Eval);
-        let (loss, dlogits) = softmax_cross_entropy(&logits, labels);
-        let (dx, _) = self.backward(&caches, &dlogits);
+        let mut loss = 0.0;
+        let dx = self.seeded_gradient(x, |logits| {
+            let (l, dlogits) = softmax_cross_entropy(logits, labels);
+            loss = l;
+            dlogits
+        });
         (loss, dx)
     }
 
     /// Gradient of one logit (`class`) with respect to the input, per batch
-    /// item — used by DeepFool and JSMA.
+    /// item — used by DeepFool and JSMA. Same path and fallback as
+    /// [`Network::input_gradient`].
     pub fn class_gradient(&self, x: &Tensor, class: usize) -> Tensor {
-        let (logits, caches) = self.forward(x, Mode::Eval);
-        let (n, k) = (logits.shape()[0], logits.shape()[1]);
-        assert!(class < k, "class {class} out of {k}");
-        let mut seed = Tensor::zeros(&[n, k]);
-        for i in 0..n {
-            seed.data_mut()[i * k + class] = 1.0;
+        self.seeded_gradient(x, |logits| {
+            let (n, k) = (logits.shape()[0], logits.shape()[1]);
+            assert!(class < k, "class {class} out of {k}");
+            let mut seed = Tensor::zeros(&[n, k]);
+            for i in 0..n {
+                seed.data_mut()[i * k + class] = 1.0;
+            }
+            seed
+        })
+    }
+
+    /// The input gradient for the logit gradient `seed(logits)`: on the
+    /// compiled plan's dX-only reverse sweep when the plan has one, else
+    /// through the per-layer forward and backward passes.
+    fn seeded_gradient(&self, x: &Tensor, seed: impl FnOnce(&Tensor) -> Tensor) -> Tensor {
+        match self.plan().filter(|plan| plan.differentiable()) {
+            Some(plan) => plan.input_gradient(x, seed),
+            None => {
+                let (logits, caches) = self.forward(x, Mode::Eval);
+                self.backward(&caches, &seed(&logits)).0
+            }
         }
-        self.backward(&caches, &seed).0
     }
 
     /// Parameter views in layer order.

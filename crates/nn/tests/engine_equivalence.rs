@@ -5,7 +5,10 @@
 //! [`MultiplierKind`] (and the native no-multiplier path), over random and
 //! adversarial (NaN/Inf/denormal/negative-zero/extreme) inputs, across
 //! architectures covering every compiled layer kind — and that repeated
-//! calls reuse the workspace arena instead of allocating.
+//! calls reuse the workspace arena instead of allocating. The same holds for
+//! gradients: `Network::input_gradient` and `class_gradient`, which run on
+//! the plan's dX-only reverse sweep, equal the per-layer
+//! `forward(Mode::Eval)` + `backward` input gradient bit for bit.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -13,6 +16,7 @@ use rand::{Rng, SeedableRng};
 use da_arith::MultiplierKind;
 use da_nn::engine::InferencePlan;
 use da_nn::layers::{BatchNorm, Conv2d, Dense, Dropout, Flatten, MaxPool2d, QuantAct, Relu};
+use da_nn::loss::softmax_cross_entropy;
 use da_nn::zoo::{dq_convnet, lenet5, DqMode};
 use da_nn::{Mode, Network};
 use da_tensor::Tensor;
@@ -63,6 +67,36 @@ fn assert_plan_matches_forward(net: &Network, x: &Tensor, ctx: &str) {
             w.to_bits()
         );
     }
+}
+
+/// Assert two tensors are equal bit for bit.
+fn assert_bits_eq(got: &Tensor, want: &Tensor, ctx: &str) {
+    assert_eq!(got.shape(), want.shape(), "{ctx}: shape");
+    for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{ctx}: element {i} differs: {g:?} vs {w:?}");
+    }
+}
+
+/// Assert `Network::input_gradient` (loss and dX) and `class_gradient`
+/// equal the per-layer `forward(Mode::Eval)` + `backward` input gradients
+/// bit for bit.
+fn assert_gradients_match_backward(net: &Network, x: &Tensor, ctx: &str) {
+    let (logits, caches) = net.forward(x, Mode::Eval);
+    let (n, k) = (logits.shape()[0], logits.shape()[1]);
+    let labels: Vec<usize> = (0..n).map(|i| (i * 7 + 3) % k).collect();
+    let (want_loss, dlogits) = softmax_cross_entropy(&logits, &labels);
+    let want_dx = net.backward(&caches, &dlogits).0;
+    let class = k - 1;
+    let mut seed = Tensor::zeros(&[n, k]);
+    for i in 0..n {
+        seed.data_mut()[i * k + class] = 1.0;
+    }
+    let want_class = net.backward(&caches, &seed).0;
+
+    let (loss, dx) = net.input_gradient(x, &labels);
+    assert_eq!(loss.to_bits(), want_loss.to_bits(), "{ctx}: loss {loss:?} vs {want_loss:?}");
+    assert_bits_eq(&dx, &want_dx, &format!("{ctx}: input_gradient"));
+    assert_bits_eq(&net.class_gradient(x, class), &want_class, &format!("{ctx}: class_gradient"));
 }
 
 /// Every multiplier kind plus the native (no-multiplier) path.
@@ -134,6 +168,110 @@ proptest! {
             assert_plan_matches_forward(&net, &x, &format!("mlp {kind:?}"));
         }
     }
+
+    /// Plan gradients equal the per-layer backward's bitwise for every
+    /// multiplier kind on a CNN (padded and strided convs, fused and
+    /// standalone ReLUs, pooling, dropout) fed adversarial inputs — and
+    /// special-free ones, whose gradients are not swamped by NaN.
+    #[test]
+    fn plan_gradients_match_backward_on_adversarial_cnn_inputs(
+        seed in any::<u64>(),
+        n in 1usize..4,
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut net = small_cnn(&mut rng);
+        for rate in [0.0, 0.02, 0.15] {
+            let x = adversarial_tensor(&[n, 2, 10, 10], &mut rng, rate);
+            for kind in all_configs() {
+                net.set_multiplier(kind.map(|k| k.build()));
+                let ctx = format!("cnn {kind:?} n={n} specials={rate}");
+                assert_gradients_match_backward(&net, &x, &ctx);
+            }
+        }
+    }
+
+    /// Batch norm has no plan gradient: the MLP's gradients take the
+    /// per-layer path and match it.
+    #[test]
+    fn gradients_match_backward_on_quantized_mlp(seed in any::<u64>(), n in 1usize..4) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut net = quantized_mlp(&mut rng);
+        for rate in [0.0, 0.2] {
+            let x = adversarial_tensor(&[n, 1, 3, 4], &mut rng, rate);
+            for kind in all_configs() {
+                net.set_multiplier(kind.map(|k| k.build()));
+                let ctx = format!("mlp {kind:?} n={n} specials={rate}");
+                assert_gradients_match_backward(&net, &x, &ctx);
+            }
+        }
+    }
+}
+
+/// The MLP with its batch norm removed — Dense with DoReFa weights, ReLU
+/// and the activation quantizer all on the plan's reverse sweep.
+#[test]
+fn plan_gradients_match_backward_through_quantizers() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(16);
+    let mut net = Network::new("engine-prop-qmlp")
+        .push(Flatten)
+        .push(Dense::new(12, 10, &mut rng).with_weight_bits(4))
+        .push(Relu)
+        .push(QuantAct::new(4))
+        .push(Dense::new(10, 3, &mut rng));
+    for (n, rate) in [(1, 0.0), (2, 0.0), (3, 0.0), (1, 0.2), (2, 0.2), (3, 0.2)] {
+        let x = adversarial_tensor(&[n, 1, 3, 4], &mut rng, rate);
+        for kind in all_configs() {
+            net.set_multiplier(kind.map(|k| k.build()));
+            let ctx = format!("qmlp {kind:?} n={n} specials={rate}");
+            assert_gradients_match_backward(&net, &x, &ctx);
+        }
+    }
+}
+
+/// Pooling fed raw values rather than ReLU outputs, so ties, `-inf`/NaN-only
+/// windows and overlapping windows reach the gradient: max pooling on the
+/// input itself, and a padded stride-2 conv into an overlapping pool.
+#[test]
+fn plan_gradients_match_backward_through_raw_pooling() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+    let pool_first = Network::new("pool-first")
+        .push(MaxPool2d::new(3, 1))
+        .push(Flatten)
+        .push(Dense::new(16, 4, &mut rng));
+    let strided = Network::new("strided-conv")
+        .push(Conv2d::new(1, 2, 3, 2, 1, &mut rng))
+        .push(MaxPool2d::new(2, 1))
+        .push(Flatten)
+        .push(Dense::new(2 * 2 * 2, 4, &mut rng));
+    for mut net in [pool_first, strided] {
+        for n in 1..4 {
+            for rate in [0.0, 0.5, 0.9] {
+                let x = adversarial_tensor(&[n, 1, 6, 6], &mut rng, rate);
+                for kind in all_configs() {
+                    net.set_multiplier(kind.map(|k| k.build()));
+                    let ctx = format!("{} {kind:?} n={n} specials={rate}", net.name());
+                    assert_gradients_match_backward(&net, &x, &ctx);
+                }
+            }
+        }
+    }
+}
+
+/// LeNet-5 at its native input size, for every multiplier kind and batches
+/// of 1–3 (batches past the engine's parallel threshold split items across
+/// workers).
+#[test]
+fn lenet_plan_gradients_match_backward() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+    let mut net = lenet5(10, &mut rng);
+    for (n, rate) in [(1, 0.0), (2, 0.0), (3, 0.0), (1, 0.05), (2, 0.05), (3, 0.05)] {
+        let x = adversarial_tensor(&[n, 1, 28, 28], &mut rng, rate);
+        for kind in all_configs() {
+            net.set_multiplier(kind.map(|k| k.build()));
+            let ctx = format!("lenet {kind:?} n={n} specials={rate}");
+            assert_gradients_match_backward(&net, &x, &ctx);
+        }
+    }
 }
 
 /// The paper's LeNet-5 at its native input size, batched past the engine's
@@ -159,6 +297,21 @@ fn dq_convnet_plan_is_bit_exact() {
     assert_plan_matches_forward(&net, &x, "dq-full");
 }
 
+/// The DQ ConvNet's batch norm has no plan gradient: its gradients take the
+/// per-layer fallback (the cached plan's workspaces stay untouched) and
+/// match it.
+#[test]
+fn dq_convnet_gradients_fall_back_and_match() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+    let net = dq_convnet(10, DqMode::Full, 4, &mut rng);
+    let x = Tensor::rand_uniform(&[2, 3, 32, 32], 0.0, 1.0, &mut rng);
+    let plan = net.plan().expect("dq convnet compiles");
+    let _ = plan.predict_batch(&x);
+    let allocations = plan.workspace_allocations();
+    assert_gradients_match_backward(&net, &x, "dq-full");
+    assert_eq!(plan.workspace_allocations(), allocations, "batch norm takes the fallback");
+}
+
 /// Steady-state serving reuses the workspace arena: after the first call at
 /// a given shape, repeated `predict_batch` calls perform no buffer
 /// allocations (the debug allocation counter stops growing).
@@ -180,6 +333,22 @@ fn repeated_predictions_reuse_workspaces() {
             plan.workspace_allocations(),
             after_warmup,
             "{kind:?}: steady-state serving must not grow workspace buffers"
+        );
+
+        // Gradients run on the network's cached plan: the first call sizes
+        // the tape and reverse-sweep buffers, repeated calls reuse them.
+        let plan = net.plan().expect("compilable");
+        let labels = [0, 1, 2, 3];
+        let first = net.input_gradient(&x, &labels);
+        let after_warmup = plan.workspace_allocations();
+        assert!(after_warmup > 0, "{kind:?}: the first gradient must size its buffers");
+        for _ in 0..8 {
+            assert_eq!(net.input_gradient(&x, &labels), first, "{kind:?}: stable gradients");
+        }
+        assert_eq!(
+            plan.workspace_allocations(),
+            after_warmup,
+            "{kind:?}: repeated gradients must not grow workspace buffers"
         );
     }
 }
@@ -206,4 +375,17 @@ fn network_logits_cache_invalidates_on_mutation() {
     // Mutating weights through params_mut must invalidate the cached plan.
     net.params_mut()[0].data_mut()[0] += 1.0;
     assert_eq!(net.logits(&x), net.forward(&x, Mode::Eval).0, "weight edits recompile");
+
+    // Gradients ride the same cache: taken after a weight edit or a
+    // multiplier swap, they use the new weights and multiplier.
+    let labels = [1, 2];
+    let before = net.input_gradient(&x, &labels);
+    net.params_mut()[0].data_mut()[1] -= 2.0;
+    let edited = net.input_gradient(&x, &labels);
+    assert_ne!(edited, before, "weight edits reach the gradient");
+    assert_gradients_match_backward(&net, &x, "after params_mut");
+    net.set_multiplier(Some(MultiplierKind::AxFpm.build()));
+    let approx = net.input_gradient(&x, &labels);
+    assert_ne!(approx, edited, "the multiplier swap reaches the gradient's forward");
+    assert_gradients_match_backward(&net, &x, "after set_multiplier");
 }
