@@ -13,8 +13,9 @@
 //! `Cout = A`) the wiring choice *is* the design. The paper does not publish
 //! its wiring; [`PortMap::PpSumCarry`] is the assignment that reproduces the
 //! paper's measured error characterization (Figure 3: ~96% of products
-//! inflated, MRED ≈ 0.33 — see DESIGN.md §4), and the alternatives are kept
-//! for the wiring-sensitivity ablation.
+//! inflated, MRED ≈ 0.33; its closed form is stated and pinned by the
+//! `ama5_array_matches_closed_form` test below), and the alternatives are
+//! kept for the wiring-sensitivity ablation.
 
 use crate::adders::AdderKind;
 use crate::bitslice::eval_tt;
@@ -356,7 +357,7 @@ mod tests {
         }
     }
 
-    /// The closed form derived in DESIGN.md §4: with AMA5 cells, the sum
+    /// The AMA5 closed form: with AMA5 cells (`Sum = B`, `Cout = A`), the sum
     /// vector telescopes to `pp_0` and the carry vector ends as
     /// `pp_{w-1} << 1`; the AMA5 CPA then forwards the carry vector.
     #[test]

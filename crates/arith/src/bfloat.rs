@@ -9,7 +9,7 @@
 //! resulting noise is "mostly negative" with magnitude orders below Ax-FPM
 //! (Figure 13).
 
-use crate::batch::{BatchKernel, PreparedOperands};
+use crate::batch::{gemm_tile_rows, BatchKernel};
 use crate::multiplier::Multiplier;
 use crate::simd::{self, RowClass};
 
@@ -61,11 +61,9 @@ impl Multiplier for BfloatMultiplier {
     }
 
     // Slice overrides route through the lane kernels of [`crate::simd`]
-    // (autovectorized, optional AVX2): pure bit-mask + multiply pipelines
-    // with no calls. `axpy_slice` hoists the truncation of the shared
-    // operand, which is bit-identical to truncating it per element. Rows
-    // are classified first: NaN-free product streams run the plain fused
-    // loops, rows carrying Inf/NaN pin NaN payload propagation (see
+    // (autovectorized): pure bit-mask + multiply pipelines with no calls.
+    // NaN-free product streams run the plain fused loops, operands carrying
+    // Inf/NaN pin NaN payload propagation (see
     // `crate::simd::nan_stable_add`).
 
     fn multiply_slice(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
@@ -95,114 +93,40 @@ impl Multiplier for BfloatMultiplier {
         acc
     }
 
-    fn axpy_slice(&self, a: f32, b: &[f32], acc: &mut [f32]) {
-        let ta = to_bf16(a);
-        simd::bf16_axpy(ta, b, acc, simd::clean_axpy(ta, bf16_class(b)));
-    }
-
     fn batch_kernel(&self) -> Box<dyn BatchKernel + Send + '_> {
-        Box::new(BfloatBatchKernel { row_class: Vec::new() })
-    }
-}
-
-/// The special-only row scan for the Bfloat16 kernel: truncation and the
-/// native multiply handle zeros like any other finite value, so zero-bearing
-/// rows report `Normal` (half the scan cost of the three-way
-/// classification).
-fn bf16_class(b: &[f32]) -> RowClass {
-    if simd::row_has_special(b) {
-        RowClass::Special
-    } else {
-        RowClass::Normal
+        Box::new(BfloatBatchKernel)
     }
 }
 
 /// The batched kernel behind [`BfloatMultiplier::batch_kernel`]: the lane
-/// kernels of the slice methods, with row classification amortized across
-/// multi-row sweeps and whole GEMM tiles instead of re-scanned per `axpy`.
-struct BfloatBatchKernel {
-    row_class: Vec<RowClass>,
-}
+/// kernel with the shared operand's truncation hoisted (bit-identical to
+/// truncating it per element). Truncation and the native multiply handle
+/// zeros like any other finite value, so only `Special` rows take the
+/// NaN-pinned accumulate.
+struct BfloatBatchKernel;
 
 impl BatchKernel for BfloatBatchKernel {
-    fn axpy(&mut self, a: f32, b: &[f32], acc: &mut [f32]) {
-        BfloatMultiplier.axpy_slice(a, b, acc);
-    }
-
-    fn axpy_classified(&mut self, a: f32, b: &[f32], class: RowClass, acc: &mut [f32]) {
-        debug_assert!(class == RowClass::Special || !simd::row_has_special(b), "stale row class");
+    fn axpy(&mut self, a: f32, b: &[f32], class: RowClass, acc: &mut [f32]) {
+        debug_assert!(class.covers(simd::classify_row(b)), "stale row class");
         let ta = to_bf16(a);
         simd::bf16_axpy(ta, b, acc, simd::clean_axpy(ta, class));
     }
 
-    fn axpy_rows(&mut self, a: &[f32], b: &[f32], acc: &mut [f32], acc_stride: usize) {
-        assert!(a.len() <= 1 || acc_stride >= b.len(), "axpy_rows rows overlap");
-        let class = bf16_class(b);
-        for (r, &av) in a.iter().enumerate() {
-            let ta = to_bf16(av);
-            let acc_row = &mut acc[r * acc_stride..r * acc_stride + b.len()];
-            simd::bf16_axpy(ta, b, acc_row, simd::clean_axpy(ta, class));
-        }
-    }
-
     fn gemm_tile(
         &mut self,
-        ops: &PreparedOperands,
-        b: &[f32],
-        tile: usize,
-        acc: &mut [f32],
-        acc_stride: usize,
-    ) {
-        let mut row_class = std::mem::take(&mut self.row_class);
-        crate::batch::gemm_tile_classified(
-            ops,
-            b,
-            tile,
-            acc,
-            acc_stride,
-            &mut row_class,
-            bf16_class,
-            |a, brow, class, acc_row| {
-                let ta = to_bf16(a);
-                simd::bf16_axpy(ta, brow, acc_row, simd::clean_axpy(ta, class));
-            },
-        );
-        self.row_class = row_class;
-    }
-
-    fn gemm_tile_classed(
-        &mut self,
-        ops: &PreparedOperands,
+        w: &[f32],
         b: &[f32],
         tile: usize,
         class: RowClass,
         acc: &mut [f32],
         acc_stride: usize,
     ) {
-        // One covering class for every row: a direct sweep, no per-row
-        // classification state at all.
-        assert_eq!(b.len(), ops.cols() * tile, "gemm_tile b length mismatch");
-        assert!(ops.rows() <= 1 || acc_stride >= tile, "gemm_tile rows overlap");
-        for r in 0..ops.rows() {
-            let acc_row = &mut acc[r * acc_stride..r * acc_stride + tile];
-            for (k, op) in ops.row(r).iter().enumerate() {
-                let ta = to_bf16(op.value());
-                let brow = &b[k * tile..(k + 1) * tile];
+        gemm_tile_rows(w, b, tile, class, acc, acc_stride, |wrow, acc_row| {
+            for (&a, brow) in wrow.iter().zip(b.chunks_exact(tile)) {
+                let ta = to_bf16(a);
                 simd::bf16_axpy(ta, brow, acc_row, simd::clean_axpy(ta, class));
             }
-        }
-    }
-
-    fn classify_rhs(&self, b: &[f32]) -> RowClass {
-        bf16_class(b)
-    }
-
-    fn dot(&mut self, a: &[f32], b: &[f32]) -> f32 {
-        BfloatMultiplier.dot_accumulate(a, b)
-    }
-
-    fn mul(&mut self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        BfloatMultiplier.multiply_slice(a, b, out);
+        });
     }
 }
 

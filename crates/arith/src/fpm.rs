@@ -7,7 +7,8 @@
 //! Approximation replaces only it; sign, exponent, and normalization logic
 //! stay exact hardware.
 //!
-//! Fidelity notes (documented deviations, see DESIGN.md):
+//! Fidelity notes (deliberate modelling choices, each pinned by a unit test
+//! below):
 //!
 //! * **Normalization assumes the exact-core invariant.** For exact cores the
 //!   48-bit significand product lies in `[2^46, 2^48)`, so the unit checks
@@ -21,7 +22,7 @@
 //! * NaN/Inf follow IEEE semantics and bypass the approximate core.
 
 use crate::array::{ArrayMultiplier, ArrayMultiplierSpec};
-use crate::batch::BatchKernel;
+use crate::batch::{gemm_tile_rows, BatchKernel};
 use crate::bitslice::{BitslicedArray, BITSLICE_LANES, BITSLICE_WIDE, BITSLICE_WIDE_LANES};
 use crate::multiplier::Multiplier;
 use crate::simd::{self, RowClass};
@@ -120,7 +121,8 @@ pub struct FloatMultiplier {
 }
 
 /// Closed-form shortcuts for cores whose gate-level behaviour has been proven
-/// equivalent (see `fast_path_matches_gate_level` test and DESIGN.md §4).
+/// equivalent (see the `fast_path_matches_gate_level` test here and
+/// `array.rs`'s `ama5_array_matches_closed_form`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FastPath {
     /// Simulate the core gate by gate.
@@ -266,15 +268,15 @@ fn pack_clamped(sign_bit: u32, exp: i32, frac: u32) -> f32 {
 }
 
 /// The batched kernel behind [`FloatMultiplier::batch_kernel`] and the
-/// one-shot slice entry points: decomposes the shared operand once per slice
-/// call. Cores without a proven closed form (HEAP, ablation wirings) run on
+/// one-shot slice entry points: decomposes the shared operand once per
+/// sweep. Cores without a proven closed form (HEAP, ablation wirings) run on
 /// the bit-sliced plane sweep ([`BitslicedArray`], 64 products per block, or
-/// 8×64 through [`FpmBatchKernel::axpy_fused`]), which needs no table and
-/// therefore also covers rotating wirings. Cores **with** a closed form
+/// 8×64 across runs of normal weights in a tile GEMM), which needs no table
+/// and therefore also covers rotating wirings. Cores **with** a closed form
 /// (canonical AMA5, the exact array) run on the lane-parallel kernels of
-/// [`crate::simd`]: each right-hand row is classified once ([`RowClass`])
-/// and swept by a class-matched `LANES`-wide block pipeline; `Special` rows
-/// stay on the shared per-element slow path.
+/// [`crate::simd`]: the caller's [`RowClass`] picks a class-matched
+/// `LANES`-wide block pipeline; `Special` rows stay on the shared
+/// per-element slow path.
 ///
 /// Bit-exactness with the scalar path holds by construction: the special
 /// value / zero / denormal branch structure mirrors `multiply_inner`, and the
@@ -282,19 +284,9 @@ fn pack_clamped(sign_bit: u32, exp: i32, frac: u32) -> f32 {
 /// (asserted equivalent in `crate::simd`'s unit tests).
 struct FpmBatchKernel<'a> {
     m: &'a FloatMultiplier,
-    /// Per-patch-row classes for the tile-level GEMM entry point, computed
-    /// once per tile and reused by every output-row sweep.
-    row_class: Vec<RowClass>,
-    /// One output row's weights for the gate-level tile GEMM, reused across
-    /// tiles.
-    terms: Vec<f32>,
 }
 
-impl<'a> FpmBatchKernel<'a> {
-    fn new(m: &'a FloatMultiplier) -> Self {
-        FpmBatchKernel { m, row_class: Vec::new(), terms: Vec::new() }
-    }
-
+impl FpmBatchKernel<'_> {
     #[inline]
     fn sig_product(&self, sa: u64, sb: u64) -> u64 {
         match self.m.fast_path {
@@ -304,7 +296,7 @@ impl<'a> FpmBatchKernel<'a> {
         }
     }
 
-    /// One product against a predecomposed left operand; mirrors
+    /// One product against a decomposed left operand; mirrors
     /// `multiply_inner` branch for branch.
     #[inline]
     fn mul_one(&self, pa: Binary32Parts, a_nan: bool, b: f32) -> f32 {
@@ -331,8 +323,9 @@ impl<'a> FpmBatchKernel<'a> {
 
 impl FpmBatchKernel<'_> {
     /// The AMA5 closed form (`prod = s_a << 24`) makes the product of two
-    /// normals a pure function of `a` and `b`'s sign/exponent fields:
-    /// `1.f_a · 2^(e_a + e_b - 126)` (derivation in DESIGN.md §4). `Normal`
+    /// normals a pure function of `a` and `b`'s sign/exponent fields,
+    /// `1.f_a · 2^(e_a + e_b - 126)`: `s_a << 24` always has bit 47 set, so
+    /// normalization adds one to `e_a + e_b - 127`. `Normal`
     /// and `Zeros` rows run the lane-parallel block kernels of
     /// [`crate::simd`]; `Special` rows take the per-element sweep so Inf/NaN
     /// semantics come from the one shared slow path.
@@ -399,26 +392,23 @@ impl FpmBatchKernel<'_> {
 }
 
 impl FpmBatchKernel<'_> {
-    /// The shared `axpy` body over an already-decomposed left operand: the
-    /// single implementation behind [`BatchKernel::axpy`],
-    /// [`BatchKernel::axpy_prepared`] and [`BatchKernel::axpy_classified`],
-    /// so the entry points cannot diverge. `class` is the caller's
-    /// [covering](RowClass::covers) class of `b`, if it has one; otherwise
-    /// closed-form cores scan `b` themselves.
+    /// The shared `axpy` body over an already-decomposed left operand,
+    /// behind [`BatchKernel::axpy`] and every weight of
+    /// [`BatchKernel::gemm_tile`], so the entry points cannot diverge.
+    /// `class` is the caller's [covering](RowClass::covers) class of `b`.
     fn axpy_parts(
         &mut self,
         pa: Binary32Parts,
         a_nan: bool,
-        class: Option<RowClass>,
+        class: RowClass,
         b: &[f32],
         acc: &mut [f32],
     ) {
-        assert_eq!(b.len(), acc.len(), "axpy_slice length mismatch");
+        assert_eq!(b.len(), acc.len(), "axpy length mismatch");
         if !pa.is_special() && !pa.is_zero_or_denormal() {
-            let class = || class.unwrap_or_else(|| simd::classify_row(b));
             return match self.m.fast_path {
-                FastPath::CanonicalAma5 => self.ama5_axpy_classified(pa, class(), b, acc),
-                FastPath::Exact => self.exact_axpy_classified(pa, class(), b, acc),
+                FastPath::CanonicalAma5 => self.ama5_axpy_classified(pa, class, b, acc),
+                FastPath::Exact => self.exact_axpy_classified(pa, class, b, acc),
                 FastPath::None => self.axpy_parts_bitsliced(pa, b, acc),
             };
         }
@@ -487,18 +477,17 @@ impl FpmBatchKernel<'_> {
         }
     }
 
-    /// Fused multi-term axpy (see [`Multiplier::axpy_fused`]): walk the `a`
-    /// terms in order, batching every run of [`BITSLICE_WIDE`] normal terms
-    /// through one wide plane sweep; zero/denormal/Inf/NaN terms (and the
-    /// ragged tail) take the single-term path in place, so accumulation
-    /// order — ascending `t` per element — is preserved exactly.
-    fn axpy_fused(&mut self, a: &[f32], b: &[f32], acc: &mut [f32]) {
-        assert_eq!(b.len(), a.len() * acc.len(), "axpy_fused length mismatch");
+    /// Fused multi-term axpy for gate-level cores:
+    /// `acc[j] += Σ_t multiply(a[t], b[t·acc.len() + j])`, accumulated per
+    /// element in ascending `t`. Walks the `a` terms in order, batching every
+    /// run of [`BITSLICE_WIDE`] normal terms through one wide plane sweep;
+    /// zero/denormal/Inf/NaN terms (and the ragged tail) take the
+    /// single-term path in place, so accumulation order is preserved exactly.
+    fn axpy_fused(&mut self, a: &[f32], b: &[f32], class: RowClass, acc: &mut [f32]) {
         let n = acc.len();
         let mut t = 0usize;
         while t < a.len() {
-            let wide = self.m.fast_path == FastPath::None
-                && n > 0
+            let wide = n > 0
                 && a.len() - t >= BITSLICE_WIDE
                 && a[t..t + BITSLICE_WIDE].iter().all(|&x| {
                     let e = (x.to_bits() >> 23) & 0xFF;
@@ -509,7 +498,8 @@ impl FpmBatchKernel<'_> {
                 self.axpy8_bitsliced(a8, &b[t * n..(t + BITSLICE_WIDE) * n], acc);
                 t += BITSLICE_WIDE;
             } else {
-                self.axpy(a[t], &b[t * n..(t + 1) * n], acc);
+                let (x, row) = (a[t], &b[t * n..(t + 1) * n]);
+                self.axpy_parts(Binary32Parts::from_f32(x), x.is_nan(), class, row, acc);
                 t += 1;
             }
         }
@@ -626,156 +616,14 @@ impl FpmBatchKernel<'_> {
     }
 }
 
-impl FpmBatchKernel<'_> {
-    /// The class-matched tile sweep shared by [`BatchKernel::gemm_tile`]
-    /// (per-row classes scanned by the kernel) and
-    /// [`BatchKernel::gemm_tile_classed`] (one caller-supplied covering
-    /// class): per element the arithmetic and accumulation order are
-    /// identical to row-by-row `axpy_prepared`.
-    fn gemm_tile_sweep(
-        &mut self,
-        ops: &crate::batch::PreparedOperands,
-        b: &[f32],
-        tile: usize,
-        acc: &mut [f32],
-        acc_stride: usize,
-        class_at: &dyn Fn(usize) -> RowClass,
-    ) {
-        for r in 0..ops.rows() {
-            let acc_row = &mut acc[r * acc_stride..r * acc_stride + tile];
-            for (k, op) in ops.row(r).iter().enumerate() {
-                let pa = op.parts();
-                let brow = &b[k * tile..(k + 1) * tile];
-                if pa.is_special() || pa.is_zero_or_denormal() {
-                    // Shared slow path, exactly as `axpy_parts` would take.
-                    let nan = op.is_nan();
-                    for (o, &y) in acc_row.iter_mut().zip(brow) {
-                        *o = simd::nan_stable_add(*o, self.mul_one(pa, nan, y));
-                    }
-                    continue;
-                }
-                match self.m.fast_path {
-                    FastPath::CanonicalAma5 => {
-                        self.ama5_axpy_classified(pa, class_at(k), brow, acc_row);
-                    }
-                    FastPath::Exact => {
-                        self.exact_axpy_classified(pa, class_at(k), brow, acc_row);
-                    }
-                    FastPath::None => unreachable!("closed-form sweeps only"),
-                }
-            }
-        }
-    }
-
-    /// The gate-level tile GEMM shared by [`BatchKernel::gemm_tile`] and
-    /// [`BatchKernel::gemm_tile_classed`]: each output row is one
-    /// [`FpmBatchKernel::axpy_fused`] of that row's `K` weights against the
-    /// `[K, tile]` patch block, so runs of [`BITSLICE_WIDE`] normal weights
-    /// share one wide plane sweep. Per element the `k` order is ascending,
-    /// exactly as row-by-row `axpy_prepared`.
-    fn gemm_tile_fused(
-        &mut self,
-        ops: &crate::batch::PreparedOperands,
-        b: &[f32],
-        tile: usize,
-        acc: &mut [f32],
-        acc_stride: usize,
-    ) {
-        let mut terms = std::mem::take(&mut self.terms);
-        for r in 0..ops.rows() {
-            terms.clear();
-            terms.extend(ops.row(r).iter().map(|op| op.value()));
-            self.axpy_fused(&terms, b, &mut acc[r * acc_stride..r * acc_stride + tile]);
-        }
-        self.terms = terms;
-    }
-}
-
 /// Elements per stack block of the fused dot product: lane-compute this many
 /// products at a time, then accumulate them in slice order (the reduction
 /// order is part of the bit-exactness contract, so only the products — never
 /// the summation — are parallelized across lanes).
 const DOT_BLOCK: usize = 8 * simd::LANES;
 
-impl BatchKernel for FpmBatchKernel<'_> {
-    fn axpy(&mut self, a: f32, b: &[f32], acc: &mut [f32]) {
-        self.axpy_parts(Binary32Parts::from_f32(a), a.is_nan(), None, b, acc);
-    }
-
-    fn axpy_prepared(&mut self, a: &crate::batch::PreparedOperand, b: &[f32], acc: &mut [f32]) {
-        self.axpy_parts(a.parts(), a.is_nan(), None, b, acc);
-    }
-
-    fn axpy_classified(&mut self, a: f32, b: &[f32], class: RowClass, acc: &mut [f32]) {
-        debug_assert!(class.covers(simd::classify_row(b)), "stale row class");
-        self.axpy_parts(Binary32Parts::from_f32(a), a.is_nan(), Some(class), b, acc);
-    }
-
-    /// Multi-row sweep of one shared right-hand row: classify the row
-    /// **once**, then run every shared operand's class-matched lane sweep
-    /// (the blocked GEMM calls this with its resident output-row block, so
-    /// the per-`axpy` classification scan is amortized across the block).
-    fn axpy_rows(&mut self, a: &[f32], b: &[f32], acc: &mut [f32], acc_stride: usize) {
-        assert!(a.len() <= 1 || acc_stride >= b.len(), "axpy_rows rows overlap");
-        let class = simd::classify_row(b);
-        for (r, &av) in a.iter().enumerate() {
-            self.axpy_classified(av, b, class, &mut acc[r * acc_stride..r * acc_stride + b.len()]);
-        }
-    }
-
-    /// Tile-level GEMM. For closed-form cores (canonical AMA5 and the exact
-    /// array) the shared patch tile is classified **once** per row (normal /
-    /// zero-bearing / special) and then swept by every output row with the
-    /// class-matched lane kernel — per element the arithmetic and
-    /// accumulation order are identical to row-by-row `axpy_prepared`
-    /// (enforced by the batch tests and the engine equivalence property
-    /// tests). Gate-level cores run each output row as one fused wide plane
-    /// sweep over its `K` weights.
-    fn gemm_tile(
-        &mut self,
-        ops: &crate::batch::PreparedOperands,
-        b: &[f32],
-        tile: usize,
-        acc: &mut [f32],
-        acc_stride: usize,
-    ) {
-        let k_rows = ops.cols();
-        assert_eq!(b.len(), k_rows * tile, "gemm_tile b length mismatch");
-        assert!(ops.rows() <= 1 || acc_stride >= tile, "gemm_tile rows overlap");
-        if self.m.fast_path == FastPath::None {
-            return self.gemm_tile_fused(ops, b, tile, acc, acc_stride);
-        }
-
-        let mut row_class = std::mem::take(&mut self.row_class);
-        row_class.clear();
-        for k in 0..k_rows {
-            row_class.push(simd::classify_row(&b[k * tile..(k + 1) * tile]));
-        }
-        self.gemm_tile_sweep(ops, b, tile, acc, acc_stride, &|k| row_class[k]);
-        self.row_class = row_class;
-    }
-
-    /// One class [covering](RowClass::covers) every patch row (a serving
-    /// engine derives it from the conv input plane): same sweeps as
-    /// [`BatchKernel::gemm_tile`], zero classification scans (gate-level
-    /// cores need no class).
-    fn gemm_tile_classed(
-        &mut self,
-        ops: &crate::batch::PreparedOperands,
-        b: &[f32],
-        tile: usize,
-        class: RowClass,
-        acc: &mut [f32],
-        acc_stride: usize,
-    ) {
-        assert_eq!(b.len(), ops.cols() * tile, "gemm_tile b length mismatch");
-        assert!(ops.rows() <= 1 || acc_stride >= tile, "gemm_tile rows overlap");
-        if self.m.fast_path == FastPath::None {
-            return self.gemm_tile_fused(ops, b, tile, acc, acc_stride);
-        }
-        self.gemm_tile_sweep(ops, b, tile, acc, acc_stride, &|_| class);
-    }
-
+impl FpmBatchKernel<'_> {
+    /// The body of [`Multiplier::dot_accumulate`].
     fn dot(&mut self, a: &[f32], b: &[f32]) -> f32 {
         assert_eq!(a.len(), b.len(), "dot_accumulate length mismatch");
         if self.m.fast_path == FastPath::None {
@@ -820,6 +668,7 @@ impl BatchKernel for FpmBatchKernel<'_> {
         acc
     }
 
+    /// The body of [`Multiplier::multiply_slice`].
     fn mul(&mut self, a: &[f32], b: &[f32], out: &mut [f32]) {
         assert_eq!(a.len(), b.len(), "multiply_slice length mismatch");
         assert_eq!(a.len(), out.len(), "multiply_slice output length mismatch");
@@ -839,6 +688,38 @@ impl BatchKernel for FpmBatchKernel<'_> {
     }
 }
 
+impl BatchKernel for FpmBatchKernel<'_> {
+    fn axpy(&mut self, a: f32, b: &[f32], class: RowClass, acc: &mut [f32]) {
+        debug_assert!(class.covers(simd::classify_row(b)), "stale row class");
+        self.axpy_parts(Binary32Parts::from_f32(a), a.is_nan(), class, b, acc);
+    }
+
+    /// Closed-form cores sweep each weight against its patch row with the
+    /// class-matched lane kernel (per element `k` ascending, exactly as
+    /// row-by-row `axpy`). Gate-level cores run each output row as one
+    /// fused multi-term axpy over its `K` weights, so runs of
+    /// [`BITSLICE_WIDE`] normal weights share one wide plane sweep.
+    fn gemm_tile(
+        &mut self,
+        w: &[f32],
+        b: &[f32],
+        tile: usize,
+        class: RowClass,
+        acc: &mut [f32],
+        acc_stride: usize,
+    ) {
+        let gate_level = self.m.fast_path == FastPath::None;
+        gemm_tile_rows(w, b, tile, class, acc, acc_stride, |wrow, acc_row| {
+            if gate_level {
+                return self.axpy_fused(wrow, b, class, acc_row);
+            }
+            for (&a, brow) in wrow.iter().zip(b.chunks_exact(tile)) {
+                self.axpy_parts(Binary32Parts::from_f32(a), a.is_nan(), class, brow, acc_row);
+            }
+        });
+    }
+}
+
 impl Multiplier for FloatMultiplier {
     fn multiply(&self, a: f32, b: f32) -> f32 {
         self.multiply_f32(a, b)
@@ -851,23 +732,15 @@ impl Multiplier for FloatMultiplier {
     // One-shot slice calls run a fresh copy of the `batch_kernel` kernel.
 
     fn multiply_slice(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        FpmBatchKernel::new(self).mul(a, b, out);
+        FpmBatchKernel { m: self }.mul(a, b, out);
     }
 
     fn dot_accumulate(&self, a: &[f32], b: &[f32]) -> f32 {
-        FpmBatchKernel::new(self).dot(a, b)
-    }
-
-    fn axpy_slice(&self, a: f32, b: &[f32], acc: &mut [f32]) {
-        FpmBatchKernel::new(self).axpy(a, b, acc);
-    }
-
-    fn axpy_fused(&self, a: &[f32], b: &[f32], acc: &mut [f32]) {
-        FpmBatchKernel::new(self).axpy_fused(a, b, acc);
+        FpmBatchKernel { m: self }.dot(a, b)
     }
 
     fn batch_kernel(&self) -> Box<dyn BatchKernel + Send + '_> {
-        Box::new(FpmBatchKernel::new(self))
+        Box::new(FpmBatchKernel { m: self })
     }
 }
 
@@ -948,8 +821,8 @@ mod tests {
 
     #[test]
     fn ax_fpm_closed_form_is_exact_over_one_point_fb() {
-        // DESIGN.md §4: approx = exact * 2 / (1.f_b) up to the truncated
-        // low partial product.
+        // The AMA5 closed form `1.f_a · 2^(e_a + e_b - 126)` is
+        // exact * 2 / (1.f_b), up to truncation.
         let m = FloatMultiplier::ax_fpm();
         let mut rng = rng();
         for _ in 0..2000 {
@@ -1097,27 +970,29 @@ mod tests {
             assert_eq!(got_dot.to_bits(), want_dot.to_bits(), "{} dot", m.name());
 
             for shared in [0.77f32, -1.5, 0.0, f32::INFINITY] {
-                let mut acc = vec![0.25f32; n];
-                let mut want = acc.clone();
-                m.axpy_slice(shared, &b, &mut acc);
+                let mut want = vec![0.25f32; n];
                 for i in 0..n {
                     want[i] = simd::nan_stable_add(want[i], m.multiply(shared, b[i]));
                 }
-                for i in 0..n {
-                    assert_eq!(
-                        acc[i].to_bits(),
-                        want[i].to_bits(),
-                        "{} axpy[{i}] shared={shared}",
-                        m.name()
-                    );
+                for class in [simd::classify_row(&b), RowClass::Special] {
+                    let mut acc = vec![0.25f32; n];
+                    m.batch_kernel().axpy(shared, &b, class, &mut acc);
+                    for i in 0..n {
+                        assert_eq!(
+                            acc[i].to_bits(),
+                            want[i].to_bits(),
+                            "{} axpy[{i}] shared={shared} {class:?}",
+                            m.name()
+                        );
+                    }
                 }
             }
 
-            // axpy_fused: k not a multiple of the wide width, columns
-            // crossing a block boundary with a ragged tail, special left
-            // terms breaking up the wide runs mid-stream, and specials in
-            // the right-hand rows — all must stay bit-identical to
-            // sequential per-term axpy.
+            // One-row gemm_tile (the fused multi-term sweep): k not a
+            // multiple of the wide width, columns crossing a block boundary
+            // with a ragged tail, special left terms breaking up the wide
+            // runs mid-stream, and specials in the right-hand rows — all
+            // must match the scalar loop accumulated with `k` ascending.
             let (terms, cols) = (21, 79);
             let mut ta: Vec<f32> = (0..terms).map(|_| rng.gen_range(-3.0f32..3.0)).collect();
             ta[4] = 0.0;
@@ -1128,12 +1003,14 @@ mod tests {
             tb[cols + 64] = 0.0;
             tb[3 * cols + 11] = f32::NAN;
             tb[terms * cols - 1] = f32::from_bits(1);
-            let mut fused = vec![0.125f32; cols];
-            m.axpy_fused(&ta, &tb, &mut fused);
             let mut seq = vec![0.125f32; cols];
             for t in 0..terms {
-                m.axpy_slice(ta[t], &tb[t * cols..(t + 1) * cols], &mut seq);
+                for i in 0..cols {
+                    seq[i] = simd::nan_stable_add(seq[i], m.multiply(ta[t], tb[t * cols + i]));
+                }
             }
+            let mut fused = vec![0.125f32; cols];
+            m.batch_kernel().gemm_tile(&ta, &tb, cols, RowClass::Special, &mut fused, cols);
             for i in 0..cols {
                 assert_eq!(fused[i].to_bits(), seq[i].to_bits(), "{} fused[{i}]", m.name());
             }

@@ -22,27 +22,30 @@
 //! # Arithmetic backend
 //!
 //! Scalar [`Multiplier::multiply`] is the semantic ground truth, but hot
-//! paths (CNN GEMMs, profile sweeps) run on the **batched backend**:
+//! paths (CNN GEMMs, profile sweeps) run on the **batched backend**. A
+//! multiplier design supplies it through a small interface:
 //!
-//! * Slice-level trait methods — [`Multiplier::multiply_slice`],
-//!   [`Multiplier::dot_accumulate`], [`Multiplier::axpy_slice`] — with
-//!   scalar-loop defaults and vectorizable overrides for the exact and
-//!   Bfloat16 multipliers.
-//! * [`Multiplier::batch_kernel`] hands out a per-worker
-//!   [`batch::BatchKernel`]. The FPM kernel decomposes the shared operand
-//!   once per slice and runs cores without a proven closed form (HEAP and
-//!   ablation wirings) on the [`bitslice`] plane sweep.
-//! * [`batch::PreparedOperands`] pre-decomposes a weight matrix's
-//!   sign/exponent/significand fields once (at serving-plan compile time,
-//!   see `da_nn::engine`); [`BatchKernel::axpy_prepared`] consumes the
-//!   cached decomposition directly, skipping the per-call field extraction
-//!   entirely.
+//! * [`Multiplier::batch_kernel`] hands out a per-worker [`BatchKernel`]
+//!   with two methods, the two loop shapes every GEMM reduces to:
+//!   [`BatchKernel::axpy`] (one shared operand against a row) and
+//!   [`BatchKernel::gemm_tile`] (a row-major `f32` weight block against a
+//!   patch tile). Both take the right-hand rows' [`RowClass`] from the
+//!   caller, who classifies once with [`classify_row`] and reuses the class
+//!   across many sweeps; any class that [covers](RowClass::covers) the
+//!   rows is valid, for every kernel.
+//! * [`Multiplier::multiply_slice`] and [`Multiplier::dot_accumulate`]
+//!   (scalar-loop defaults, vectorized overrides) feed the noise profiles,
+//!   metrics and Figure 4.
 //! * Cores with a proven closed form (canonical AMA5, the exact array, and
 //!   the Bfloat16 truncation) run on the **lane-parallel kernels** of
-//!   [`simd`]: rows are classified once ([`RowClass`]) and swept by
-//!   `LANES`-wide branchless block pipelines, autovectorized on every
-//!   target. Inf/NaN rows stay on the shared scalar slow path, so
-//!   special-value semantics cannot diverge.
+//!   [`simd`]: the row class picks a `LANES`-wide branchless block
+//!   pipeline, autovectorized on every target. Inf/NaN rows stay on the
+//!   shared scalar slow path, so special-value semantics cannot diverge.
+//! * **Gate-level cores without a closed form** (HEAP, rotating ablation
+//!   wirings) run the netlist itself on the [`bitslice`] plane sweep: 64
+//!   products per block, and 8×64 per wide block wherever a tile GEMM has a
+//!   run of eight normal weights. There is no table to build or invalidate,
+//!   which is what makes rotating schedules viable at serving throughput.
 //! * When operands are **8-bit codes**, the [`quantized`] module collapses
 //!   any multiplier's hot path — gate-level cores included — into a
 //!   precomputed 256×256 [`ProductLut`] gather: every entry is the scalar
@@ -55,11 +58,6 @@
 //!   [`quantized::lut4_gemm`] replaces every hardware gather with an
 //!   **in-register shuffle** (`vpermps` over a zmm-/ymm-resident table row),
 //!   the fastest inner loop in the crate.
-//! * For **gate-level cores without a closed form** (HEAP, rotating ablation
-//!   wirings), [`bitslice`] evaluates the netlist itself over 64-wide (or,
-//!   through [`Multiplier::axpy_fused`], 8×64-wide) lane planes of machine
-//!   words — no table to build or invalidate, which is what makes rotating
-//!   schedules viable at serving throughput.
 //!
 //! # Backend decision tree
 //!
@@ -74,15 +72,13 @@
 //!    [`quantized::lut_gemm`] 256×256 table gather. AVX-512/AVX2 hardware
 //!    gathers, scalar fallback.
 //! 3. **f32 operands, closed-form core** (exact array, canonical AMA5
-//!    Ax-FPM, Bfloat16 truncation) → [`simd`] lane kernels: branchless
-//!    `LANES`-wide block pipelines over classified rows.
+//!    Ax-FPM, Bfloat16 truncation, native `f32`) → the [`BatchKernel`]'s
+//!    [`simd`] lane kernels over the caller-classified rows.
 //! 4. **f32 operands, gate-level core** (HEAP, ablation wirings) → the
-//!    [`bitslice`] plane sweep, per-worker kernel or one-shot call alike:
-//!    64 products per block, and 8×64 per wide block wherever runs of
-//!    normal shared operands allow it (tile GEMMs and
-//!    [`Multiplier::axpy_fused`]).
-//! 5. **Anything else** (special values, ragged tails, non-x86 targets) →
-//!    the scalar loop, which is always the semantic ground truth.
+//!    [`BatchKernel`]'s [`bitslice`] plane sweep: 64 products per block,
+//!    8×64 per wide block inside [`BatchKernel::gemm_tile`].
+//! 5. **Anything else** (special values, ragged tails) → the scalar loop,
+//!    which is always the semantic ground truth.
 //!
 //! Every batched path is **bit-identical** to the scalar loop it replaces
 //! (enforced by property tests here and in `da_nn`); approximation stays a
@@ -120,7 +116,7 @@ mod multiplier;
 
 pub use adders::AdderKind;
 pub use array::{ArrayMultiplier, ArrayMultiplierSpec, CellAssignment, CpaKind, PortMap};
-pub use batch::{BatchKernel, PreparedOperand, PreparedOperands};
+pub use batch::BatchKernel;
 pub use bitslice::{
     transpose64, BitslicedArray, BITSLICE_LANES, BITSLICE_WIDE, BITSLICE_WIDE_LANES,
 };

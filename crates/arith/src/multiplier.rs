@@ -6,11 +6,11 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::array::ArrayMultiplierSpec;
-use crate::batch::{BatchKernel, FallbackKernel, PreparedOperands};
+use crate::batch::{gemm_tile_rows, BatchKernel};
 use crate::bfloat::BfloatMultiplier;
 use crate::fpm::FloatMultiplier;
 use crate::heap;
-use crate::simd::{clean_axpy, nan_stable_add, native_axpy, pair_has_special, row_has_special};
+use crate::simd::{classify_row, clean_axpy, nan_stable_add, native_axpy, pair_has_special};
 use crate::RowClass;
 
 /// An `f32 × f32` multiplier — exact hardware, an approximate FPM, or a
@@ -19,13 +19,11 @@ use crate::RowClass;
 /// Implementors must be deterministic: the paper's defense relies on
 /// *data-dependent*, not random, noise.
 ///
-/// Beyond the scalar [`multiply`](Multiplier::multiply), the trait carries
-/// the slice-level batched API. The defaults are scalar loops, so a new
-/// multiplier only has to implement `multiply`; performance-critical
-/// implementations override the slice methods (and
-/// [`batch_kernel`](Multiplier::batch_kernel)) with vectorizable or
-/// bit-sliced versions. **Every override must stay bit-identical to the
-/// scalar loop** — the GEMM property tests enforce this per kind.
+/// Beyond the scalar [`multiply`](Multiplier::multiply), a design supplies
+/// its GEMM kernel ([`batch_kernel`](Multiplier::batch_kernel), two methods)
+/// and may override the two slice ops, whose defaults are scalar loops.
+/// **Every batched path must stay bit-identical to the scalar loop** — the
+/// GEMM property tests enforce this per kind.
 pub trait Multiplier: Send + Sync {
     /// Multiply two values through the simulated datapath.
     fn multiply(&self, a: f32, b: f32) -> f32;
@@ -63,48 +61,12 @@ pub trait Multiplier: Send + Sync {
         acc
     }
 
-    /// Scaled accumulation: `acc[i] += multiply(a, b[i])` — the GEMM
-    /// workhorse (one weight against a row of activations).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b` and `acc` lengths differ.
-    fn axpy_slice(&self, a: f32, b: &[f32], acc: &mut [f32]) {
-        assert_eq!(b.len(), acc.len(), "axpy_slice length mismatch");
-        for (o, &y) in acc.iter_mut().zip(b) {
-            *o = nan_stable_add(*o, self.multiply(a, y));
-        }
-    }
-
-    /// Fused multi-term axpy: `acc[j] += Σ_t multiply(a[t], b[t*acc.len()+j])`,
-    /// accumulated per element in ascending `t` — bit-identical to calling
-    /// [`Multiplier::axpy_slice`] once per `a[t]` in order. `b` is the
-    /// row-major `a.len() × acc.len()` block of right-hand operands.
-    ///
-    /// Gate-level designs override this to batch the `a[t]` terms through
-    /// the bit-sliced plane sweep, filling all sub-blocks of a wide sweep
-    /// even when `acc.len()` alone is too short to.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != a.len() * acc.len()`.
-    fn axpy_fused(&self, a: &[f32], b: &[f32], acc: &mut [f32]) {
-        assert_eq!(b.len(), a.len() * acc.len(), "axpy_fused length mismatch");
-        let n = acc.len();
-        for (t, &x) in a.iter().enumerate() {
-            self.axpy_slice(x, &b[t * n..(t + 1) * n], acc);
-        }
-    }
-
-    /// A stateful per-worker kernel for batched inner loops.
-    ///
-    /// The default delegates to the slice methods above. FPM multipliers
-    /// return kernels that run gate-level cores on the bit-sliced plane
-    /// sweep (see [`crate::bitslice`]); callers create one kernel per worker
-    /// thread and reuse it across an entire GEMM.
-    fn batch_kernel(&self) -> Box<dyn BatchKernel + Send + '_> {
-        Box::new(FallbackKernel::new(self))
-    }
+    /// A per-worker [`BatchKernel`] for GEMM inner loops: callers create one
+    /// kernel per worker thread and reuse it across an entire GEMM. FPM
+    /// multipliers run gate-level cores on the bit-sliced plane sweep (see
+    /// [`crate::bitslice`]); closed-form cores run the lane kernels of
+    /// [`crate::simd`].
+    fn batch_kernel(&self) -> Box<dyn BatchKernel + Send + '_>;
 }
 
 impl fmt::Debug for dyn Multiplier {
@@ -136,9 +98,9 @@ impl Multiplier for ExactMultiplier {
 
     // Native loops: with the defaults these would still be correct, but the
     // explicit bodies contain no calls at all, so the compiler vectorizes
-    // them like hand-written f32 kernels. Rows are classified first: a
-    // NaN-free product stream keeps the plain fused loop (bitwise
-    // order-independent), while rows carrying Inf/NaN pin payload
+    // them like hand-written f32 kernels. The dot product scans for Inf/NaN
+    // first: a NaN-free product stream keeps the plain fused loop (bitwise
+    // order-independent), while operands carrying Inf/NaN pin payload
     // propagation through `nan_stable_add` (see `crate::simd`).
 
     fn multiply_slice(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
@@ -164,108 +126,36 @@ impl Multiplier for ExactMultiplier {
         acc
     }
 
-    fn axpy_slice(&self, a: f32, b: &[f32], acc: &mut [f32]) {
-        native_axpy(a, b, acc, clean_axpy(a, native_class(b)));
-    }
-
     fn batch_kernel(&self) -> Box<dyn BatchKernel + Send + '_> {
-        Box::new(NativeBatchKernel { row_class: Vec::new() })
-    }
-}
-
-/// The special-only row scan for native/value-type kernels: zeros need no
-/// special handling in the fused loops, so zero-bearing rows report
-/// `Normal` (half the scan cost of the three-way classification).
-fn native_class(b: &[f32]) -> RowClass {
-    if row_has_special(b) {
-        RowClass::Special
-    } else {
-        RowClass::Normal
+        Box::new(NativeBatchKernel)
     }
 }
 
 /// The batched kernel behind [`ExactMultiplier::batch_kernel`]: the native
-/// fused loops of the slice methods, with row classification amortized
-/// across multi-row sweeps ([`BatchKernel::axpy_rows`]) and whole tiles
-/// ([`BatchKernel::gemm_tile`]) instead of re-scanned per `axpy` call.
-struct NativeBatchKernel {
-    row_class: Vec<RowClass>,
-}
+/// fused loops, with the caller's row class choosing between the plain
+/// accumulate and the NaN-pinned one (zeros need no special handling).
+struct NativeBatchKernel;
 
 impl BatchKernel for NativeBatchKernel {
-    fn axpy(&mut self, a: f32, b: &[f32], acc: &mut [f32]) {
-        ExactMultiplier.axpy_slice(a, b, acc);
-    }
-
-    fn axpy_classified(&mut self, a: f32, b: &[f32], class: RowClass, acc: &mut [f32]) {
-        debug_assert!(class == RowClass::Special || !row_has_special(b), "stale row class");
+    fn axpy(&mut self, a: f32, b: &[f32], class: RowClass, acc: &mut [f32]) {
+        debug_assert!(class.covers(classify_row(b)), "stale row class");
         native_axpy(a, b, acc, clean_axpy(a, class));
-    }
-
-    fn axpy_rows(&mut self, a: &[f32], b: &[f32], acc: &mut [f32], acc_stride: usize) {
-        assert!(a.len() <= 1 || acc_stride >= b.len(), "axpy_rows rows overlap");
-        let class = native_class(b);
-        for (r, &av) in a.iter().enumerate() {
-            let acc_row = &mut acc[r * acc_stride..r * acc_stride + b.len()];
-            native_axpy(av, b, acc_row, clean_axpy(av, class));
-        }
     }
 
     fn gemm_tile(
         &mut self,
-        ops: &PreparedOperands,
-        b: &[f32],
-        tile: usize,
-        acc: &mut [f32],
-        acc_stride: usize,
-    ) {
-        let mut row_class = std::mem::take(&mut self.row_class);
-        crate::batch::gemm_tile_classified(
-            ops,
-            b,
-            tile,
-            acc,
-            acc_stride,
-            &mut row_class,
-            native_class,
-            |a, brow, class, acc_row| native_axpy(a, brow, acc_row, clean_axpy(a, class)),
-        );
-        self.row_class = row_class;
-    }
-
-    fn gemm_tile_classed(
-        &mut self,
-        ops: &PreparedOperands,
+        w: &[f32],
         b: &[f32],
         tile: usize,
         class: RowClass,
         acc: &mut [f32],
         acc_stride: usize,
     ) {
-        // One covering class for every row: a direct sweep, no per-row
-        // classification state at all.
-        assert_eq!(b.len(), ops.cols() * tile, "gemm_tile b length mismatch");
-        assert!(ops.rows() <= 1 || acc_stride >= tile, "gemm_tile rows overlap");
-        for r in 0..ops.rows() {
-            let acc_row = &mut acc[r * acc_stride..r * acc_stride + tile];
-            for (k, op) in ops.row(r).iter().enumerate() {
-                let a = op.value();
-                let brow = &b[k * tile..(k + 1) * tile];
+        gemm_tile_rows(w, b, tile, class, acc, acc_stride, |wrow, acc_row| {
+            for (&a, brow) in wrow.iter().zip(b.chunks_exact(tile)) {
                 native_axpy(a, brow, acc_row, clean_axpy(a, class));
             }
-        }
-    }
-
-    fn classify_rhs(&self, b: &[f32]) -> RowClass {
-        native_class(b)
-    }
-
-    fn dot(&mut self, a: &[f32], b: &[f32]) -> f32 {
-        ExactMultiplier.dot_accumulate(a, b)
-    }
-
-    fn mul(&mut self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        ExactMultiplier.multiply_slice(a, b, out);
+        });
     }
 }
 

@@ -113,14 +113,6 @@ impl Multiplier for RotatingMultiplier {
         self.current().dot_accumulate(a, b)
     }
 
-    fn axpy_slice(&self, a: f32, b: &[f32], acc: &mut [f32]) {
-        self.current().axpy_slice(a, b, acc);
-    }
-
-    fn axpy_fused(&self, a: &[f32], b: &[f32], acc: &mut [f32]) {
-        self.current().axpy_fused(a, b, acc);
-    }
-
     fn batch_kernel(&self) -> Box<dyn crate::batch::BatchKernel + Send + '_> {
         self.current().batch_kernel()
     }
@@ -178,6 +170,8 @@ mod tests {
     /// which run the bit-sliced backend underneath.
     #[test]
     fn batched_entry_points_follow_the_active_epoch() {
+        use crate::simd::{classify_row, nan_stable_add};
+        use crate::RowClass;
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(23);
         let m = RotatingMultiplier::from_kinds(&[MultiplierKind::Heap, MultiplierKind::AxFpm]);
@@ -187,33 +181,35 @@ mod tests {
         for _epoch in 0..m.schedule_len() {
             let mut out = vec![0.0f32; n];
             m.multiply_slice(&a, &b, &mut out);
-            let mut kern_out = vec![0.0f32; n];
-            m.batch_kernel().mul(&a, &b, &mut kern_out);
             for i in 0..n {
                 let want = m.multiply(a[i], b[i]);
                 assert_eq!(out[i].to_bits(), want.to_bits(), "slice[{i}]");
-                assert_eq!(kern_out[i].to_bits(), want.to_bits(), "kernel[{i}]");
             }
 
             let mut acc = vec![0.5f32; n];
-            m.axpy_slice(a[0], &b, &mut acc);
+            m.batch_kernel().axpy(a[0], &b, classify_row(&b), &mut acc);
             for i in 0..n {
                 assert_eq!(acc[i], 0.5 + m.multiply(a[0], b[i]), "axpy[{i}]");
             }
 
-            // Fused multi-term axpy must match sequential per-term axpy on
-            // the active design, bit for bit.
+            // A one-row tile GEMM (the fused multi-term sweep on gate-level
+            // designs) must match the scalar loop accumulated with `k`
+            // ascending on the active design, bit for bit.
             let terms = 9;
             let cols = 21;
             let rhs: Vec<f32> = (0..terms * cols).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
-            let mut fused = vec![0.25f32; cols];
-            m.axpy_fused(&a[..terms], &rhs, &mut fused);
             let mut seq = vec![0.25f32; cols];
             for t in 0..terms {
-                m.axpy_slice(a[t], &rhs[t * cols..(t + 1) * cols], &mut seq);
+                for i in 0..cols {
+                    seq[i] = nan_stable_add(seq[i], m.multiply(a[t], rhs[t * cols + i]));
+                }
             }
-            for i in 0..cols {
-                assert_eq!(fused[i].to_bits(), seq[i].to_bits(), "fused[{i}]");
+            for class in [classify_row(&rhs), RowClass::Special] {
+                let mut fused = vec![0.25f32; cols];
+                m.batch_kernel().gemm_tile(&a[..terms], &rhs, cols, class, &mut fused, cols);
+                for i in 0..cols {
+                    assert_eq!(fused[i].to_bits(), seq[i].to_bits(), "fused[{i}] {class:?}");
+                }
             }
             m.advance();
         }

@@ -38,10 +38,11 @@ pub const LANES: usize = 8;
 
 /// Classification of one right-hand-side row for the closed-form kernels.
 ///
-/// Produced by [`classify_row`]; consumed by the class-matched sweeps of the
-/// FPM batch kernel (and by callers that amortize one classification across
-/// several sweeps of a shared row, e.g. a GEMM sweeping one B tile with many
-/// A operands).
+/// Produced by [`classify_row`] — the one classification every
+/// [`crate::BatchKernel`] accepts — and consumed by the class-matched sweeps
+/// of the batch kernels. Callers amortize one classification across several
+/// sweeps of a shared row (e.g. a GEMM sweeping one B tile with many A
+/// operands). The native and Bfloat16 kernels treat `Zeros` like `Normal`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RowClass {
     /// Every element is a normal number: the branchless closed-form pipeline.
@@ -98,19 +99,6 @@ pub fn classify_row(b: &[f32]) -> RowClass {
     } else {
         RowClass::Normal
     }
-}
-
-/// `true` if any element of the row is Inf/NaN: the single-flag scan behind
-/// the kernels whose fast sweeps only care about specials (native exact,
-/// Bfloat16 — zeros need no special handling there). Roughly half the cost
-/// of the three-way [`classify_row`].
-#[inline]
-pub fn row_has_special(b: &[f32]) -> bool {
-    let mut special = 0u32;
-    for &y in b {
-        special |= u32::from(y.to_bits() & EXP_FIELD == EXP_FIELD);
-    }
-    special != 0
 }
 
 /// `true` if any element of `a` or `b` is Inf/NaN (pairwise-kernel guard).
@@ -179,9 +167,10 @@ fn pack_lane(sign_bit: u32, exp: i32, frac: u32) -> u32 {
 }
 
 /// One canonical-AMA5 product of a fixed normal `a` (fields pre-extracted):
-/// `1.f_a · 2^(e_a + e_b - 126)` (DESIGN.md §4 — the `s_a << 24`
-/// significand product always normalizes). `MODE` arms only the reachable
-/// clamps; `ZSEL` adds the flush-to-zero select for zero/denormal `b`
+/// `1.f_a · 2^(e_a + e_b - 126)` (the AMA5 array's `s_a << 24`
+/// significand product, pinned by `array.rs`'s
+/// `ama5_array_matches_closed_form`, always normalizes). `MODE` arms only
+/// the reachable clamps; `ZSEL` adds the flush-to-zero select for zero/denormal `b`
 /// (forcing a non-positive exponent makes the clamp produce exactly the
 /// `±0.0` the scalar slow path packs).
 #[inline(always)]
@@ -337,7 +326,7 @@ pub(crate) fn exact_fields(pa: Binary32Parts) -> (u64, u32, i32) {
 ///
 /// Panics if `b` and `acc` lengths differ.
 pub fn ama5_axpy_normal(pa: Binary32Parts, b: &[f32], acc: &mut [f32]) {
-    assert_eq!(b.len(), acc.len(), "axpy_slice length mismatch");
+    assert_eq!(b.len(), acc.len(), "axpy length mismatch");
     let (sign_a, fa, ea) = ama5_fields(pa);
     // With `a` and the row both normal, `exp = (e_a - 126) + e_b` with
     // `e_b ∈ [1, 254]`: for `e_a ≤ 125` overflow is unreachable
@@ -358,7 +347,7 @@ pub fn ama5_axpy_normal(pa: Binary32Parts, b: &[f32], acc: &mut [f32]) {
 ///
 /// Panics if `b` and `acc` lengths differ.
 pub fn ama5_axpy_zeros(pa: Binary32Parts, b: &[f32], acc: &mut [f32]) {
-    assert_eq!(b.len(), acc.len(), "axpy_slice length mismatch");
+    assert_eq!(b.len(), acc.len(), "axpy length mismatch");
     let (sign_a, fa, ea) = ama5_fields(pa);
     if pa.exponent <= 126 {
         // A zero/denormal element has `e_b = 0`, so `exp = e_a - 126 ≤ 0`
@@ -380,7 +369,7 @@ pub fn ama5_axpy_zeros(pa: Binary32Parts, b: &[f32], acc: &mut [f32]) {
 ///
 /// Panics if `b` and `acc` lengths differ.
 pub fn exact_axpy_normal(pa: Binary32Parts, b: &[f32], acc: &mut [f32]) {
-    assert_eq!(b.len(), acc.len(), "axpy_slice length mismatch");
+    assert_eq!(b.len(), acc.len(), "axpy length mismatch");
     let (sa, sign_a, ea) = exact_fields(pa);
     // `exp = (e_a - 127) + e_b + h` with `e_b ∈ [1, 254]`, `h ∈ {0, 1}`:
     // overflow needs `e_a ≥ 127`, underflow needs `e_a ≤ 126` — each sweep
@@ -399,7 +388,7 @@ pub fn exact_axpy_normal(pa: Binary32Parts, b: &[f32], acc: &mut [f32]) {
 ///
 /// Panics if `b` and `acc` lengths differ.
 pub fn exact_axpy_zeros(pa: Binary32Parts, b: &[f32], acc: &mut [f32]) {
-    assert_eq!(b.len(), acc.len(), "axpy_slice length mismatch");
+    assert_eq!(b.len(), acc.len(), "axpy length mismatch");
     let (sa, sign_a, ea) = exact_fields(pa);
     if pa.exponent <= 126 {
         // A zero/denormal element has `e_b = 0`, so
@@ -448,7 +437,7 @@ pub fn exact_mul_pair(a: &[f32], b: &[f32], out: &mut [f32]) {
 ///
 /// Panics if `b` and `acc` lengths differ.
 pub fn bf16_axpy(ta: f32, b: &[f32], acc: &mut [f32], clean: bool) {
-    assert_eq!(b.len(), acc.len(), "axpy_slice length mismatch");
+    assert_eq!(b.len(), acc.len(), "axpy length mismatch");
     if clean {
         for (o, &y) in acc.iter_mut().zip(b) {
             *o += bf16_lane(ta * bf16_lane(y));
@@ -479,7 +468,7 @@ pub fn clean_axpy(a: f32, class: RowClass) -> bool {
 ///
 /// Panics if `b` and `acc` lengths differ.
 pub fn native_axpy(a: f32, b: &[f32], acc: &mut [f32], clean: bool) {
-    assert_eq!(b.len(), acc.len(), "axpy_slice length mismatch");
+    assert_eq!(b.len(), acc.len(), "axpy length mismatch");
     if clean {
         for (o, &y) in acc.iter_mut().zip(b) {
             *o += a * y;

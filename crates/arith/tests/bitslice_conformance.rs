@@ -16,16 +16,17 @@
 //!    (`multiply_block`, `multiply_block_shared`, `multiply_block8_shared` —
 //!    the last under runtime SIMD dispatch) must reproduce
 //!    [`ArrayMultiplier::multiply`] lane for lane, and the gate-level
-//!    [`FloatMultiplier`] `axpy_fused` batch path must reproduce the scalar
-//!    `multiply` accumulation bit for bit.
+//!    [`FloatMultiplier`] batch kernel's one-row `gemm_tile` (the fused
+//!    multi-term plane sweep) must reproduce the scalar `multiply`
+//!    accumulation bit for bit.
 
 use da_arith::adders::AdderKind;
 use da_arith::bitslice::{eval_tt, eval_tt_minterms};
 use da_arith::fpm::{FloatMultiplier, SIGNIFICAND_BITS};
 use da_arith::heap::{heap_mantissa_spec, heap_multiplier};
 use da_arith::{
-    ArrayMultiplier, ArrayMultiplierSpec, BitslicedArray, CellAssignment, CpaKind, Multiplier,
-    PortMap, BITSLICE_LANES, BITSLICE_WIDE, BITSLICE_WIDE_LANES,
+    classify_row, ArrayMultiplier, ArrayMultiplierSpec, BitslicedArray, CellAssignment, CpaKind,
+    Multiplier, PortMap, RowClass, BITSLICE_LANES, BITSLICE_WIDE, BITSLICE_WIDE_LANES,
 };
 
 /// Deterministic 64-bit stream (splitmix64) — no RNG dependency needed.
@@ -224,7 +225,7 @@ fn f32_stream(state: &mut u64, n: usize) -> Vec<f32> {
 }
 
 #[test]
-fn gate_level_axpy_fused_matches_scalar_multiply_for_heap_and_every_wiring() {
+fn gate_level_gemm_tile_matches_scalar_multiply_for_heap_and_every_wiring() {
     let mut mults: Vec<(String, FloatMultiplier)> = vec![("heap".to_string(), heap_multiplier())];
     for pm in PortMap::ALL {
         let mut spec = ArrayMultiplierSpec::ax_mantissa(SIGNIFICAND_BITS);
@@ -240,22 +241,25 @@ fn gate_level_axpy_fused_matches_scalar_multiply_for_heap_and_every_wiring() {
     let a = f32_stream(&mut state, terms);
     let b = f32_stream(&mut state, terms * width);
 
-    for (name, mult) in &mults {
-        let mut fused = vec![0.0f32; width];
-        mult.axpy_fused(&a, &b, &mut fused);
+    let tight = b.chunks(width).map(classify_row).max().unwrap();
 
+    for (name, mult) in &mults {
         let mut reference = vec![0.0f32; width];
         for (t, &x) in a.iter().enumerate() {
             for (j, acc) in reference.iter_mut().enumerate() {
                 *acc += mult.multiply(x, b[t * width + j]);
             }
         }
-        for j in 0..width {
-            assert_eq!(
-                fused[j].to_bits(),
-                reference[j].to_bits(),
-                "{name}: axpy_fused output {j} diverged from the scalar accumulation"
-            );
+        for class in [tight, RowClass::Special] {
+            let mut fused = vec![0.0f32; width];
+            mult.batch_kernel().gemm_tile(&a, &b, width, class, &mut fused, width);
+            for j in 0..width {
+                assert_eq!(
+                    fused[j].to_bits(),
+                    reference[j].to_bits(),
+                    "{name} {class:?}: gemm_tile output {j} diverged from the scalar accumulation"
+                );
+            }
         }
     }
 }

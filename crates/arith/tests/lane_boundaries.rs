@@ -2,20 +2,24 @@
 //! datapath at every alignment the block/tail split can produce.
 //!
 //! SIMD tail handling is where bit-exactness bugs hide, so every batched
-//! entry point (`axpy`, `axpy_classified`, `axpy_rows`, `gemm_tile`, `mul`,
-//! `dot`) is swept over slice lengths `0`, `1`, `LANES-1`, `LANES`,
+//! entry point (the kernel's `axpy` and `gemm_tile` under every valid row
+//! class cover, and the multiplier's `multiply_slice` and `dot_accumulate`)
+//! is swept over slice lengths `0`, `1`, `LANES-1`, `LANES`,
 //! `LANES+1`, `4·LANES+3`, and the bit-sliced block seam
 //! `BITSLICE_LANES-1`, `BITSLICE_LANES`, `BITSLICE_LANES+1`, with
 //! NaN/Inf/denormal/zero values pinned at block boundaries and inside the
-//! scalar tail, for **every** [`MultiplierKind`]. References are built from
+//! scalar tail, for **every** [`MultiplierKind`] (and a rotating schedule
+//! for the tile GEMM). References are built from
 //! scalar [`da_arith::Multiplier::multiply`] plus the pinned
 //! [`da_arith::simd::nan_stable_add`] accumulate, the crate's documented
 //! reduction semantics.
 
+use std::sync::Arc;
+
+use da_arith::rotating::RotatingMultiplier;
 use da_arith::simd::nan_stable_add;
 use da_arith::{
-    classify_row, MultiplierKind, PreparedOperand, PreparedOperands, BITSLICE_LANES, BITSLICE_WIDE,
-    LANES,
+    classify_row, Multiplier, MultiplierKind, RowClass, BITSLICE_LANES, BITSLICE_WIDE, LANES,
 };
 use rand::{Rng, SeedableRng};
 
@@ -79,8 +83,9 @@ fn assert_rows_equal(got: &[f32], want: &[f32], ctx: &str) {
     }
 }
 
-/// `axpy`, `axpy_classified`, and `mul` against the scalar datapath at every
-/// lane-boundary length, special placement, and shared-operand class.
+/// `axpy` (under the tight class and `Special`) and `multiply_slice` against
+/// the scalar datapath at every lane-boundary length, special placement, and
+/// shared-operand class.
 #[test]
 fn axpy_and_mul_are_bit_exact_at_lane_boundaries() {
     let mut rng = rng();
@@ -94,18 +99,16 @@ fn axpy_and_mul_are_bit_exact_at_lane_boundaries() {
                 for &a in &shared {
                     let ctx = format!("{kind} len={len} pins={} a={a}", pins.len());
 
-                    let mut acc = vec![0.25f32; len];
-                    m.batch_kernel().axpy(a, &b, &mut acc);
                     let want: Vec<f32> = b.iter().map(|&y| 0.25 + m.multiply(a, y)).collect();
-                    assert_rows_equal(&acc, &want, &format!("{ctx} axpy"));
-
-                    let mut acc = vec![0.25f32; len];
-                    m.batch_kernel().axpy_classified(a, &b, class, &mut acc);
-                    assert_rows_equal(&acc, &want, &format!("{ctx} axpy_classified"));
+                    for cover in [class, RowClass::Special] {
+                        let mut acc = vec![0.25f32; len];
+                        m.batch_kernel().axpy(a, &b, cover, &mut acc);
+                        assert_rows_equal(&acc, &want, &format!("{ctx} axpy {cover:?}"));
+                    }
 
                     let mut out = vec![0.0f32; len];
                     let a_row: Vec<f32> = boundary_row(len, pins, &mut rng);
-                    m.batch_kernel().mul(&a_row, &b, &mut out);
+                    m.multiply_slice(&a_row, &b, &mut out);
                     let want: Vec<f32> =
                         a_row.iter().zip(&b).map(|(&x, &y)| m.multiply(x, y)).collect();
                     assert_rows_equal(&out, &want, &format!("{ctx} mul"));
@@ -115,7 +118,7 @@ fn axpy_and_mul_are_bit_exact_at_lane_boundaries() {
     }
 }
 
-/// `dot` against the crate's pinned reduction semantics (scalar products
+/// `dot_accumulate` against the crate's pinned reduction semantics (scalar products
 /// accumulated in order through `nan_stable_add`).
 #[test]
 fn dot_is_bit_exact_at_lane_boundaries() {
@@ -126,7 +129,7 @@ fn dot_is_bit_exact_at_lane_boundaries() {
             for pins in [&[] as &[f32], &SPECIALS] {
                 let a = boundary_row(len, pins, &mut rng);
                 let b = boundary_row(len, &[1.0], &mut rng);
-                let got = m.batch_kernel().dot(&a, &b);
+                let got = m.dot_accumulate(&a, &b);
                 let mut want = 0.0f32;
                 for (&x, &y) in a.iter().zip(&b) {
                     want = nan_stable_add(want, m.multiply(x, y));
@@ -142,33 +145,10 @@ fn dot_is_bit_exact_at_lane_boundaries() {
     }
 }
 
-/// `axpy_rows` (strided multi-row sweep) equals row-by-row `axpy` for every
-/// kind, including ragged tails and special pins.
-#[test]
-fn axpy_rows_matches_rowwise_axpy() {
-    let mut rng = rng();
-    for kind in MultiplierKind::ALL {
-        let m = kind.build();
-        for len in LENGTHS {
-            let b = boundary_row(len, &SPECIALS, &mut rng);
-            let a_col: Vec<f32> = vec![0.7, f32::NAN, -0.0, 1.5e38];
-            let stride = len + 3;
-            let mut acc = vec![0.5f32; a_col.len() * stride];
-            let mut want = acc.clone();
-            m.batch_kernel().axpy_rows(&a_col, &b, &mut acc, stride);
-            {
-                let mut kern = m.batch_kernel();
-                for (r, &av) in a_col.iter().enumerate() {
-                    kern.axpy(av, &b, &mut want[r * stride..r * stride + len]);
-                }
-            }
-            assert_rows_equal(&acc, &want, &format!("{kind} len={len} axpy_rows"));
-        }
-    }
-}
-
-/// `gemm_tile` equals rowwise `axpy_prepared` at lane-boundary tile widths
-/// with specials pinned at tile boundaries (the engine's fused conv path).
+/// `gemm_tile` under every valid class cover equals the scalar `multiply`
+/// loop accumulated with `k` ascending, at lane-boundary tile widths with
+/// specials pinned at tile boundaries and a strided output (the engine's
+/// fused conv path), for every kind and a rotating schedule.
 #[test]
 fn gemm_tile_is_bit_exact_at_lane_boundary_tiles() {
     let mut rng = rng();
@@ -177,8 +157,17 @@ fn gemm_tile_is_bit_exact_at_lane_boundary_tiles() {
     // `BITSLICE_WIDE` normal weights that gate-level kernels fuse.
     let wide_k = 2 * BITSLICE_WIDE + 1;
     let cases = [(3usize, 4usize, None), (wide_k, 8, Some(wide_k + 4))];
-    for kind in MultiplierKind::ALL {
-        let m = kind.build();
+    let rotating = Arc::new(RotatingMultiplier::from_kinds(&[
+        MultiplierKind::Heap,
+        MultiplierKind::Bfloat16,
+        MultiplierKind::AxFpm,
+    ]));
+    let mut mults: Vec<(String, Arc<dyn Multiplier>)> =
+        MultiplierKind::ALL.iter().map(|k| (k.to_string(), k.build())).collect();
+    for epoch in 0..rotating.schedule_len() {
+        mults.push((format!("rotating@{epoch}"), rotating.clone()));
+    }
+    for (name, m) in &mults {
         for (k, nan_at, zero_at) in cases {
             for tile in LENGTHS {
                 if tile == 0 {
@@ -197,29 +186,30 @@ fn gemm_tile_is_bit_exact_at_lane_boundary_tiles() {
                         }
                     })
                     .collect();
-                let ops = PreparedOperands::from_matrix(&w, rows, k);
                 let mut b = Vec::new();
                 for _ in 0..k {
                     b.extend(boundary_row(tile, &SPECIALS, &mut rng));
                 }
-                let mut acc = vec![0.125f32; rows * stride];
-                let mut want = acc.clone();
-                m.batch_kernel().gemm_tile(&ops, &b, tile, &mut acc, stride);
-                {
-                    let mut kern = m.batch_kernel();
-                    for r in 0..rows {
-                        let acc_row = &mut want[r * stride..r * stride + tile];
-                        for kk in 0..k {
-                            kern.axpy_prepared(
-                                &PreparedOperand::new(w[r * k + kk]),
-                                &b[kk * tile..(kk + 1) * tile],
-                                acc_row,
-                            );
+                let mut want = vec![0.125f32; rows * stride];
+                for r in 0..rows {
+                    for kk in 0..k {
+                        for j in 0..tile {
+                            let o = &mut want[r * stride + j];
+                            *o = nan_stable_add(*o, m.multiply(w[r * k + kk], b[kk * tile + j]));
                         }
                     }
                 }
-                assert_rows_equal(&acc, &want, &format!("{kind} k={k} tile={tile} gemm_tile"));
+                let tight = b.chunks(tile).map(classify_row).max().unwrap();
+                for class in [tight, RowClass::Special] {
+                    let mut acc = vec![0.125f32; rows * stride];
+                    m.batch_kernel().gemm_tile(&w, &b, tile, class, &mut acc, stride);
+                    let ctx = format!("{name} k={k} tile={tile} {class:?} gemm_tile");
+                    assert_rows_equal(&acc, &want, &ctx);
+                }
             }
+        }
+        if name.starts_with("rotating") {
+            rotating.advance();
         }
     }
 }

@@ -31,7 +31,8 @@ proptest! {
         prop_assert_eq!(ArrayMultiplier::new(spec).multiply(a, b), a * b);
     }
 
-    /// The AMA5 inflation law (DESIGN.md §4): for normalized operands,
+    /// The AMA5 inflation law (from the closed form pinned by `array.rs`'s
+    /// `ama5_array_matches_closed_form`): for normalized operands,
     /// `exact <= approx <= 2 * exact`.
     #[test]
     fn ama5_inflation_law(a in 0u64..(1 << 12), b in 0u64..(1 << 12)) {

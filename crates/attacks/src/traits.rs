@@ -46,7 +46,7 @@ pub trait TargetModel: Send + Sync {
     /// The default loops [`predict`](TargetModel::predict) per image; models
     /// backed by batched inference (like [`Network`]) override it with one
     /// batched forward pass through the compiled serving engine
-    /// (`da_nn::engine`: pre-decomposed weights, fused conv tiles, reused
+    /// (`da_nn::engine`: pre-reshaped weights, fused conv tiles, reused
     /// workspaces), which is bit-identical per image.
     fn predict_batch(&self, images: &Tensor) -> Vec<usize> {
         (0..images.shape()[0]).map(|i| self.predict(&images.batch_item(i))).collect()

@@ -1,7 +1,7 @@
 //! Ablation: cell port-map (wiring) sensitivity of the AMA5 array.
 //!
-//! DESIGN.md §4/§9: the paper's Figure-3 inflation depends on an undisclosed
-//! wiring choice. This bench sweeps every input-port permutation of the AMA5
+//! The paper does not publish its AMA5 cell wiring, and its Figure-3
+//! inflation depends on that choice. This bench sweeps every input-port permutation of the AMA5
 //! cells and reports the resulting multiplier-level error profile — showing
 //! that only the canonical wiring reproduces the published characterization,
 //! one of the contested aspects of the defense.

@@ -66,7 +66,7 @@ fn main() {
     let mut emitter = JsonEmitter::from_env("engine_throughput");
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
 
-    println!("Serving-engine throughput (compiled plans: pre-decomposed weights, fused");
+    println!("Serving-engine throughput (compiled plans: pre-reshaped weights, fused");
     println!("conv tiles, workspace reuse — vs the per-layer eval forward; higher is better)");
     println!();
     println!(

@@ -5,8 +5,9 @@
 //!
 //! * `<kind>` rows time the batched f32 GEMM against `scalar-dyn`, the
 //!   seed's one-virtual-call-per-MAC loop.
-//! * `heap-bitslice` times the fused multi-term axpy (8×64-wide plane
-//!   sweeps) against `heap batched`, the per-worker kernel's f32 GEMM.
+//! * `heap-bitslice` times the batch kernel's `gemm_tile` over the whole
+//!   weight block (8×64-wide plane sweeps) against `heap batched`, the
+//!   blocked f32 GEMM's per-operand `axpy` sweeps.
 //! * `<kind>-int8` rows time the int8 gather against `<kind> batched`: the
 //!   product table absorbs the whole hardware model, so the gather runs at
 //!   one speed for every kind.
@@ -29,7 +30,7 @@ use std::time::Instant;
 use da_arith::quantized::{
     lut4_gemm, lut_gemm, Lut4Order, ProductLut, ProductLut4, QuantParams, QuantParams4,
 };
-use da_arith::MultiplierKind;
+use da_arith::{classify_row, MultiplierKind, RowClass};
 use da_bench::json::{JsonEmitter, Record};
 use da_nn::layers::{gemm_with, matmul_with_scalar};
 use da_tensor::Tensor;
@@ -121,23 +122,19 @@ fn main() {
             emit_row(&mut emitter, &size, kind.as_str(), scalar, batched);
 
             if kind == MultiplierKind::Heap {
-                // GEMM through the fused multi-term axpy entry point: cores
-                // without a closed form run on `da_arith::BitslicedArray`
-                // with eight 64-lane sub-blocks per plane sweep (one per
-                // shared operand of a run of eight). The batched row above
-                // runs the same plane sweep one shared operand at a time.
-                let ad = a.data();
+                // GEMM through the kernel's tile entry point over all `m`
+                // rows: cores without a closed form run on
+                // `da_arith::BitslicedArray` with eight 64-lane sub-blocks
+                // per plane sweep (one per weight of a run of eight). The
+                // batched row above runs the same plane sweep one shared
+                // operand at a time.
                 let bd = b.data();
+                let class = bd.chunks(n).map(classify_row).max().unwrap_or(RowClass::Normal);
+                let mut kernel = mult.batch_kernel();
                 let mut acc_bs = vec![0.0f32; m * n];
                 let bitslice_rate = macs_per_sec(macs, reps.max(3), || {
                     acc_bs.fill(0.0);
-                    for r in 0..m {
-                        mult.axpy_fused(
-                            &ad[r * k..(r + 1) * k],
-                            bd,
-                            &mut acc_bs[r * n..(r + 1) * n],
-                        );
-                    }
+                    kernel.gemm_tile(a.data(), bd, n, class, &mut acc_bs, n);
                     std::hint::black_box(acc_bs[0]);
                     Tensor::zeros(&[1])
                 });

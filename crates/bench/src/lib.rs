@@ -2,7 +2,7 @@
 //! evaluation (one bench target per artifact; see `benches/`).
 //!
 //! Each bench first *prints* the regenerated table/series (so `cargo bench`
-//! output doubles as the reproduction record captured in EXPERIMENTS.md),
+//! output doubles as the reproduction record),
 //! then times the experiment's core kernel with Criterion.
 //!
 //! The perf baselines (`gemm_backend_throughput`, `engine_throughput`)

@@ -1,5 +1,5 @@
-//! One runner per table/figure of the paper's evaluation (index in
-//! DESIGN.md §5 and EXPERIMENTS.md).
+//! One runner per table/figure of the paper's evaluation (the index is the
+//! table in the `da_core` crate docs).
 
 pub mod accuracy;
 pub mod blackbox;

@@ -2,8 +2,7 @@
 //! cache, and one experiment runner per table/figure of the paper's
 //! evaluation.
 //!
-//! The mapping from paper artifact to runner lives in [`experiments`] (and
-//! in DESIGN.md §5):
+//! The mapping from paper artifact to runner ([`experiments`]):
 //!
 //! | Paper artifact | Runner |
 //! |---|---|
@@ -23,7 +22,7 @@
 //!
 //! Every runner's inference (accuracy sweeps, attack replay, prediction
 //! filtering) routes through `da_nn`'s compiled serving engine: `Network`
-//! caches an `InferencePlan` (pre-decomposed weights, fused conv tiles,
+//! caches an `InferencePlan` (pre-reshaped weights, fused conv tiles,
 //! reused workspaces) behind `logits`/`predict`, bit-identical to the
 //! per-layer forward pass.
 //!

@@ -61,7 +61,7 @@ pub fn digit_strokes(digit: usize) -> Vec<Stroke> {
 }
 
 /// Generator knobs (defaults are calibrated so LeNet-5 lands near the paper's
-/// MNIST accuracy; see EXPERIMENTS.md).
+/// MNIST accuracy).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DigitStyle {
     /// Max |rotation| in radians.

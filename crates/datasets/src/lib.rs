@@ -2,8 +2,9 @@
 //!
 //! The reproduction environment has no dataset downloads, so this crate
 //! procedurally generates two classification tasks with the same tensor
-//! shapes, value ranges, and rough difficulty as the paper's datasets
-//! (substitution documented in DESIGN.md §3):
+//! shapes and value ranges as the paper's datasets. Results on them are not
+//! MNIST/CIFAR numbers; they only test whether the paper's effects show on
+//! tasks of that shape:
 //!
 //! * [`digits::synth_digits`] — "SynthDigits": 28×28 grayscale handwritten-
 //!   style digits rasterized from stroke skeletons with affine jitter,

@@ -55,7 +55,7 @@ impl ObjectClass {
 }
 
 /// Generator knobs (defaults calibrated so AlexNet lands near the paper's
-/// CIFAR-10 accuracy; see EXPERIMENTS.md).
+/// CIFAR-10 accuracy).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjectStyle {
     /// Additive pixel-noise amplitude.

@@ -10,11 +10,12 @@
 //!
 //! * every conv/dense layer becomes one `Conv`/`Dense` step whose weights
 //!   are held in the form its GEMM consumes — a kernel enum with four
-//!   forms: raw `f32` weights (no multiplier), pre-decomposed
-//!   [`da_arith::PreparedOperands`] (conv) or row-classified weights
-//!   (dense) for the multiplier's batch kernel, int8 codes over a
-//!   [`ProductLut`], and int4 codes over a [`ProductLut4`] (no per-call
-//!   operand decomposition or row scans);
+//!   forms: plain `f32` weights (conv weights always, dense weights without
+//!   a multiplier), row-classified dense weights for the multiplier's batch
+//!   kernel ([`da_arith::classify_row`] once at compile time), int8 codes
+//!   over a [`ProductLut`], and int4 codes over a [`ProductLut4`]. With a
+//!   multiplier, conv steps run [`BatchKernel::gemm_tile`] with one row
+//!   class per input plane, so the hot path does no per-call row scans;
 //! * convolution weights are pre-reshaped to `[Cout, Cin·Kh·Kw]` and dense
 //!   weights pre-transposed to `[In, Out]` (no per-call clone + reshape;
 //!   dense weights stay the *right* operand, because the reference GEMM
@@ -122,7 +123,6 @@
 //! // (`net.plan()` compiles and caches the same thing behind `logits`.)
 //! ```
 
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -130,7 +130,7 @@ use da_arith::quantized::{
     lut4_gemm, lut_gemm, Lut4Order, ProductLut, ProductLut4, QuantParams, QuantParams4,
 };
 use da_arith::storage::Storage;
-use da_arith::{BatchKernel, ExactMultiplier, Multiplier, PreparedOperands, RowClass};
+use da_arith::{classify_row, BatchKernel, ExactMultiplier, Multiplier, RowClass};
 use da_tensor::ops::ConvGeometry;
 use da_tensor::parallel::par_map_chunks_with;
 use da_tensor::Tensor;
@@ -271,15 +271,13 @@ impl ConvGeom {
 /// f32 reference's dense GEMM computes `multiply(x, wᵀ)`, and approximate
 /// multipliers need not commute, so every kernel keeps that operand order.
 pub(crate) enum Kernel {
-    /// Raw `f32` weights, run by the native multiply-add loop (plans without
-    /// a multiplier).
+    /// Plain `f32` weights: conv weights with or without a multiplier (the
+    /// plan's batch kernel, if any, sweeps them through
+    /// [`BatchKernel::gemm_tile`]), and dense weights without one (the
+    /// native multiply-add loop).
     F32(Storage<f32>),
-    /// Conv weights pre-decomposed for [`BatchKernel::gemm_tile_classed`]
-    /// (no per-call operand decomposition).
-    Prepared(PreparedOperands),
     /// Dense weights with each row's [`RowClass`], classified once at
-    /// compile time so [`BatchKernel::axpy_classified`] skips the per-call
-    /// row scan.
+    /// compile time so [`BatchKernel::axpy`] skips the per-call row scan.
     Classified { wt: Storage<f32>, class: Vec<RowClass> },
     /// int8 weight codes gathered from a 256×256 product table
     /// ([`lut_gemm`]); same layouts as the f32 kernels.
@@ -291,49 +289,28 @@ pub(crate) enum Kernel {
 }
 
 impl Kernel {
-    /// The f32 kernel for conv weights `[Cout, K]`: decomposed when the plan
-    /// has a multiplier (the only case with a batch kernel), raw otherwise.
-    pub(crate) fn conv(
-        multiplier: &Option<Arc<dyn Multiplier>>,
-        w: Storage<f32>,
-        geom: &ConvGeom,
-    ) -> Kernel {
-        match multiplier {
-            Some(_) => Kernel::Prepared(PreparedOperands::from_matrix(
-                w.as_slice(),
-                geom.cout,
-                geom.taps(),
-            )),
-            None => Kernel::F32(w),
-        }
-    }
-
-    /// The f32 kernel for dense weights `[In, Out]`: rows classified through
-    /// the multiplier's own batch kernel, so each kernel's sweeps get exactly
-    /// the class granularity they expect; raw without a multiplier.
+    /// The f32 kernel for dense weights `[In, Out]`: rows classified with
+    /// [`classify_row`], the one classification every batch kernel accepts
+    /// (so the classes stay valid whichever design a rotating multiplier
+    /// runs); raw without a multiplier.
     pub(crate) fn dense(
         multiplier: &Option<Arc<dyn Multiplier>>,
         wt: Storage<f32>,
         out_features: usize,
     ) -> Kernel {
         match multiplier {
-            Some(m) => {
-                let classifier = m.batch_kernel();
-                let class = wt.as_slice().chunks(out_features).map(|r| classifier.classify_rhs(r));
-                Kernel::Classified { class: class.collect(), wt }
+            Some(_) => {
+                let class = wt.as_slice().chunks(out_features).map(classify_row).collect();
+                Kernel::Classified { class, wt }
             }
             None => Kernel::F32(wt),
         }
     }
 
-    /// The weight values of an f32 kernel, in stored order (prepared
-    /// operands keep every weight's exact value).
-    pub(crate) fn f32_weights(&self) -> Cow<'_, [f32]> {
+    /// The weight values of an f32 kernel, in stored order.
+    pub(crate) fn f32_weights(&self) -> &[f32] {
         match self {
-            Kernel::F32(w) | Kernel::Classified { wt: w, .. } => Cow::Borrowed(w.as_slice()),
-            Kernel::Prepared(p) => Cow::Owned(
-                (0..p.rows()).flat_map(|r| p.row(r).iter().map(|op| op.value())).collect(),
-            ),
+            Kernel::F32(w) | Kernel::Classified { wt: w, .. } => w.as_slice(),
             Kernel::Lut8 { .. } | Kernel::Lut4 { .. } => {
                 unreachable!("quantized kernels carry codes, not f32 weights")
             }
@@ -918,7 +895,7 @@ fn quantize_gemm(
         _ => unreachable!("only conv/dense steps carry kernels"),
     };
     let w = kernel.f32_weights();
-    let (wlo, whi) = QuantParams::observe(&w);
+    let (wlo, whi) = QuantParams::observe(w);
     let wq = QuantParams::from_range(wlo, whi);
     let lut = if conv.is_some() { luts.int8(m, wq, act) } else { luts.int8(m, act, wq) };
     let codes = Storage::Owned(w.iter().map(|&v| wq.quantize(v)).collect());
@@ -967,7 +944,7 @@ fn quantize_gemm(
     chosen
 }
 
-/// A network compiled for serving: pre-decomposed weights, fused conv
+/// A network compiled for serving: pre-reshaped weights, fused conv
 /// tiles, and a reusable workspace arena (see the module docs).
 pub struct InferencePlan {
     pub(crate) multiplier: Option<Arc<dyn Multiplier>>,
@@ -1033,13 +1010,11 @@ impl InferencePlan {
                     }
                     let s = weight.shape();
                     let geom = ConvGeom { cout: s[0], cin: s[1], kh: s[2], kw: s[3], stride, pad };
-                    let w = Storage::Owned(weight.into_vec());
-                    let kernel = Kernel::conv(&multiplier, w, &geom);
                     steps.push(Step::Conv {
                         geom,
                         bias: bias.into_vec(),
                         fuse_relu: false,
-                        kernel,
+                        kernel: Kernel::F32(Storage::Owned(weight.into_vec())),
                     });
                 }
                 CompiledLayer::Dense { weight, bias, multiplier: layer_mult } => {
@@ -1740,16 +1715,11 @@ impl InferencePlan {
                     if *fuse_relu {
                         relu_mask(gy, output);
                     }
-                    match kernel {
-                        Kernel::F32(w) => {
-                            let (w, k) = (w.as_slice(), geom.taps());
-                            conv_dx(geom, shapes, |co, tap| w[co * k + tap], gy, gx, row);
-                        }
-                        Kernel::Prepared(p) => {
-                            conv_dx(geom, shapes, |co, tap| p.row(co)[tap].value(), gy, gx, row);
-                        }
-                        _ => unreachable!("differentiable conv steps carry f32 weights"),
-                    }
+                    let Kernel::F32(w) = kernel else {
+                        unreachable!("differentiable conv steps carry f32 weights")
+                    };
+                    let (w, k) = (w.as_slice(), geom.taps());
+                    conv_dx(geom, shapes, |co, tap| w[co * k + tap], gy, gx, row);
                 }
                 Step::Dense { out_features, fuse_relu, kernel, .. } => {
                     if *fuse_relu {
@@ -1990,7 +1960,7 @@ fn exec_step(
                     for (xi, ai) in x.chunks_exact(inf).zip(acc.chunks_exact_mut(outf)) {
                         let rows = xi.iter().zip(wt.as_slice().chunks_exact(outf)).zip(class);
                         for ((&av, wrow), &c) in rows {
-                            a.axpy_classified(av, wrow, c, ai);
+                            a.axpy(av, wrow, c, ai);
                         }
                     }
                 }
@@ -2082,14 +2052,14 @@ fn conv(
     let (in_len, out_len) = (g.cin * h * w, g.cout * p_total);
     let mut sink = Sink::new(dst, kernel.out());
     match (kernel, src) {
-        (Kernel::F32(_) | Kernel::Prepared(_), Acts::F32(src)) => {
+        (Kernel::F32(wmat), Acts::F32(src)) => {
+            let wmat = wmat.as_slice();
             for (item, x) in src.chunks_exact(in_len).enumerate() {
                 // One covering row class for every patch tile of this item,
                 // derived from the input plane (patch rows only ever contain
                 // plane values plus padding zeros): removes all per-tile
-                // classification scans from the serving hot path. The scan
-                // granularity is the kernel's own (`classify_rhs`).
-                let plane_class = arith.as_ref().map(|a| match a.classify_rhs(x) {
+                // classification scans from the serving hot path.
+                let plane_class = arith.is_some().then(|| match classify_row(x) {
                     RowClass::Normal if g.pad > 0 => RowClass::Zeros,
                     class => class,
                 });
@@ -2099,31 +2069,25 @@ fn conv(
                     let gb = &ws.gather[..k * tile];
                     let acc = &mut ws.facc[..g.cout * tile];
                     acc.fill(0.0);
-                    match (arith.as_deref_mut(), kernel) {
-                        (Some(a), Kernel::Prepared(prep)) => {
-                            // Approximate path: the whole weight block
-                            // sweeps the shared patch tile in one fused
-                            // kernel call — per element `k` ascending, the
-                            // batched GEMM's accumulation order.
-                            let class = plane_class.expect("kernel implies class");
-                            a.gemm_tile_classed(prep, gb, tile, class, acc, tile);
-                        }
-                        (None, Kernel::F32(wmat)) => {
-                            // Exact path: mirror `da_tensor::ops::matmul`,
-                            // including its zero-weight skip.
-                            let rows = wmat.as_slice().chunks_exact(k);
-                            for (arow, wrow) in acc.chunks_exact_mut(tile).zip(rows) {
-                                for (&av, grow) in wrow.iter().zip(gb.chunks_exact(tile)) {
-                                    if av == 0.0 {
-                                        continue;
-                                    }
-                                    for (o, &gv) in arow.iter_mut().zip(grow) {
-                                        *o += av * gv;
-                                    }
+                    if let (Some(a), Some(class)) = (arith.as_deref_mut(), plane_class) {
+                        // Approximate path: the whole weight block sweeps
+                        // the shared patch tile in one fused kernel call —
+                        // per element `k` ascending, the batched GEMM's
+                        // accumulation order.
+                        a.gemm_tile(wmat, gb, tile, class, acc, tile);
+                    } else {
+                        // Exact path: mirror `da_tensor::ops::matmul`,
+                        // including its zero-weight skip.
+                        for (arow, wrow) in acc.chunks_exact_mut(tile).zip(wmat.chunks_exact(k)) {
+                            for (&av, grow) in wrow.iter().zip(gb.chunks_exact(tile)) {
+                                if av == 0.0 {
+                                    continue;
+                                }
+                                for (o, &gv) in arow.iter_mut().zip(grow) {
+                                    *o += av * gv;
                                 }
                             }
                         }
-                        _ => unreachable!("conv weight form always matches the kernel mode"),
                     }
                     for (co, row) in acc.chunks_exact(tile).enumerate() {
                         let at = item * out_len + co * p_total + p0;

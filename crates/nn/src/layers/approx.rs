@@ -22,7 +22,7 @@
 //! reproduce it to the last ULP for every [`da_arith::MultiplierKind`],
 //! because both accumulate each output element over `k` in the same order.
 
-use da_arith::Multiplier;
+use da_arith::{classify_row, Multiplier};
 use da_tensor::parallel::par_map_chunks_with;
 use da_tensor::Tensor;
 
@@ -90,20 +90,17 @@ pub fn gemm_with<M: Multiplier + ?Sized>(multiplier: &M, a: &Tensor, b: &Tensor)
 
     // Classify every B tile once per GEMM (one linear pass over B): each
     // row block then hands the kernel a precomputed `RowClass` instead of
-    // re-scanning the shared tile per sweep. Classification goes through
-    // the kernel (`classify_rhs`), which knows the cheapest scan its sweeps
-    // can accept; classes are position-pure, so this cannot change results
-    // — only skip redundant scans.
-    let classifier = multiplier.batch_kernel();
+    // re-scanning the shared tile per sweep. `classify_row` is the one
+    // classification every kernel accepts; classes are position-pure, so
+    // this cannot change results — only skip redundant scans.
     let tiles = n.div_ceil(TILE_COLS);
     let mut classes = Vec::with_capacity(k * tiles);
     for kk in 0..k {
         for jb in (0..n).step_by(TILE_COLS) {
             let je = (jb + TILE_COLS).min(n);
-            classes.push(classifier.classify_rhs(&bd[kk * n + jb..kk * n + je]));
+            classes.push(classify_row(&bd[kk * n + jb..kk * n + je]));
         }
     }
-    drop(classifier);
     let classes = &classes[..];
 
     if m > 1 && m * k * n >= PAR_MIN_MACS {
@@ -130,7 +127,7 @@ const TILE_ROWS: usize = 4;
 
 /// One row block of the blocked GEMM: for each column tile, sweep `k` and
 /// feed every resident output row through the kernel's
-/// [`da_arith::BatchKernel::axpy_classified`] with the tile's precomputed
+/// [`da_arith::BatchKernel::axpy`] with the tile's precomputed
 /// [`da_arith::RowClass`], so closed-form kernels go straight to the
 /// class-matched lane sweep while the B tile is hot. Per output element the
 /// `k` order is ascending — the bit-exactness invariant.
@@ -153,7 +150,7 @@ fn gemm_rows<'k>(
             let class = classes[kk * tiles + jb_idx];
             for r in 0..rows {
                 let av = ad[(row0 + r) * k + kk];
-                kernel.axpy_classified(av, btile, class, &mut opiece[r * n + jb..r * n + je]);
+                kernel.axpy(av, btile, class, &mut opiece[r * n + jb..r * n + je]);
             }
         }
     }

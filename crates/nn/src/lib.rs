@@ -38,9 +38,9 @@
 //! * [`layers::gemm_with`] is a blocked, cache-tiled GEMM, generic over the
 //!   multiplier. It distributes output rows over the scoped thread pool
 //!   (`da_tensor::parallel`) and gives each worker its own
-//!   [`da_arith::BatchKernel`] — a slice kernel that amortizes operand
-//!   decomposition across the whole GEMM and runs gate-level cores on the
-//!   bit-sliced plane sweep (see `da_arith::batch`).
+//!   [`da_arith::BatchKernel`], fed one row class per B tile computed once
+//!   per GEMM; gate-level cores run on the bit-sliced plane sweep (see
+//!   `da_arith::batch`).
 //! * [`layers::matmul_with`] is the `dyn`-boundary wrapper layers use; the
 //!   `dyn Multiplier` is resolved once per row-slice, never per element.
 //!   With [`da_arith::ExactMultiplier`] the monomorphized inner loop
@@ -59,10 +59,11 @@
 //!
 //! Evaluation-mode inference additionally runs on **compiled plans**
 //! ([`engine::InferencePlan`]): the layer stack is walked once, weights are
-//! pre-reshaped/pre-transposed and conv weights pre-decomposed into
-//! [`da_arith::PreparedOperands`], convolutions execute as fused
-//! conv+bias+ReLU tiles without materializing im2col columns, and
-//! intermediates live in a reusable workspace arena.
+//! pre-reshaped/pre-transposed (dense rows classified once with
+//! [`da_arith::classify_row`]), convolutions execute as fused
+//! conv+bias+ReLU tiles through [`da_arith::BatchKernel::gemm_tile`]
+//! without materializing im2col columns, and intermediates live in a
+//! reusable workspace arena.
 //! [`Network::logits`] (and everything built on it: `predict`,
 //! `probabilities`, `accuracy`, the attack harness's `predict_batch`)
 //! transparently uses a cached plan and falls back to the per-layer

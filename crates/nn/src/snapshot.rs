@@ -2,11 +2,10 @@
 //! versioned, checksummed binary file and map them back in with near-zero
 //! cold start.
 //!
-//! Compiling a plan is expensive: the f32 path re-decomposes every weight,
-//! and the quantized paths run a full f32 calibration pass and then build
-//! one 256×256 [`ProductLut`] per distinct quantizer pair — 65 536 scalar
-//! `multiply` calls each, which for gate-level wirings means 65 536 full
-//! gate-level evaluations *per table*. A snapshot pays that cost once:
+//! Compiling a quantized plan is expensive: it runs a full f32 calibration
+//! pass and then builds one 256×256 [`ProductLut`] per distinct quantizer
+//! pair — 65 536 scalar `multiply` calls each, which for gate-level wirings
+//! means 65 536 full gate-level evaluations *per table*. A snapshot pays that cost once:
 //! loading performs **no calibration and no LUT build**, and the big flat
 //! payloads (product tables, weight matrices, code tensors) are not even
 //! copied — the loaded plan's [`da_arith::Storage`] slices borrow the
@@ -66,7 +65,6 @@
 //! precompile one snapshot per [`MultiplierKind`] and later swap serving
 //! pools in milliseconds (see `examples/snapshot.rs`).
 
-use std::borrow::Cow;
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -341,16 +339,14 @@ const QOUT_CODES: u8 = 1;
 
 /// A payload blob queued for its own aligned section.
 enum Blob<'a> {
-    F32Borrowed(&'a [f32]),
-    F32Owned(Vec<f32>),
+    F32(&'a [f32]),
     U8(&'a [u8]),
 }
 
 impl Blob<'_> {
     fn bytes(&self) -> &[u8] {
         match self {
-            Blob::F32Borrowed(v) => f32_bytes(v),
-            Blob::F32Owned(v) => f32_bytes(v),
+            Blob::F32(v) => f32_bytes(v),
             Blob::U8(v) => v,
         }
     }
@@ -538,14 +534,8 @@ fn encode_kernel<'a>(
     luts: &mut LutRegistry,
 ) -> Result<Option<QOut>, SnapshotError> {
     let (tag, blob, lut, out) = match kernel {
-        Kernel::F32(_) | Kernel::Prepared(_) | Kernel::Classified { .. } => {
-            // Prepared operands keep the original value of every weight;
-            // the decomposition is recomputed at load.
-            let blob = match kernel.f32_weights() {
-                Cow::Borrowed(w) => Blob::F32Borrowed(w),
-                Cow::Owned(w) => Blob::F32Owned(w),
-            };
-            (tags[0], blob, None, None)
+        Kernel::F32(_) | Kernel::Classified { .. } => {
+            (tags[0], Blob::F32(kernel.f32_weights()), None, None)
         }
         Kernel::Lut8 { codes, lut, out } => {
             let ptr = Arc::as_ptr(lut);
@@ -593,7 +583,7 @@ fn intern_lut<'a, T>(
     let idx = match seen.iter().position(|p| *p == ptr) {
         Some(idx) => idx,
         None => {
-            let section = push_blob(blobs, Blob::F32Borrowed(table))?;
+            let section = push_blob(blobs, Blob::F32(table))?;
             describe(meta);
             meta.u32(section);
             seen.push(ptr);
@@ -869,12 +859,8 @@ fn decode_plan(bytes: &[u8], region: Arc<dyn ByteRegion>) -> Result<InferencePla
                     return Err(SnapshotError::Corrupt("conv bias length"));
                 }
                 let geom = ConvGeom::from_dims(d);
-                let kernel = dec.kernel(section, conv_weight_len(&d)?, lut.zip(out), |w| {
-                    // The kernel path consumes pre-decomposed operands;
-                    // rebuilding them is cheap and deterministic, and
-                    // `PreparedOperand::value` preserved the exact f32s.
-                    Kernel::conv(&multiplier, w, &geom)
-                })?;
+                let kernel =
+                    dec.kernel(section, conv_weight_len(&d)?, lut.zip(out), Kernel::F32)?;
                 Step::Conv { geom, bias, fuse_relu, kernel }
             }
             TAG_DENSE | TAG_QDENSE | TAG_QDENSE4 => {
@@ -974,10 +960,11 @@ impl InferencePlan {
     /// Map the snapshot at `path` and assemble a ready-to-serve plan.
     ///
     /// No calibration pass, no LUT build: product tables, weight matrices,
-    /// and code tensors borrow the mapping zero-copy; only small metadata
-    /// (biases, quantizers, shapes) and the cheap derived state (prepared
-    /// conv operands, dense row classes) are materialized. Serving from the
-    /// result is bit-identical to serving from the plan that was saved.
+    /// and code tensors (conv weights of f32 multiplier plans included)
+    /// borrow the mapping zero-copy; only small metadata (biases,
+    /// quantizers, shapes) and the cheap derived state (dense row classes)
+    /// are materialized. Serving from the result is bit-identical to serving
+    /// from the plan that was saved.
     pub fn load(path: impl AsRef<Path>) -> Result<InferencePlan, SnapshotError> {
         // Chaos-test injection site (no-op unless the `failpoints` feature
         // is on): models the disk failing mid-read, e.g. during a hot

@@ -43,7 +43,8 @@ pub fn lenet5<R: Rng>(num_classes: usize, rng: &mut R) -> Network {
 /// The CIFAR-scale AlexNet of §5.1: five convolution layers, three
 /// max-pooling layers, and three fully connected layers with ReLU and
 /// dropout. Channel counts are scaled to the 32×32×3 input (the paper's
-/// CIFAR-10 configuration); see DESIGN.md for the sizing rationale.
+/// CIFAR-10 configuration) and kept small (16–48) so the gate-level
+/// multipliers can evaluate the network in tests and reproduction runs.
 pub fn alexnet_cifar<R: Rng>(num_classes: usize, rng: &mut R) -> Network {
     Network::new("alexnet")
         .push(Conv2d::new(3, 16, 3, 1, 1, rng)) // 32

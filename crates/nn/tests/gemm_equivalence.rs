@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
 use da_arith::simd::nan_stable_add;
-use da_arith::{ExactMultiplier, MultiplierKind};
+use da_arith::{classify_row, ExactMultiplier, MultiplierKind, RowClass};
 use da_nn::layers::{gemm_with, matmul_with_scalar};
 use da_tensor::ops::matmul;
 use da_tensor::Tensor;
@@ -113,14 +113,19 @@ proptest! {
             prop_assert_eq!(dot.to_bits(), want.to_bits(), "{} dot", kind);
 
             let scale = a.data()[0];
-            let mut acc = vec![0.25f32; len];
-            let mut acc_want = acc.clone();
-            m.axpy_slice(scale, b.data(), &mut acc);
+            let mut acc_want = vec![0.25f32; len];
             for (i, v) in acc_want.iter_mut().enumerate() {
                 *v = nan_stable_add(*v, m.multiply(scale, b.data()[i]));
             }
-            for i in 0..len {
-                prop_assert_eq!(acc[i].to_bits(), acc_want[i].to_bits(), "{} axpy at {}", kind, i);
+            for class in [classify_row(b.data()), RowClass::Special] {
+                let mut acc = vec![0.25f32; len];
+                m.batch_kernel().axpy(scale, b.data(), class, &mut acc);
+                for i in 0..len {
+                    prop_assert_eq!(
+                        acc[i].to_bits(), acc_want[i].to_bits(),
+                        "{} axpy {:?} at {}", kind, class, i
+                    );
+                }
             }
         }
     }

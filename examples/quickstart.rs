@@ -10,7 +10,7 @@
 //! 2. an FGSM adversarial crafted on the exact model fails to transfer.
 //!
 //! All inference below rides compiled serving plans (`da_nn::engine`):
-//! `Network` caches an `InferencePlan` with pre-decomposed weights, fused
+//! `Network` caches an `InferencePlan` with pre-reshaped weights, fused
 //! conv tiles, and reused workspaces, and every `predict`/`accuracy` call
 //! routes through it — bit-identical to the per-layer forward pass.
 

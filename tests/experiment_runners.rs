@@ -1,5 +1,6 @@
 //! Integration: every experiment runner produces a well-formed, printable
-//! result on the smoke budget (the per-table/figure index of DESIGN.md §5).
+//! result on the smoke budget (the per-table/figure index is in the
+//! `da_core` crate docs).
 
 use defensive_approximation::core::experiments::{
     accuracy, confidence, energy, fig4, heatmap, profiles, transfer,
