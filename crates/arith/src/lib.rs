@@ -46,18 +46,16 @@
 //!   products per block, and 8×64 per wide block wherever a tile GEMM has a
 //!   run of eight normal weights. There is no table to build or invalidate,
 //!   which is what makes rotating schedules viable at serving throughput.
-//! * When operands are **8-bit codes**, the [`quantized`] module collapses
-//!   any multiplier's hot path — gate-level cores included — into a
-//!   precomputed 256×256 [`ProductLut`] gather: every entry is the scalar
-//!   multiplier's own product over the decoded code pair, and
-//!   [`quantized::lut_gemm`] accumulates them with exact `f32` adds
-//!   (runtime-dispatched AVX-512/AVX2 hardware gathers, scalar fallback).
-//!   This is what int8 serving plans in `da_nn::engine` run on.
-//! * When additionally the **weights are 4-bit codes**, [`ProductLut4`]
-//!   shrinks the table to 256×16 — one cache line per activation code — and
-//!   [`quantized::lut4_gemm`] replaces every hardware gather with an
-//!   **in-register shuffle** (`vpermps` over a zmm-/ymm-resident table row),
-//!   the fastest inner loop in the crate.
+//! * When operands are **codes**, the [`quantized`] module collapses any
+//!   multiplier's hot path — gate-level cores included — into one
+//!   precomputed [`ProductLut`]: every entry is the scalar multiplier's own
+//!   product over the decoded code pair, and [`quantized::lut_gemm`]
+//!   accumulates them with exact `f32` adds. A table has 256 rows and 256
+//!   columns (int8 codes on both sides: AVX-512/AVX2 hardware gathers) or
+//!   16 columns (**4-bit weight codes**: one cache line per row code, so
+//!   the lookup is an **in-register shuffle**, `vpermps` over a
+//!   zmm-/ymm-resident table row, the fastest inner loop in the crate).
+//!   This is what quantized serving plans in `da_nn::engine` run on.
 //!
 //! # Backend decision tree
 //!
@@ -65,12 +63,12 @@
 //!
 //! 1. **Int4 weight codes available** (plan compiled at
 //!    `Int4Weights` precision and the layer passed its calibration gap
-//!    check) → [`quantized::lut4_gemm`] in-register shuffle. Needs only a
-//!    16-entry table row per activation code; AVX-512 `vpermutexvar_ps`,
-//!    AVX2 `vpermps`+blend, scalar fallback.
+//!    check) → [`quantized::lut_gemm`] over a 256×16 [`ProductLut`]: an
+//!    in-register shuffle, since a row code's 16 products fit one register;
+//!    AVX-512 `vpermutexvar_ps`, AVX2 `vpermps`+blend, scalar fallback.
 //! 2. **Int8 codes available** (quantized serving plan) →
-//!    [`quantized::lut_gemm`] 256×256 table gather. AVX-512/AVX2 hardware
-//!    gathers, scalar fallback.
+//!    [`quantized::lut_gemm`] over a 256×256 [`ProductLut`]: AVX-512/AVX2
+//!    hardware gathers, scalar fallback.
 //! 3. **f32 operands, closed-form core** (exact array, canonical AMA5
 //!    Ax-FPM, Bfloat16 truncation, native `f32`) → the [`BatchKernel`]'s
 //!    [`simd`] lane kernels over the caller-classified rows.
@@ -121,6 +119,6 @@ pub use bitslice::{
     transpose64, BitslicedArray, BITSLICE_LANES, BITSLICE_WIDE, BITSLICE_WIDE_LANES,
 };
 pub use multiplier::{ExactMultiplier, Multiplier, MultiplierKind};
-pub use quantized::{Lut4Order, ProductLut, ProductLut4, QuantParams, QuantParams4};
+pub use quantized::{LutOrder, ProductLut, QuantParams};
 pub use simd::{classify_row, RowClass, LANES};
 pub use storage::{ByteRegion, Storage, StorageError};

@@ -1,24 +1,22 @@
-//! Conformance suite for the int8 and int4-weight quantized backends
-//! ([`da_arith::quantized`]).
+//! Conformance suite for the quantized backend ([`da_arith::quantized`]):
+//! int8 tables and int4-weight tables.
 //!
 //! Two contracts are pinned here, for both table widths:
 //!
 //! 1. **The table is the multiplier.** For every [`MultiplierKind`], every
-//!    one of the 256×256 [`ProductLut`] entries — and every one of the
-//!    256×16 [`ProductLut4`] entries, in both operand orders — equals the
-//!    scalar multiplier's product over the decoded operand pair, bit for
+//!    one of the 256×256 entries of an int8 [`ProductLut`] — and every one
+//!    of the 256×16 entries of an int4 one, in both operand orders — equals
+//!    the scalar multiplier's product over the decoded operand pair, bit for
 //!    bit — gate-level HEAP exactly like the closed-form cores.
-//! 2. **The gather (or shuffle) is the loop.** [`lut_gemm`] and
-//!    [`lut4_gemm`] (whatever hardware tier the dispatcher picked) are
-//!    bit-identical to their portable scalar bodies and to the
-//!    `*_reference` forms — the plain ascending-`k` loop of scalar
-//!    `multiply` calls — over adversarial shapes: empty and single-element
-//!    extents, every lane-width boundary (8/16 ± 1), ragged tails, strided
-//!    accumulators, and saturating code distributions.
+//! 2. **The lookup is the loop.** [`lut_gemm`] (whatever hardware tier the
+//!    dispatcher picked, gather or shuffle) is bit-identical to its portable
+//!    scalar body and to [`lut_gemm_reference`] — the plain ascending-`k`
+//!    loop of scalar `multiply` calls — over adversarial shapes: empty and
+//!    single-element extents, every lane-width boundary (8/16 ± 1), ragged
+//!    tails, strided accumulators, and saturating code distributions.
 
 use da_arith::quantized::{
-    lut4_gemm, lut4_gemm_reference, lut4_gemm_scalar, lut_gemm, lut_gemm_reference,
-    lut_gemm_scalar, Lut4Order, ProductLut, ProductLut4, QuantParams, QuantParams4,
+    lut_gemm, lut_gemm_reference, lut_gemm_scalar, LutOrder, ProductLut, QuantParams, CODES4,
 };
 use da_arith::MultiplierKind;
 use rand::{Rng, SeedableRng};
@@ -130,6 +128,7 @@ fn lut_gemm_is_bit_identical_to_scalar_reference() {
                 &*m,
                 a_params,
                 b_params,
+                LutOrder::RowLeft,
                 &qa,
                 rows,
                 k,
@@ -197,20 +196,20 @@ fn strided_rows_leave_gaps_untouched() {
 /// Int4 acceptance criterion: the exhaustive 256×16 table-vs-scalar sweep,
 /// every kind, both operand orders.
 #[test]
-fn every_lut4_entry_equals_the_scalar_multiplier_exhaustively() {
+fn every_int4_lut_entry_equals_the_scalar_multiplier_exhaustively() {
     for kind in MultiplierKind::ALL {
         let m = kind.build();
         let act = QuantParams::from_range(-2.0, 2.0);
-        let w = QuantParams4::from_range(-1.0, 1.5);
-        for order in [Lut4Order::WeightsLeft, Lut4Order::ActivationsLeft] {
-            let lut = ProductLut4::build(&*m, act, w, order);
+        let w = QuantParams::from_range_codes(-1.0, 1.5, CODES4);
+        for order in [LutOrder::ColumnLeft, LutOrder::RowLeft] {
+            let lut = ProductLut::build_ordered(&*m, act, w, order);
             for qa in 0..=255u8 {
                 let av = act.dequantize(qa);
                 for qw in 0..16u8 {
                     let wv = w.dequantize(qw);
                     let want = match order {
-                        Lut4Order::WeightsLeft => m.multiply(wv, av),
-                        Lut4Order::ActivationsLeft => m.multiply(av, wv),
+                        LutOrder::ColumnLeft => m.multiply(wv, av),
+                        LutOrder::RowLeft => m.multiply(av, wv),
                     };
                     let got = lut.product(qa, qw);
                     assert_eq!(
@@ -240,12 +239,12 @@ fn adversarial_codes4(n: usize, zp: u8, r: &mut rand::rngs::StdRng) -> Vec<u8> {
         .collect()
 }
 
-/// Property test: the int4 shuffle GEMM is bit-identical to the scalar
+/// Property test: the int4-table (shuffle) GEMM is bit-identical to the scalar
 /// quantized reference — dispatched kernel *and* portable scalar body — over
 /// the same adversarial shape grid as the int8 suite, for every multiplier
 /// kind and both operand orders.
 #[test]
-fn lut4_gemm_is_bit_identical_to_scalar_reference() {
+fn int4_lut_gemm_is_bit_identical_to_scalar_reference() {
     let mut r = rng(13);
     let shapes = [
         (1usize, 1usize, 1usize),
@@ -260,9 +259,9 @@ fn lut4_gemm_is_bit_identical_to_scalar_reference() {
     for kind in MultiplierKind::ALL {
         let m = kind.build();
         let act = QuantParams::from_range(-1.5, 1.5);
-        let w = QuantParams4::from_range(-0.25, 3.0);
-        for order in [Lut4Order::WeightsLeft, Lut4Order::ActivationsLeft] {
-            let lut = ProductLut4::build(&*m, act, w, order);
+        let w = QuantParams::from_range_codes(-0.25, 3.0, CODES4);
+        for order in [LutOrder::ColumnLeft, LutOrder::RowLeft] {
+            let lut = ProductLut::build_ordered(&*m, act, w, order);
             for &(rows, k, tile) in &shapes {
                 let stride = tile + 3;
                 let qa = adversarial_codes(rows * k, act.zero_point(), &mut r);
@@ -270,7 +269,7 @@ fn lut4_gemm_is_bit_identical_to_scalar_reference() {
                 let seed: Vec<f32> = (0..rows * stride).map(|i| (i as f32) * 0.125 - 2.0).collect();
 
                 let mut acc_ref = seed.clone();
-                lut4_gemm_reference(
+                lut_gemm_reference(
                     &*m,
                     act,
                     w,
@@ -284,9 +283,9 @@ fn lut4_gemm_is_bit_identical_to_scalar_reference() {
                     stride,
                 );
                 let mut acc_gemm = seed.clone();
-                lut4_gemm(&lut, &qa, rows, k, &qw, tile, &mut acc_gemm, stride);
+                lut_gemm(&lut, &qa, rows, k, &qw, tile, &mut acc_gemm, stride);
                 let mut acc_scalar = seed.clone();
-                lut4_gemm_scalar(&lut, &qa, rows, k, &qw, tile, &mut acc_scalar, stride);
+                lut_gemm_scalar(&lut, &qa, rows, k, &qw, tile, &mut acc_scalar, stride);
 
                 for i in 0..rows * stride {
                     assert_eq!(
@@ -307,15 +306,15 @@ fn lut4_gemm_is_bit_identical_to_scalar_reference() {
 
 /// Zero-extent int4 GEMMs are no-ops; strided int4 rows leave gaps alone.
 #[test]
-fn lut4_empty_extents_and_stride_gaps_are_untouched() {
+fn int4_empty_extents_and_stride_gaps_are_untouched() {
     let m = MultiplierKind::Heap.build();
     let act = QuantParams::from_range(-1.0, 1.0);
-    let w = QuantParams4::from_range(0.0, 2.0);
-    let lut = ProductLut4::build(&*m, act, w, Lut4Order::WeightsLeft);
+    let w = QuantParams::from_range_codes(0.0, 2.0, CODES4);
+    let lut = ProductLut::build_ordered(&*m, act, w, LutOrder::ColumnLeft);
     let mut acc = vec![1.5f32; 6];
-    lut4_gemm(&lut, &[], 0, 3, &[0; 6], 2, &mut acc, 2); // zero rows
-    lut4_gemm(&lut, &[], 2, 0, &[], 3, &mut acc, 3); // zero k
-    lut4_gemm(&lut, &[0, 0], 2, 1, &[], 0, &mut acc, 3); // zero tile
+    lut_gemm(&lut, &[], 0, 3, &[0; 6], 2, &mut acc, 2); // zero rows
+    lut_gemm(&lut, &[], 2, 0, &[], 3, &mut acc, 3); // zero k
+    lut_gemm(&lut, &[0, 0], 2, 1, &[], 0, &mut acc, 3); // zero tile
     assert!(acc.iter().all(|&v| v == 1.5), "untouched: {acc:?}");
 
     let (rows, k, tile, stride) = (3usize, 5usize, 4usize, 7usize);
@@ -323,7 +322,7 @@ fn lut4_empty_extents_and_stride_gaps_are_untouched() {
     let qa = adversarial_codes(rows * k, act.zero_point(), &mut r);
     let qw = adversarial_codes4(k * tile, w.zero_point(), &mut r);
     let mut acc = vec![9.25f32; rows * stride];
-    lut4_gemm(&lut, &qa, rows, k, &qw, tile, &mut acc, stride);
+    lut_gemm(&lut, &qa, rows, k, &qw, tile, &mut acc, stride);
     for row in 0..rows {
         for gap in tile..stride {
             if row * stride + gap < acc.len() {

@@ -11,8 +11,9 @@
 //! * `<kind>-int8` rows time the int8 gather against `<kind> batched`: the
 //!   product table absorbs the whole hardware model, so the gather runs at
 //!   one speed for every kind.
-//! * `<kind>-int4` rows time the in-register shuffle GEMM (`lut4_gemm`)
-//!   against `<kind>-int8`, the int8 gather on the same shape.
+//! * `<kind>-int4` rows time the same `lut_gemm` over a 256×16 table (int4
+//!   weight codes, so the lookup is an in-register shuffle) against
+//!   `<kind>-int8`, the int8 gather on the same shape.
 //!
 //! This is the perf baseline for future scaling PRs (SIMD, quantized int
 //! paths, sharding): run `cargo bench --bench gemm_backend_throughput` and
@@ -27,9 +28,7 @@
 
 use std::time::Instant;
 
-use da_arith::quantized::{
-    lut4_gemm, lut_gemm, Lut4Order, ProductLut, ProductLut4, QuantParams, QuantParams4,
-};
+use da_arith::quantized::{lut_gemm, ProductLut, QuantParams, CODES4};
 use da_arith::{classify_row, MultiplierKind, RowClass};
 use da_bench::json::{JsonEmitter, Record};
 use da_nn::layers::{gemm_with, matmul_with_scalar};
@@ -101,7 +100,7 @@ fn main() {
         // Int4 weight codes for the in-register shuffle GEMM: activations
         // keep their u8 codes, the weight operand drops to 16 codes so the
         // 256×16 product table fits in registers (4 rows of 16 lanes).
-        let b4_params = QuantParams4::from_range(-1.0, 1.0);
+        let b4_params = QuantParams::from_range_codes(-1.0, 1.0, CODES4);
         let mut qb4_codes = vec![0u8; k * n];
         b4_params.quantize_slice(b.data(), &mut qb4_codes);
 
@@ -182,11 +181,11 @@ fn main() {
             // four register-resident table rows. The point of comparison is
             // the int8 gather rate on the same shape — same table semantics,
             // cheaper indexing.
-            let lut4 = ProductLut4::build(&*mult, aq_params, b4_params, Lut4Order::ActivationsLeft);
+            let lut4 = ProductLut::build(&*mult, aq_params, b4_params);
             let mut acc4 = vec![0.0f32; m * n];
             let lut4_rate = macs_per_sec(macs, reps, || {
                 acc4.fill(0.0);
-                lut4_gemm(&lut4, &qa_codes, m, k, &qb4_codes, n, &mut acc4, n);
+                lut_gemm(&lut4, &qa_codes, m, k, &qb4_codes, n, &mut acc4, n);
                 std::hint::black_box(acc4[0]);
                 Tensor::zeros(&[1])
             });

@@ -9,13 +9,14 @@
 //! and compiles it against the arithmetic unit:
 //!
 //! * every conv/dense layer becomes one `Conv`/`Dense` step whose weights
-//!   are held in the form its GEMM consumes — a kernel enum with four
+//!   are held in the form its GEMM consumes — a kernel enum with three
 //!   forms: plain `f32` weights (conv weights always, dense weights without
 //!   a multiplier), row-classified dense weights for the multiplier's batch
-//!   kernel ([`da_arith::classify_row`] once at compile time), int8 codes
-//!   over a [`ProductLut`], and int4 codes over a [`ProductLut4`]. With a
-//!   multiplier, conv steps run [`BatchKernel::gemm_tile`] with one row
-//!   class per input plane, so the hot path does no per-call row scans;
+//!   kernel ([`da_arith::classify_row`] once at compile time), and weight
+//!   codes over a [`ProductLut`] (int8 codes over a 256×256 table, int4
+//!   codes over a 256×16 one). With a multiplier, conv steps run
+//!   [`BatchKernel::gemm_tile`] with one row class per input plane, so the
+//!   hot path does no per-call row scans;
 //! * convolution weights are pre-reshaped to `[Cout, Cin·Kh·Kw]` and dense
 //!   weights pre-transposed to `[In, Out]` (no per-call clone + reshape;
 //!   dense weights stay the *right* operand, because the reference GEMM
@@ -89,12 +90,12 @@
 //!   as everyone else's.
 //! * **Int4Weights** ([`InferencePlan::compile_quantized_int4`]): like
 //!   Int8, but weights narrow to 16 codes per tensor so each layer's
-//!   product table collapses to 256×16 entries and the GEMM runs as an
-//!   in-register shuffle ([`da_arith::quantized::lut4_gemm`]) instead of a
-//!   hardware gather — several times the int8 gather rate. The same
-//!   quantizing compiler as Int8 runs each conv/dense layer's int4 and int8
-//!   candidates through the plan executor on the calibration batch and
-//!   **falls back to int8 per layer** when the output gap exceeds the
+//!   product table collapses to 256×16 entries and the same
+//!   [`da_arith::quantized::lut_gemm`] runs it as an in-register shuffle
+//!   instead of a hardware gather — several times the int8 gather rate.
+//!   The same quantizing compiler as Int8 runs each conv/dense layer's int4
+//!   and int8 candidates through the plan executor on the calibration batch
+//!   and **falls back to int8 per layer** when the output gap exceeds the
 //!   conformance threshold, so a plan is a mixed-precision snapshot
 //!   ([`InferencePlan::int4_layer_mix`] reports the split).
 //!   Choose it when weight tensors tolerate 4-bit codes (the compiler
@@ -126,9 +127,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use da_arith::quantized::{
-    lut4_gemm, lut_gemm, Lut4Order, ProductLut, ProductLut4, QuantParams, QuantParams4,
-};
+use da_arith::quantized::{lut_gemm, LutOrder, ProductLut, QuantParams, CODES, CODES4};
 use da_arith::storage::Storage;
 use da_arith::{classify_row, BatchKernel, ExactMultiplier, Multiplier, RowClass};
 use da_tensor::ops::ConvGeometry;
@@ -279,13 +278,13 @@ pub(crate) enum Kernel {
     /// Dense weights with each row's [`RowClass`], classified once at
     /// compile time so [`BatchKernel::axpy`] skips the per-call row scan.
     Classified { wt: Storage<f32>, class: Vec<RowClass> },
-    /// int8 weight codes gathered from a 256×256 product table
-    /// ([`lut_gemm`]); same layouts as the f32 kernels.
-    Lut8 { codes: Storage<u8>, lut: Arc<ProductLut>, out: QOut },
-    /// int4 weight codes (low nibble) shuffled from a 256×16 product table
-    /// ([`lut4_gemm`]). Conv codes are transposed to `[K, Cout]`: the conv
-    /// runs pixels-as-rows so the weight codes vary along the shuffle axis.
-    Lut4 { codes: Storage<u8>, lut: Arc<ProductLut4>, out: QOut },
+    /// Weight codes looked up in a product table ([`lut_gemm`]): int8
+    /// codes over a 256×256 table, in the f32 kernels' layouts; or int4
+    /// codes (low nibble) over a 256×16 table, whose columns are the
+    /// weights. Dense codes are `[In, Out]` at both widths; int4 conv codes
+    /// are transposed to `[K, Cout]`, because the conv runs pixels-as-rows
+    /// so the weight codes vary along the shuffle axis.
+    Lut { codes: Storage<u8>, lut: Arc<ProductLut>, out: QOut },
 }
 
 impl Kernel {
@@ -311,20 +310,18 @@ impl Kernel {
     pub(crate) fn f32_weights(&self) -> &[f32] {
         match self {
             Kernel::F32(w) | Kernel::Classified { wt: w, .. } => w.as_slice(),
-            Kernel::Lut8 { .. } | Kernel::Lut4 { .. } => {
-                unreachable!("quantized kernels carry codes, not f32 weights")
-            }
+            Kernel::Lut { .. } => unreachable!("quantized kernels carry codes, not f32 weights"),
         }
     }
 
     fn reads_codes(&self) -> bool {
-        matches!(self, Kernel::Lut8 { .. } | Kernel::Lut4 { .. })
+        matches!(self, Kernel::Lut { .. })
     }
 
     /// What the epilogue writes: f32 kernels always emit f32.
     fn out(&self) -> QOut {
         match self {
-            Kernel::Lut8 { out, .. } | Kernel::Lut4 { out, .. } => *out,
+            Kernel::Lut { out, .. } => *out,
             _ => QOut::Float,
         }
     }
@@ -465,10 +462,10 @@ pub enum PlanPrecision {
     /// ([`InferencePlan::compile_quantized`]).
     Int8,
     /// Int8 activations with **int4 weight codes** where calibration allows:
-    /// conv/dense layers run the in-register shuffle GEMM
-    /// ([`da_arith::quantized::lut4_gemm`]) over a 256×16 table, falling
-    /// back per layer to the int8 gather when the measured accuracy gap is
-    /// too large ([`InferencePlan::compile_quantized_int4`]).
+    /// conv/dense layers run [`da_arith::quantized::lut_gemm`] over a 256×16
+    /// table (in-register shuffles), falling back per layer to a 256×256
+    /// table (hardware gathers) when the measured accuracy gap is too large
+    /// ([`InferencePlan::compile_quantized_int4`]).
     Int4Weights,
 }
 
@@ -531,42 +528,30 @@ impl std::fmt::Display for PlanInterface {
 /// blow past it and fall back to the int8 gather.
 pub const INT4_FALLBACK_GAP: f32 = 0.25;
 
-/// Compile-time product-table cache: one [`ProductLut`] (64 KiB × 4 B) per
-/// *distinct* ordered quantizer pair instead of one per layer — layers whose
-/// operand ranges coincide (common after ReLU chains with shared weight
-/// scales) share a single `Arc` allocation. Keys are ordered `(a, b)` pairs,
-/// so conv tables (weights left) never falsely alias dense tables
-/// (activations left) even when the parameter values match.
+/// Compile-time product-table cache: one [`ProductLut`] per *distinct*
+/// (row quantizer, column quantizer, operand order) key instead of one per
+/// layer — layers whose operand ranges coincide (common after ReLU chains
+/// with shared weight scales) share a single `Arc` allocation. Keys are
+/// ordered, so int8 conv tables (weights as rows) never falsely alias dense
+/// tables (activations as rows) even when the parameter values match, and
+/// the quantizers' code counts keep int4 and int8 tables apart.
 #[derive(Default)]
-struct LutCache {
-    int8: Vec<((QuantParams, QuantParams), Arc<ProductLut>)>,
-    int4: Vec<((QuantParams, QuantParams4, Lut4Order), Arc<ProductLut4>)>,
-}
+struct LutCache(Vec<((QuantParams, QuantParams, LutOrder), Arc<ProductLut>)>);
 
 impl LutCache {
-    fn int8(&mut self, m: &dyn Multiplier, a: QuantParams, b: QuantParams) -> Arc<ProductLut> {
-        if let Some((_, lut)) = self.int8.iter().find(|((ca, cb), _)| *ca == a && *cb == b) {
-            return lut.clone();
-        }
-        let lut = Arc::new(ProductLut::build(m, a, b));
-        self.int8.push(((a, b), lut.clone()));
-        lut
-    }
-
-    fn int4(
+    fn get(
         &mut self,
         m: &dyn Multiplier,
-        act: QuantParams,
-        w: QuantParams4,
-        order: Lut4Order,
-    ) -> Arc<ProductLut4> {
-        if let Some((_, lut)) =
-            self.int4.iter().find(|((ca, cw, co), _)| *ca == act && *cw == w && *co == order)
-        {
+        a: QuantParams,
+        b: QuantParams,
+        order: LutOrder,
+    ) -> Arc<ProductLut> {
+        let key = (a, b, order);
+        if let Some((_, lut)) = self.0.iter().find(|(k, _)| *k == key) {
             return lut.clone();
         }
-        let lut = Arc::new(ProductLut4::build(m, act, w, order));
-        self.int4.push(((act, w, order), lut.clone()));
+        let lut = Arc::new(ProductLut::build_ordered(m, a, b, order));
+        self.0.push((key, lut.clone()));
         lut
     }
 }
@@ -609,7 +594,7 @@ impl ScratchLen {
                 let k = geom.taps();
                 let p_total = shapes.out_shape[1] * shapes.out_shape[2];
                 let (gather, qgather, tile) = match kernel {
-                    Kernel::Lut8 { .. } => {
+                    Kernel::Lut { lut, .. } if lut.columns() == CODES => {
                         // Small planes share one tile across an item group;
                         // large planes split into balanced tiles. Either way
                         // columns stay under the QCONV_TILE cap.
@@ -622,7 +607,7 @@ impl ScratchLen {
                     }
                     // Transposed tiling: pixel rows × tap columns, with the
                     // accumulator `cout` wide per pixel row.
-                    Kernel::Lut4 { .. } => {
+                    Kernel::Lut { .. } => {
                         let rows = QCONV_TILE.min(p_total).max(1);
                         (0, rows * k, rows)
                     }
@@ -796,8 +781,7 @@ impl<'a> Sink<'a> {
 
     /// The bias/ReLU epilogue every conv/dense kernel shares: element `j` of
     /// `acc` becomes `relu?(acc[j] + bias_j)` at `at + j·stride`, stored as
-    /// `f32` or requantized — exactly
-    /// [`da_arith::quantized::requantize_bias_act`].
+    /// `f32` or requantized into codes with [`QuantParams::quantize`].
     fn store(
         &mut self,
         at: usize,
@@ -875,11 +859,12 @@ impl CalCodes {
 }
 
 /// Quantize one f32 conv/dense `step` (input codes `act`, output codes
-/// `out`): per-tensor int8 weight codes over a product table of `m`. With
-/// calibration codes, an int4-weight candidate is measured against the int8
-/// one — both run through the executor, post-bias and pre-activation — and
-/// replaces it when the gap passes [`INT4_FALLBACK_GAP`]; the calibration
-/// codes then advance through the chosen step.
+/// `out`): per-tensor int8 weight codes over a 256×256 product table of
+/// `m`. With calibration codes, an int4-weight candidate over a 256×16
+/// table is measured against the int8 one — both run through the executor,
+/// post-bias and pre-activation — and replaces it when the gap passes
+/// [`INT4_FALLBACK_GAP`]; the calibration codes then advance through the
+/// chosen step.
 fn quantize_gemm(
     step: &Step,
     shapes: &ResolvedShape,
@@ -897,14 +882,19 @@ fn quantize_gemm(
     let w = kernel.f32_weights();
     let (wlo, whi) = QuantParams::observe(w);
     let wq = QuantParams::from_range(wlo, whi);
-    let lut = if conv.is_some() { luts.int8(m, wq, act) } else { luts.int8(m, act, wq) };
+    // int8 conv tables keep the weights as rows (the f32 operand order);
+    // every other table has the activations as rows.
+    let lut = match conv {
+        Some(_) => luts.get(m, wq, act, LutOrder::RowLeft),
+        None => luts.get(m, act, wq, LutOrder::RowLeft),
+    };
     let codes = Storage::Owned(w.iter().map(|&v| wq.quantize(v)).collect());
     let Some(cal) = cal else {
-        return step.with_kernel(Kernel::Lut8 { codes, lut, out: QOut::Codes(out) }, relu);
+        return step.with_kernel(Kernel::Lut { codes, lut, out: QOut::Codes(out) }, relu);
     };
-    let int8 = step.with_kernel(Kernel::Lut8 { codes, lut, out: QOut::Float }, false);
+    let int8 = step.with_kernel(Kernel::Lut { codes, lut, out: QOut::Float }, false);
 
-    let w4 = QuantParams4::from_range(wlo, whi);
+    let w4 = QuantParams::from_range_codes(wlo, whi, CODES4);
     let q4: Vec<u8> = w.iter().map(|&v| w4.quantize(v)).collect();
     let (codes, order) = match conv {
         Some(g) => {
@@ -915,13 +905,13 @@ fn quantize_gemm(
                     t[kk * cout + co] = c;
                 }
             }
-            (t, Lut4Order::WeightsLeft)
+            (t, LutOrder::ColumnLeft)
         }
-        None => (q4, Lut4Order::ActivationsLeft),
+        None => (q4, LutOrder::RowLeft),
     };
-    let lut = luts.int4(m, act, w4, order);
+    let lut = luts.get(m, act, w4, order);
     let int4 = step
-        .with_kernel(Kernel::Lut4 { codes: Storage::Owned(codes), lut, out: QOut::Float }, false);
+        .with_kernel(Kernel::Lut { codes: Storage::Owned(codes), lut, out: QOut::Float }, false);
 
     let y8 = cal.measure(&int8, shapes);
     let y4 = cal.measure(&int4, shapes);
@@ -936,7 +926,7 @@ fn quantize_gemm(
         &mut chosen
     {
         *fuse_relu = relu;
-        if let Kernel::Lut8 { out: o, .. } | Kernel::Lut4 { out: o, .. } = kernel {
+        if let Kernel::Lut { out: o, .. } = kernel {
             *o = QOut::Codes(out);
         }
     }
@@ -1048,8 +1038,8 @@ impl InferencePlan {
     /// Compile `network` into an **int8 serving plan**: weights are
     /// quantized per tensor, activation ranges are calibrated by running
     /// `calibration` (a representative `[N, ...]` sample batch) through the
-    /// f32 plan, and every conv/dense step gets an int8 (`Lut8`) kernel —
-    /// a [`da_arith::quantized::lut_gemm`] gather over a per-layer
+    /// f32 plan, and every conv/dense step gets int8 weight codes — a
+    /// [`da_arith::quantized::lut_gemm`] gather over a per-layer 256×256
     /// [`ProductLut`] built from the *actual* multiplier, gate-level kinds
     /// included, so the table is exact w.r.t. the hardware model it
     /// replaces. Plans without a multiplier quantize against native `f32`
@@ -1082,20 +1072,20 @@ impl InferencePlan {
 
     /// Compile `network` into an **int4-weight serving plan**: like
     /// [`InferencePlan::compile_quantized`], but each conv/dense layer's
-    /// weights are additionally quantized to **16 codes** and the layer gets
-    /// an int4 (`Lut4`) kernel, the in-register shuffle GEMM
-    /// ([`da_arith::quantized::lut4_gemm`]) — unless the calibration batch
-    /// measures too large an output gap against the int8 layer, in which
-    /// case that layer alone keeps the int8 gather ([`INT4_FALLBACK_GAP`];
-    /// see [`InferencePlan::int4_layer_mix`] for the resulting split).
+    /// weights are additionally quantized to **16 codes** over a 256×16
+    /// [`ProductLut`], which [`da_arith::quantized::lut_gemm`] runs as an
+    /// in-register shuffle — unless the calibration batch measures too large
+    /// an output gap against the int8 layer, in which case that layer alone
+    /// keeps the int8 gather ([`INT4_FALLBACK_GAP`]; see
+    /// [`InferencePlan::int4_layer_mix`] for the resulting split).
     ///
     /// The gap is measured layer-locally on calibration *codes*: both
     /// candidate steps run through the plan executor on the same upstream
     /// activations (produced by the steps actually chosen so far), so the
     /// decision reflects the plan that will really serve. Like the int8
     /// plan, the result is deterministic and schedule-independent; it is
-    /// bit-identical to the scalar int4 reference GEMM on every int4 layer
-    /// and to the scalar int8 reference on every fallback layer.
+    /// bit-identical to the scalar reference GEMM
+    /// (`lut_gemm_reference`) on every layer, int4 and int8 fallback alike.
     ///
     /// Returns `None` exactly when [`InferencePlan::compile_quantized`]
     /// would.
@@ -1176,7 +1166,7 @@ impl InferencePlan {
         // decode step.
         match steps.iter_mut().rev().find(|s| !matches!(s, Step::Flatten)) {
             Some(Step::Conv { kernel, .. } | Step::Dense { kernel, .. }) => {
-                if let Kernel::Lut8 { out, .. } | Kernel::Lut4 { out, .. } = kernel {
+                if let Kernel::Lut { out, .. } = kernel {
                     *out = QOut::Float;
                 }
             }
@@ -1270,9 +1260,17 @@ impl InferencePlan {
     /// zero for f32 plans; the second is the full GEMM count for plain int8
     /// plans.
     pub fn int4_layer_mix(&self) -> (usize, usize) {
-        let int4 = self.kernels().filter(|k| matches!(k, Kernel::Lut4 { .. })).count();
-        let int8 = self.kernels().filter(|k| matches!(k, Kernel::Lut8 { .. })).count();
-        (int4, int8)
+        let mut mix = (0, 0);
+        for k in self.kernels() {
+            if let Kernel::Lut { lut, .. } = k {
+                if lut.columns() == CODES4 {
+                    mix.0 += 1;
+                } else {
+                    mix.1 += 1;
+                }
+            }
+        }
+        mix
     }
 
     /// Product-table sharing across the plan's GEMM steps:
@@ -1280,14 +1278,11 @@ impl InferencePlan {
     /// drops below the first when layers with identical quantizer pairs
     /// share one `Arc`'d table (see [`InferencePlan::compile_quantized`]).
     pub fn product_lut_sharing(&self) -> (usize, usize) {
-        let mut tables: Vec<*const ()> = Vec::new();
+        let mut tables: Vec<*const ProductLut> = Vec::new();
         let mut steps = 0usize;
         for k in self.kernels() {
-            let p = match k {
-                Kernel::Lut8 { lut, .. } => Arc::as_ptr(lut).cast::<()>(),
-                Kernel::Lut4 { lut, .. } => Arc::as_ptr(lut).cast::<()>(),
-                _ => continue,
-            };
+            let Kernel::Lut { lut, .. } = k else { continue };
+            let p = Arc::as_ptr(lut);
             steps += 1;
             if !tables.contains(&p) {
                 tables.push(p);
@@ -1964,21 +1959,15 @@ fn exec_step(
                         }
                     }
                 }
-                (Kernel::Lut8 { codes, lut, .. }, Acts::Codes(x)) => {
-                    // Per-item single-row GEMMs: the single-row path skips
+                (Kernel::Lut { codes, lut, .. }, Acts::Codes(x)) => {
+                    // Per-item single-row GEMMs at both widths (activations
+                    // are the table rows): the single-row path skips
                     // zero-point activation codes (ubiquitous after ReLU),
                     // which beats a multi-row sweep — the weight-code
                     // matrix stays hot across the item group either way.
                     for (xi, ai) in x.chunks_exact(inf).zip(acc.chunks_exact_mut(outf)) {
                         lut_gemm(lut, xi, 1, inf, codes.as_slice(), outf, ai, outf);
                     }
-                }
-                (Kernel::Lut4 { codes, lut, .. }, Acts::Codes(x)) => {
-                    // One true multi-row shuffle GEMM over the whole item
-                    // group — rows are independent (each owns its
-                    // accumulators and its zero-code skip), so grouping is
-                    // bit-neutral here too.
-                    lut4_gemm(lut, x, n, inf, codes.as_slice(), outf, acc, outf);
                 }
                 _ => unreachable!("dense operands agree with the kernel"),
             }
@@ -2096,9 +2085,10 @@ fn conv(
                 }
             }
         }
-        (Kernel::Lut8 { codes, lut, .. }, Acts::Codes(src)) => {
-            // Padded taps gather the activation zero point — the code for
-            // exactly 0.0, matching the f32 path's zeros.
+        (Kernel::Lut { codes, lut, .. }, Acts::Codes(src)) if lut.columns() == CODES => {
+            // Weights-as-rows: padded taps gather the activation (column)
+            // zero point — the code for exactly 0.0, matching the f32
+            // path's zeros.
             let pad_code = lut.b_params().zero_point();
             // Small output planes pack several items into one tile so the
             // gather kernels amortize table traffic.
@@ -2130,13 +2120,14 @@ fn conv(
                 i0 += items;
             }
         }
-        (Kernel::Lut4 { codes, lut, .. }, Acts::Codes(src)) => {
-            // Transposed execution: pixel rows × tap columns against
-            // `[k, Cout]` weight codes, so the 4-bit codes vary along the
-            // shuffle axis. Per output element accumulation is the same
+        (Kernel::Lut { codes, lut, .. }, Acts::Codes(src)) => {
+            // An int4 table has the activations as rows: pixel rows × tap
+            // columns against `[k, Cout]` weight codes, so the 4-bit codes
+            // vary along the shuffle axis, and padded taps gather the row
+            // zero point. Per output element accumulation is the same
             // ascending-`k` order as the int8 path, and the tiling is per
             // item, so grouping cannot change bits.
-            let pad_code = lut.act_params().zero_point();
+            let pad_code = lut.a_params().zero_point();
             for (item, x) in src.chunks_exact(in_len).enumerate() {
                 for p0 in (0..p_total).step_by(QCONV_TILE) {
                     let rows = QCONV_TILE.min(p_total - p0);
@@ -2144,7 +2135,7 @@ fn conv(
                     let acc = &mut ws.facc[..rows * g.cout];
                     acc.fill(0.0);
                     let gb = &ws.qgather[..rows * k];
-                    lut4_gemm(lut, gb, rows, k, codes.as_slice(), g.cout, acc, g.cout);
+                    lut_gemm(lut, gb, rows, k, codes.as_slice(), g.cout, acc, g.cout);
                     for (pi, row) in acc.chunks_exact(g.cout).enumerate() {
                         let at = item * out_len + p0 + pi;
                         sink.store(at, p_total, row, bias.iter().copied(), relu);

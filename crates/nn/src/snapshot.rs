@@ -34,7 +34,7 @@
 //!     + payload section index per distinct table), and the step list
 //!     (structure, shapes, biases, quantizers, payload section indices)
 //! sections 1.. — payload blobs, each 64-byte aligned
-//!     ProductLut/ProductLut4 tables (f32), f32 weight matrices,
+//!     ProductLut tables (f32, 256×256 or 256×16), f32 weight matrices,
 //!     u8 weight-code tensors
 //! ```
 //!
@@ -72,9 +72,7 @@ use std::sync::Arc;
 
 use da_arith::quantized::{CODES, CODES4};
 use da_arith::storage::{ByteRegion, Storage, StorageError};
-use da_arith::{
-    Lut4Order, Multiplier, MultiplierKind, ProductLut, ProductLut4, QuantParams, QuantParams4,
-};
+use da_arith::{LutOrder, Multiplier, MultiplierKind, ProductLut, QuantParams};
 use memmap2::Mmap;
 
 use crate::engine::{
@@ -234,10 +232,6 @@ impl MetaBuf {
         self.f32(q.scale());
         self.u8(q.zero_point());
     }
-    fn quant4(&mut self, q: QuantParams4) {
-        self.f32(q.scale());
-        self.u8(q.zero_point());
-    }
 }
 
 /// Bounds-checked little-endian reader over the META section; every overrun
@@ -290,15 +284,11 @@ impl<'a> MetaCursor<'a> {
         String::from_utf8(s.to_vec())
             .map_err(|_| SnapshotError::Corrupt("non-UTF-8 string in meta"))
     }
-    fn quant(&mut self) -> Result<QuantParams, SnapshotError> {
+    /// A quantizer with `codes` codes ([`CODES`] or [`CODES4`]).
+    fn quant(&mut self, codes: usize) -> Result<QuantParams, SnapshotError> {
         let scale = self.f32()?;
         let zp = self.u8()?;
-        QuantParams::from_parts(scale, zp).ok_or(SnapshotError::Corrupt("invalid int8 quantizer"))
-    }
-    fn quant4(&mut self) -> Result<QuantParams4, SnapshotError> {
-        let scale = self.f32()?;
-        let zp = self.u8()?;
-        QuantParams4::from_parts(scale, zp).ok_or(SnapshotError::Corrupt("invalid int4 quantizer"))
+        QuantParams::from_parts(scale, zp, codes).ok_or(SnapshotError::Corrupt("invalid quantizer"))
     }
     /// Bytes not yet consumed — the hard ceiling for any count field that
     /// claims more entries than the meta section could possibly encode.
@@ -460,10 +450,10 @@ fn encode_plan(plan: &InferencePlan) -> Result<Vec<u8>, SnapshotError> {
         PlanPrecision::Int8 => 1,
         PlanPrecision::Int4Weights => 2,
     });
-    meta.dim(luts.lut8.len())?;
-    meta.buf.extend_from_slice(&luts.lut8_meta.buf);
-    meta.dim(luts.lut4.len())?;
-    meta.buf.extend_from_slice(&luts.lut4_meta.buf);
+    for (seen, entries) in luts.seen.iter().zip(&luts.meta) {
+        meta.dim(seen.len())?;
+        meta.buf.extend_from_slice(&entries.buf);
+    }
     meta.buf.extend_from_slice(&steps.buf);
 
     // Lay the file out: header, section table, META, aligned blobs.
@@ -513,13 +503,12 @@ fn encode_qout(meta: &mut MetaBuf, out: &QOut) {
 }
 
 /// LUT interning by `Arc` identity while saving: steps that share a table
-/// in memory share one payload section in the file.
+/// in memory share one payload section in the file. The file keeps one
+/// registry per table width — int8 (256 columns), then int4 (16).
 #[derive(Default)]
 struct LutRegistry {
-    lut8: Vec<*const ProductLut>,
-    lut4: Vec<*const ProductLut4>,
-    lut8_meta: MetaBuf,
-    lut4_meta: MetaBuf,
+    seen: [Vec<*const ProductLut>; 2],
+    meta: [MetaBuf; 2],
 }
 
 /// Write a conv/dense step's kernel header — the tag (`tags` holds the f32,
@@ -537,27 +526,15 @@ fn encode_kernel<'a>(
         Kernel::F32(_) | Kernel::Classified { .. } => {
             (tags[0], Blob::F32(kernel.f32_weights()), None, None)
         }
-        Kernel::Lut8 { codes, lut, out } => {
-            let ptr = Arc::as_ptr(lut);
-            let meta = &mut luts.lut8_meta;
-            let idx = intern_lut(&mut luts.lut8, ptr, blobs, lut.table(), meta, |m| {
-                m.quant(lut.a_params());
-                m.quant(lut.b_params());
-            })?;
-            (tags[1], Blob::U8(codes.as_slice()), Some(idx), Some(*out))
-        }
-        Kernel::Lut4 { codes, lut, out } => {
-            let ptr = Arc::as_ptr(lut);
-            let meta = &mut luts.lut4_meta;
-            let idx = intern_lut(&mut luts.lut4, ptr, blobs, lut.table(), meta, |m| {
-                m.quant(lut.act_params());
-                m.quant4(lut.w_params());
-                m.u8(match lut.order() {
-                    Lut4Order::WeightsLeft => 0,
-                    Lut4Order::ActivationsLeft => 1,
-                });
-            })?;
-            (tags[2], Blob::U8(codes.as_slice()), Some(idx), Some(*out))
+        Kernel::Lut { codes, lut, out } => {
+            // int8 entries carry no order tag: those tables are row-left.
+            let int4 = lut.columns() == CODES4;
+            if !int4 && lut.order() != LutOrder::RowLeft {
+                return Err(SnapshotError::Unsupported("column-left int8 product table"));
+            }
+            let w = usize::from(int4);
+            let idx = intern_lut(&mut luts.seen[w], &mut luts.meta[w], lut, blobs)?;
+            (tags[1 + w], Blob::U8(codes.as_slice()), Some(idx), Some(*out))
         }
     };
     let section = push_blob(blobs, blob)?;
@@ -569,22 +546,29 @@ fn encode_kernel<'a>(
     Ok(out)
 }
 
-/// The registry index of the table at `ptr`, registering it on first
-/// sight: its payload section is pushed and the registry entry written to
-/// `meta` — `describe`'s quantizers, then the section index.
-fn intern_lut<'a, T>(
-    seen: &mut Vec<*const T>,
-    ptr: *const T,
-    blobs: &mut Vec<Blob<'a>>,
-    table: &'a [f32],
+/// The registry index of `lut`, registering it on first sight: its table
+/// is pushed as a payload section and its registry entry written to `meta`
+/// — the two quantizers, the order tag (int4 tables only), then the section
+/// index.
+fn intern_lut<'a>(
+    seen: &mut Vec<*const ProductLut>,
     meta: &mut MetaBuf,
-    describe: impl FnOnce(&mut MetaBuf),
+    lut: &'a ProductLut,
+    blobs: &mut Vec<Blob<'a>>,
 ) -> Result<u32, SnapshotError> {
+    let ptr: *const ProductLut = lut;
     let idx = match seen.iter().position(|p| *p == ptr) {
         Some(idx) => idx,
         None => {
-            let section = push_blob(blobs, Blob::F32(table))?;
-            describe(meta);
+            let section = push_blob(blobs, Blob::F32(lut.table()))?;
+            meta.quant(lut.a_params());
+            meta.quant(lut.b_params());
+            if lut.columns() == CODES4 {
+                meta.u8(match lut.order() {
+                    LutOrder::ColumnLeft => 0,
+                    LutOrder::RowLeft => 1,
+                });
+            }
             meta.u32(section);
             seen.push(ptr);
             seen.len() - 1
@@ -653,18 +637,12 @@ fn validate_container(bytes: &[u8]) -> Result<Vec<Section>, SnapshotError> {
     Ok(sections)
 }
 
-/// A quantized kernel's product table, resolved from its registry index.
-enum Lut {
-    Int8(Arc<ProductLut>),
-    Int4(Arc<ProductLut4>),
-}
-
 /// Shared state while decoding steps.
 struct Decoder<'a> {
     region: Arc<dyn ByteRegion>,
     sections: &'a [Section],
-    lut8: Vec<Arc<ProductLut>>,
-    lut4: Vec<Arc<ProductLut4>>,
+    /// The int8 and int4 LUT registries, in file order.
+    luts: [Vec<Arc<ProductLut>>; 2],
 }
 
 impl Decoder<'_> {
@@ -698,22 +676,21 @@ impl Decoder<'_> {
         Ok(Storage::mapped(self.region.clone(), s.offset, len)?)
     }
 
-    fn lut8(&self, idx: u32) -> Result<Arc<ProductLut>, SnapshotError> {
-        self.lut8.get(idx as usize).cloned().ok_or(SnapshotError::Corrupt("LUT index out of range"))
-    }
-
-    fn lut4(&self, idx: u32) -> Result<Arc<ProductLut4>, SnapshotError> {
-        self.lut4.get(idx as usize).cloned().ok_or(SnapshotError::Corrupt("LUT index out of range"))
-    }
-
     /// The table of a quantized conv/dense `tag`, read from its LUT index
-    /// (`None` for the f32 tags, which carry no index).
-    fn kernel_lut(&self, tag: u8, c: &mut MetaCursor<'_>) -> Result<Option<Lut>, SnapshotError> {
-        Ok(match tag {
-            TAG_QCONV | TAG_QDENSE => Some(Lut::Int8(self.lut8(c.u32()?)?)),
-            TAG_QCONV4 | TAG_QDENSE4 => Some(Lut::Int4(self.lut4(c.u32()?)?)),
-            _ => None,
-        })
+    /// in the tag's registry (`None` for the f32 tags, which carry no
+    /// index).
+    fn kernel_lut(
+        &self,
+        tag: u8,
+        c: &mut MetaCursor<'_>,
+    ) -> Result<Option<Arc<ProductLut>>, SnapshotError> {
+        let registry = match tag {
+            TAG_QCONV | TAG_QDENSE => &self.luts[0],
+            TAG_QCONV4 | TAG_QDENSE4 => &self.luts[1],
+            _ => return Ok(None),
+        };
+        let lut = registry.get(c.u32()? as usize).cloned();
+        lut.map(Some).ok_or(SnapshotError::Corrupt("LUT index out of range"))
     }
 
     /// The kernel over weight `section` (`len` elements): codes for a
@@ -722,16 +699,11 @@ impl Decoder<'_> {
         &self,
         section: u32,
         len: usize,
-        quantized: Option<(Lut, QOut)>,
+        quantized: Option<(Arc<ProductLut>, QOut)>,
         f32_kernel: impl FnOnce(Storage<f32>) -> Kernel,
     ) -> Result<Kernel, SnapshotError> {
         Ok(match quantized {
-            Some((Lut::Int8(lut), out)) => {
-                Kernel::Lut8 { codes: self.u8_payload(section, len)?, lut, out }
-            }
-            Some((Lut::Int4(lut), out)) => {
-                Kernel::Lut4 { codes: self.u8_payload(section, len)?, lut, out }
-            }
+            Some((lut, out)) => Kernel::Lut { codes: self.u8_payload(section, len)?, lut, out },
             None => f32_kernel(self.f32_payload(section, len)?),
         })
     }
@@ -740,7 +712,7 @@ impl Decoder<'_> {
 fn decode_qout(c: &mut MetaCursor<'_>) -> Result<QOut, SnapshotError> {
     match c.u8()? {
         QOUT_FLOAT => Ok(QOut::Float),
-        QOUT_CODES => Ok(QOut::Codes(c.quant()?)),
+        QOUT_CODES => Ok(QOut::Codes(c.quant(CODES)?)),
         _ => Err(SnapshotError::Corrupt("unknown QOut tag")),
     }
 }
@@ -792,7 +764,7 @@ fn decode_plan(bytes: &[u8], region: Arc<dyn ByteRegion>) -> Result<InferencePla
         _ => return Err(SnapshotError::Corrupt("unknown precision tag")),
     };
 
-    let mut dec = Decoder { region, sections: &sections, lut8: Vec::new(), lut4: Vec::new() };
+    let mut dec = Decoder { region, sections: &sections, luts: [Vec::new(), Vec::new()] };
 
     // LUT registries: one shared Arc per table section, so the compiled
     // plan's interning survives the round trip.
@@ -802,32 +774,26 @@ fn decode_plan(bytes: &[u8], region: Arc<dyn ByteRegion>) -> Result<InferencePla
     // bytes (so a hostile count cannot exceed what the meta section could
     // physically hold). Both are checks against bytes that provably exist
     // in the file — nothing is allocated on the claimed count alone.
-    let n8 = c.dim()?;
-    if n8 > sections.len() || n8 > c.remaining() / 14 {
-        return Err(SnapshotError::Corrupt("LUT registry larger than section table"));
-    }
-    for _ in 0..n8 {
-        let a = c.quant()?;
-        let b = c.quant()?;
-        let table = dec.f32_payload(c.u32()?, CODES * CODES)?;
-        dec.lut8.push(Arc::new(ProductLut::from_parts(table, a, b)));
-    }
-    let n4 = c.dim()?;
-    // ≥15 meta bytes per int4 entry: two quantizers, an order tag, a
-    // section index.
-    if n4 > sections.len() || n4 > c.remaining() / 15 {
-        return Err(SnapshotError::Corrupt("LUT registry larger than section table"));
-    }
-    for _ in 0..n4 {
-        let act = c.quant()?;
-        let w = c.quant4()?;
-        let order = match c.u8()? {
-            0 => Lut4Order::WeightsLeft,
-            1 => Lut4Order::ActivationsLeft,
-            _ => return Err(SnapshotError::Corrupt("unknown Lut4Order tag")),
-        };
-        let table = dec.f32_payload(c.u32()?, CODES * CODES4)?;
-        dec.lut4.push(Arc::new(ProductLut4::from_parts(table, act, w, order)));
+    for (registry, codes) in [CODES, CODES4].into_iter().enumerate() {
+        let int4 = codes == CODES4;
+        let n = c.dim()?;
+        // Meta bytes per entry: two quantizers and a section index, plus an
+        // order tag for int4 entries.
+        let entry_len = if int4 { 15 } else { 14 };
+        if n > sections.len() || n > c.remaining() / entry_len {
+            return Err(SnapshotError::Corrupt("LUT registry larger than section table"));
+        }
+        for _ in 0..n {
+            let a = c.quant(CODES)?;
+            let b = c.quant(codes)?;
+            let order = match int4.then(|| c.u8()).transpose()? {
+                None | Some(1) => LutOrder::RowLeft,
+                Some(0) => LutOrder::ColumnLeft,
+                Some(_) => return Err(SnapshotError::Corrupt("unknown LUT order tag")),
+            };
+            let table = dec.f32_payload(c.u32()?, CODES * codes)?;
+            dec.luts[registry].push(Arc::new(ProductLut::from_parts(table, a, b, order)));
+        }
     }
 
     let n_steps = c.dim()?;
@@ -917,9 +883,9 @@ fn decode_plan(bytes: &[u8], region: Arc<dyn ByteRegion>) -> Result<InferencePla
                 }
                 Step::QuantAct { bits }
             }
-            TAG_QUANTIZE_INPUT => Step::QuantizeInput { params: c.quant()? },
+            TAG_QUANTIZE_INPUT => Step::QuantizeInput { params: c.quant(CODES)? },
             TAG_QRELU => Step::QRelu { zero_point: c.u8()? },
-            TAG_QDEQUANTIZE => Step::QDequantize { params: c.quant()? },
+            TAG_QDEQUANTIZE => Step::QDequantize { params: c.quant(CODES)? },
             _ => return Err(SnapshotError::Corrupt("unknown step tag")),
         };
         steps.push(step);

@@ -318,7 +318,8 @@ fn quantized_multiplier_mismatch_declines() {
 }
 
 /// A tensor of integers on the **int4 grid**: values in `[-7, 8]` with both
-/// endpoints present, so `QuantParams4::from_range` derives scale 1 /
+/// endpoints present, so the 16-code quantizer
+/// (`QuantParams::from_range_codes(lo, hi, CODES4)`) derives scale 1 /
 /// zero-point 7 and every weight decodes exactly.
 fn on_grid4_weights(shape: &[usize], rng: &mut rand::rngs::StdRng) -> Tensor {
     let n: usize = shape.iter().product();

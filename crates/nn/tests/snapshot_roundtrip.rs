@@ -393,6 +393,43 @@ fn hostile_counts_are_rejected_before_allocation() {
     assert!(load_bytes("hostile-overlap", &overlap).is_err());
 }
 
+/// An int4 LUT registry entry whose weight quantizer or operand-order tag is
+/// out of range loads as `Corrupt`, never as a table built on a bad
+/// quantizer and never as a panic. The forged precision-2 META holds one
+/// int4 entry naming payload section 1, which the one-section container
+/// lacks: a well-formed entry therefore fails at the payload lookup, and
+/// each bad field must be rejected before that — by its own check.
+#[test]
+fn int4_registry_entries_with_bad_fields_are_corrupt() {
+    let int4_entry = |w_zero_point: u8, order: u8| {
+        let mut meta = Vec::new();
+        meta.extend_from_slice(&0u32.to_le_bytes()); // multiplier name: ""
+        meta.push(2); // precision: int4 weights
+        meta.extend_from_slice(&0u32.to_le_bytes()); // n8 = 0
+        meta.extend_from_slice(&1u32.to_le_bytes()); // n4 = 1
+        meta.extend_from_slice(&1.0f32.to_le_bytes()); // activation scale
+        meta.push(0); // activation zero point
+        meta.extend_from_slice(&1.0f32.to_le_bytes()); // weight scale
+        meta.push(w_zero_point);
+        meta.push(order);
+        meta.extend_from_slice(&1u32.to_le_bytes()); // table section index
+        meta.extend_from_slice(&0u32.to_le_bytes()); // n_steps = 0
+        forged_container(&meta)
+    };
+    let payload_miss = match load_bytes("int4-entry-ok", &int4_entry(15, 1)) {
+        Err(SnapshotError::Corrupt(msg)) => msg,
+        other => panic!("well-formed entry must fail only at the payload lookup: {other:?}"),
+    };
+    for (tag, zero_point, order) in [("int4-entry-zp16", 16u8, 1u8), ("int4-entry-order2", 7, 2)] {
+        match load_bytes(tag, &int4_entry(zero_point, order)) {
+            Err(SnapshotError::Corrupt(msg)) => {
+                assert_ne!(msg, payload_miss, "{tag}: the bad field must be caught first");
+            }
+            other => panic!("{tag}: expected Corrupt, got {other:?}"),
+        }
+    }
+}
+
 /// Step lists whose operand types do not chain — a code-reading step fed
 /// the f32 input, or a quantized plan ending in codes instead of f32 logits
 /// — are rejected at load (behind a valid checksum and correct precision
