@@ -1,5 +1,11 @@
-//! Transferability evaluation harness (the machinery behind the paper's
-//! Tables 2, 3, 4, 5, and 10).
+//! The transferability protocol (paper Figure 5), the one implementation
+//! behind Tables 2, 3, 4, 5, and 10 and Figures 8–11.
+//!
+//! A runner first picks the images to attack with [`correctly_classified`]
+//! on the model its table conditions on (the source for Tables 2/3/5/10 and
+//! Figures 8–11, the victim for Table 4), then calls [`evaluate_transfer`]
+//! once per attack: craft on the source, count the adversarials that fool
+//! the source, and replay those on every target.
 
 use da_tensor::Tensor;
 
@@ -8,152 +14,153 @@ use crate::traits::{Attack, TargetModel};
 
 /// Outcome of one crafted adversarial example.
 #[derive(Debug, Clone)]
-pub struct AttackSuccess {
+pub struct TransferOutcome {
+    /// Index of the clean image in the evaluated batch.
+    pub index: usize,
     /// The adversarial image.
     pub adversarial: Tensor,
-    /// True label of the source image.
-    pub label: usize,
     /// Did it fool the model it was crafted on?
     pub fooled_source: bool,
-    /// Did it fool the transfer-target model?
-    pub fooled_target: bool,
+    /// Did it fool each target? Only source-fooling adversarials are
+    /// replayed, so every flag is `false` when `fooled_source` is.
+    pub fooled_targets: Vec<bool>,
     /// L2 distance to the clean image.
     pub l2: f64,
     /// L∞ distance to the clean image.
     pub linf: f64,
 }
 
-/// Aggregated transferability of one attack between two models.
+/// Transferability of one attack from a source model to its targets.
 #[derive(Debug, Clone)]
 pub struct TransferReport {
     /// Attack name (paper row label).
     pub attack: String,
-    /// Examples attempted (correctly classified by the source model).
+    /// Examples attempted.
     pub attempted: usize,
     /// Examples that fooled the source model.
     pub source_successes: usize,
-    /// Of those, examples that also fooled the target model.
-    pub target_successes: usize,
+    /// Of those, examples that also fooled each target model.
+    pub target_successes: Vec<usize>,
+    /// One outcome per attempted example, in attack-set order.
+    pub outcomes: Vec<TransferOutcome>,
+}
+
+fn rate(hits: usize, base: usize) -> f64 {
+    if base == 0 {
+        0.0
+    } else {
+        hits as f64 / base as f64
+    }
 }
 
 impl TransferReport {
     /// Success rate on the source model (the paper's "Exact" column,
     /// typically 100% by construction).
     pub fn source_rate(&self) -> f64 {
-        if self.attempted == 0 {
-            0.0
-        } else {
-            self.source_successes as f64 / self.attempted as f64
-        }
+        rate(self.source_successes, self.attempted)
     }
 
-    /// Transfer rate: the fraction of source-successful adversarials that
-    /// also fool the target (the paper's "Approximate" column).
-    pub fn transfer_rate(&self) -> f64 {
-        if self.source_successes == 0 {
-            0.0
-        } else {
-            self.target_successes as f64 / self.source_successes as f64
-        }
+    /// Transfer rate to target `t`: the fraction of source-successful
+    /// adversarials that also fool it (the paper's "Approximate" columns).
+    pub fn transfer_rate(&self, t: usize) -> f64 {
+        rate(self.target_successes[t], self.source_successes)
     }
 }
 
 impl std::fmt::Display for TransferReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{:<6} source {:>5.1}%  transfer {:>5.1}%  ({} samples)",
-            self.attack,
-            self.source_rate() * 100.0,
-            self.transfer_rate() * 100.0,
-            self.attempted
-        )
+        write!(f, "{:<6} source {:>5.1}%", self.attack, self.source_rate() * 100.0)?;
+        for t in 0..self.target_successes.len() {
+            write!(f, "  transfer {:>5.1}%", self.transfer_rate(t) * 100.0)?;
+        }
+        write!(f, "  ({} samples)", self.attempted)
     }
 }
 
-/// Craft adversarials with `attack` against `source` and replay them on
-/// `target` (the paper's transferability protocol, Figure 5).
+/// Indices of the images `model` classifies correctly, from one batched
+/// forward pass — the attack set (only correctly classified inputs are
+/// attacked).
+pub fn correctly_classified(
+    model: &dyn TargetModel,
+    images: &Tensor,
+    labels: &[usize],
+) -> Vec<usize> {
+    assert_eq!(images.shape()[0], labels.len(), "one label per image");
+    let predictions = model.predict_batch(images);
+    (0..labels.len()).filter(|&i| predictions[i] == labels[i]).collect()
+}
+
+/// Craft an adversarial with `attack` against `source` for every image of
+/// `attack_set` (indices into `images`/`labels`) and replay the ones that
+/// fool the source on every target (the paper's transferability protocol,
+/// Figure 5). With no targets this measures the attack on the source alone.
 ///
-/// Only images the source model classifies correctly are attacked. Returns
-/// the aggregate report and per-example outcomes.
-///
-/// Batch structure: the clean filter and both replay passes go through
-/// [`TargetModel::predict_batch`], so models backed by the serving stack
-/// (`Network`'s compiled plans, or a [`crate::served::ServedModel`] riding
-/// the cross-request batch server) evaluate the whole set as coalesced
+/// Batch structure: crafting is per image (attacks are sequential query
+/// loops); the source replay and each target replay are one
+/// [`TargetModel::predict_batch`] call, so models backed by the serving
+/// stack (`Network`'s compiled plans, or a [`crate::served::ServedModel`]
+/// riding the cross-request batch server) evaluate them as coalesced
 /// batches — bit-identical to per-image prediction.
 pub fn evaluate_transfer(
     attack: &dyn Attack,
     source: &dyn TargetModel,
-    target: &dyn TargetModel,
+    targets: &[&dyn TargetModel],
     images: &Tensor,
     labels: &[usize],
-) -> (TransferReport, Vec<AttackSuccess>) {
+    attack_set: &[usize],
+) -> TransferReport {
     assert_eq!(images.shape()[0], labels.len(), "one label per image");
-    let mut attempted = 0usize;
+    let crafted: Vec<(usize, Tensor)> = attack_set
+        .iter()
+        .map(|&i| (i, attack.run(source, &images.batch_item(i), labels[i])))
+        .collect();
 
-    // One batched forward pass filters the clean set.
-    let clean_predictions = source.predict_batch(images);
-
-    // Crafting is per-image (attacks are sequential query loops).
-    let mut crafted: Vec<(f64, f64, Tensor, usize)> = Vec::new();
-    for i in 0..labels.len() {
-        let x = images.batch_item(i);
-        let label = labels[i];
-        if clean_predictions[i] != label {
-            continue; // only attack correctly classified inputs
+    // Which of the crafted examples at positions `picks` `model`
+    // misclassifies, in one batch.
+    let fooled = |model: &dyn TargetModel, picks: &[usize]| -> Vec<bool> {
+        if picks.is_empty() {
+            return Vec::new();
         }
-        attempted += 1;
-        let adv = attack.run(source, &x, label);
-        crafted.push((metrics::l2(&adv, &x), metrics::linf(&adv, &x), adv, label));
+        let advs: Vec<Tensor> = picks.iter().map(|&c| crafted[c].1.clone()).collect();
+        let predictions = model.predict_batch(&Tensor::stack(&advs));
+        predictions.iter().zip(picks).map(|(&p, &c)| p != labels[crafted[c].0]).collect()
+    };
+    // Replay everything on the source, then only the source-fooling subset
+    // on each target (the others cannot transfer).
+    let all: Vec<usize> = (0..crafted.len()).collect();
+    let fooled_source = fooled(source, &all);
+    let fooling: Vec<usize> = all.into_iter().filter(|&c| fooled_source[c]).collect();
+    let mut fooled_targets = vec![vec![false; targets.len()]; crafted.len()];
+    let mut target_successes = vec![0; targets.len()];
+    for (t, target) in targets.iter().enumerate() {
+        for (&c, hit) in fooling.iter().zip(fooled(*target, &fooling)) {
+            fooled_targets[c][t] = hit;
+            target_successes[t] += usize::from(hit);
+        }
     }
 
-    // Replay the crafted examples on the source as one batch, then only the
-    // source-fooling subset on the target (the others cannot transfer).
-    let mut outcomes = Vec::with_capacity(crafted.len());
-    let mut source_successes = 0usize;
-    let mut target_successes = 0usize;
-    if !crafted.is_empty() {
-        let advs: Vec<Tensor> = crafted.iter().map(|(_, _, adv, _)| adv.clone()).collect();
-        let source_replay = source.predict_batch(&Tensor::stack(&advs));
-        let fooling: Vec<Tensor> = crafted
-            .iter()
-            .zip(&source_replay)
-            .filter(|((_, _, _, label), pred)| **pred != *label)
-            .map(|((_, _, adv, _), _)| adv.clone())
-            .collect();
-        let mut target_replay = if fooling.is_empty() {
-            Vec::new()
-        } else {
-            target.predict_batch(&Tensor::stack(&fooling))
-        }
-        .into_iter();
-        for (i, (l2, linf, adversarial, label)) in crafted.into_iter().enumerate() {
-            let fooled_source = source_replay[i] != label;
-            let fooled_target =
-                fooled_source && target_replay.next().expect("one replay per fooling adv") != label;
-            source_successes += usize::from(fooled_source);
-            target_successes += usize::from(fooled_target);
-            outcomes.push(AttackSuccess {
+    let outcomes = crafted
+        .into_iter()
+        .zip(fooled_source.into_iter().zip(fooled_targets))
+        .map(|((index, adversarial), (fooled_source, fooled_targets))| {
+            let x = images.batch_item(index);
+            TransferOutcome {
+                index,
+                l2: metrics::l2(&adversarial, &x),
+                linf: metrics::linf(&adversarial, &x),
                 adversarial,
-                label,
                 fooled_source,
-                fooled_target,
-                l2,
-                linf,
-            });
-        }
-    }
-
-    (
-        TransferReport {
-            attack: attack.name().to_string(),
-            attempted,
-            source_successes,
-            target_successes,
-        },
+                fooled_targets,
+            }
+        })
+        .collect();
+    TransferReport {
+        attack: attack.name().to_string(),
+        attempted: attack_set.len(),
+        source_successes: fooling.len(),
+        target_successes,
         outcomes,
-    )
+    }
 }
 
 #[cfg(test)]
@@ -204,11 +211,18 @@ mod tests {
         // a target success by definition.
         let net = trained(1);
         let (xs, ys) = data(12, 200);
-        let (report, outcomes) = evaluate_transfer(&Fgsm::new(0.3), &net, &net, &xs, &ys);
-        assert_eq!(report.source_successes, report.target_successes);
+        let report = evaluate_transfer(
+            &Fgsm::new(0.3),
+            &net,
+            &[&net],
+            &xs,
+            &ys,
+            &correctly_classified(&net, &xs, &ys),
+        );
+        assert_eq!(report.source_successes, report.target_successes[0]);
         assert!(report.source_rate() > 0.5);
-        assert_eq!(outcomes.len(), report.attempted);
-        assert!((report.transfer_rate() - 1.0).abs() < 1e-9 || report.source_successes == 0);
+        assert_eq!(report.outcomes.len(), report.attempted);
+        assert!((report.transfer_rate(0) - 1.0).abs() < 1e-9 || report.source_successes == 0);
     }
 
     #[test]
@@ -216,16 +230,30 @@ mod tests {
         let a = trained(1);
         let b = trained(99);
         let (xs, ys) = data(12, 300);
-        let (report, _) = evaluate_transfer(&Fgsm::new(0.3), &a, &b, &xs, &ys);
-        assert!(report.target_successes <= report.source_successes);
+        let report = evaluate_transfer(
+            &Fgsm::new(0.3),
+            &a,
+            &[&b],
+            &xs,
+            &ys,
+            &correctly_classified(&a, &xs, &ys),
+        );
+        assert!(report.target_successes[0] <= report.source_successes);
     }
 
     #[test]
     fn outcomes_record_distances() {
         let net = trained(2);
         let (xs, ys) = data(6, 400);
-        let (_, outcomes) = evaluate_transfer(&Fgsm::new(0.2), &net, &net, &xs, &ys);
-        for o in &outcomes {
+        let report = evaluate_transfer(
+            &Fgsm::new(0.2),
+            &net,
+            &[&net],
+            &xs,
+            &ys,
+            &correctly_classified(&net, &xs, &ys),
+        );
+        for o in &report.outcomes {
             assert!(o.linf <= 0.2 + 1e-6);
             assert!(o.l2 >= o.linf); // L2 dominates L∞ on multi-pixel changes
         }
@@ -237,7 +265,8 @@ mod tests {
             attack: "FGSM".into(),
             attempted: 10,
             source_successes: 10,
-            target_successes: 3,
+            target_successes: vec![3],
+            outcomes: Vec::new(),
         };
         let s = r.to_string();
         assert!(s.contains("100.0%"), "{s}");

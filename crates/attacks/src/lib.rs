@@ -33,6 +33,6 @@ pub mod served;
 pub mod substitute;
 pub mod traits;
 
-pub use harness::{evaluate_transfer, AttackSuccess, TransferReport};
+pub use harness::{correctly_classified, evaluate_transfer, TransferOutcome, TransferReport};
 pub use served::ServedModel;
 pub use traits::{Attack, TargetModel};

@@ -21,12 +21,16 @@
 //! 256×256×256. The scalar baseline for HEAP at 256³ simulates ~16.8M
 //! gate-level multiplies and is skipped unless `DA_BENCH_FULL=1`.
 //!
+//! Each row reports the median of repeated timed calls: a row repeats until
+//! [`ROW_BUDGET`] of wall time has elapsed, and at least [`MIN_REPS`] times,
+//! so sub-millisecond calls get enough samples to be stable run to run.
+//!
 //! `DA_BENCH_JSON=<path>` additionally writes the table as a
 //! machine-readable document (see [`da_bench::json`]); `DA_BENCH_SMOKE=1`
 //! restricts the run to 64³ with one timed rep (CI's emit-and-schema-check
 //! smoke job).
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use da_arith::quantized::{lut_gemm, ProductLut, QuantParams, CODES4};
 use da_arith::{classify_row, MultiplierKind, RowClass};
@@ -35,18 +39,28 @@ use da_nn::layers::{gemm_with, matmul_with_scalar};
 use da_tensor::Tensor;
 use rand::SeedableRng;
 
-/// Time `f` (best of `reps` runs, after one warmup) and return MACs/s.
-fn macs_per_sec(macs: usize, reps: usize, mut f: impl FnMut() -> Tensor) -> f64 {
-    let mut best = f64::INFINITY;
+/// Wall time each timed row repeats for (outside smoke mode).
+const ROW_BUDGET: Duration = Duration::from_millis(250);
+/// Fewest timed calls per row (outside smoke mode), however slow the call.
+const MIN_REPS: usize = 3;
+
+/// Time `f` after one warmup and return MACs/s of the median call: one call
+/// in smoke mode, else calls until [`ROW_BUDGET`] has elapsed and at least
+/// [`MIN_REPS`] have run.
+fn macs_per_sec(macs: usize, smoke: bool, mut f: impl FnMut() -> Tensor) -> f64 {
     let _warmup = f();
-    for _ in 0..reps {
+    let row_start = Instant::now();
+    let mut times = Vec::new();
+    while times.is_empty()
+        || (!smoke && (times.len() < MIN_REPS || row_start.elapsed() < ROW_BUDGET))
+    {
         let start = Instant::now();
         let out = f();
-        let dt = start.elapsed().as_secs_f64();
+        times.push(start.elapsed().as_secs_f64());
         std::hint::black_box(out);
-        best = best.min(dt);
     }
-    macs as f64 / best
+    times.sort_by(f64::total_cmp);
+    macs as f64 / times[times.len() / 2]
 }
 
 fn human(rate: f64) -> String {
@@ -76,13 +90,6 @@ fn main() {
         if smoke { &[(64, 64, 64)] } else { &[(64, 64, 64), (256, 256, 256)] };
     for &(m, k, n) in sizes {
         let macs = m * k * n;
-        let reps = if smoke {
-            1
-        } else if macs <= 1 << 19 {
-            5
-        } else {
-            3
-        };
         let a = Tensor::rand_uniform(&[m, k], -1.0, 1.0, &mut rng);
         let b = Tensor::rand_uniform(&[k, n], -1.0, 1.0, &mut rng);
 
@@ -109,9 +116,9 @@ fn main() {
             // Gate-level HEAP at 256³ needs minutes per scalar run.
             let scalar_feasible = full || kind != MultiplierKind::Heap || macs <= 1 << 19;
 
-            let batched = macs_per_sec(macs, reps, || gemm_with(&*mult, &a, &b));
+            let batched = macs_per_sec(macs, smoke, || gemm_with(&*mult, &a, &b));
             let scalar = if scalar_feasible {
-                Some(macs_per_sec(macs, reps, || matmul_with_scalar(&*mult, &a, &b)))
+                Some(macs_per_sec(macs, smoke, || matmul_with_scalar(&*mult, &a, &b)))
             } else {
                 None
             };
@@ -131,7 +138,7 @@ fn main() {
                 let class = bd.chunks(n).map(classify_row).max().unwrap_or(RowClass::Normal);
                 let mut kernel = mult.batch_kernel();
                 let mut acc_bs = vec![0.0f32; m * n];
-                let bitslice_rate = macs_per_sec(macs, reps.max(3), || {
+                let bitslice_rate = macs_per_sec(macs, smoke, || {
                     acc_bs.fill(0.0);
                     kernel.gemm_tile(a.data(), bd, n, class, &mut acc_bs, n);
                     std::hint::black_box(acc_bs[0]);
@@ -158,7 +165,7 @@ fn main() {
             // hardware model lives entirely in the table).
             let lut = ProductLut::build(&*mult, aq_params, bq_params);
             let mut acc = vec![0.0f32; m * n];
-            let lut_rate = macs_per_sec(macs, reps, || {
+            let lut_rate = macs_per_sec(macs, smoke, || {
                 acc.fill(0.0);
                 lut_gemm(&lut, &qa_codes, m, k, &qb_codes, n, &mut acc, n);
                 std::hint::black_box(acc[0]);
@@ -183,7 +190,7 @@ fn main() {
             // cheaper indexing.
             let lut4 = ProductLut::build(&*mult, aq_params, b4_params);
             let mut acc4 = vec![0.0f32; m * n];
-            let lut4_rate = macs_per_sec(macs, reps, || {
+            let lut4_rate = macs_per_sec(macs, smoke, || {
                 acc4.fill(0.0);
                 lut_gemm(&lut4, &qa_codes, m, k, &qb4_codes, n, &mut acc4, n);
                 std::hint::black_box(acc4[0]);

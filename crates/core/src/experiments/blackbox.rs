@@ -2,14 +2,17 @@
 //!
 //! The adversary queries the victim for labels, trains a substitute LeNet-5
 //! on those labels, crafts adversarials on the substitute, and replays them
-//! on the victim. The experiment runs the pipeline twice — once against the
-//! exact victim, once against the Ax-FPM victim — and compares success rates.
+//! on the victim ([`da_attacks::evaluate_transfer`] with the substitute as
+//! the source and the victim as the one target). The clean filter conditions
+//! on the victim: only images the victim classifies correctly are attacked.
+//! The experiment runs the pipeline twice — once against the exact victim,
+//! once against the Ax-FPM victim — and compares success rates.
 
 use rand::SeedableRng;
 
 use da_arith::MultiplierKind;
 use da_attacks::substitute::{train_substitute, SubstituteConfig};
-use da_attacks::{Attack, TargetModel};
+use da_attacks::{correctly_classified, evaluate_transfer, Attack};
 use da_datasets::digits::synth_digits;
 use da_nn::zoo::lenet5;
 use da_nn::Network;
@@ -83,27 +86,16 @@ fn pipeline(
     let agreement = train_substitute(&mut substitute, victim, &queries.images, &config) as f64;
 
     let eval = synth_digits(budget.transfer_samples.max(10), EVAL_SEED ^ seed);
-    let mut rates = Vec::with_capacity(attacks.len());
-    for attack in attacks {
-        let mut crafted = 0usize;
-        let mut hits = 0usize;
-        for i in 0..eval.len() {
-            let x = eval.images.batch_item(i);
-            let label = eval.labels[i];
-            if TargetModel::predict(victim, &x) != label {
-                continue;
-            }
-            let adv = attack.run(&substitute, &x, label);
-            if TargetModel::predict(&substitute, &adv) == label {
-                continue; // attack failed even on the proxy
-            }
-            crafted += 1;
-            if TargetModel::predict(victim, &adv) != label {
-                hits += 1;
-            }
-        }
-        rates.push(if crafted == 0 { 0.0 } else { hits as f64 / crafted as f64 });
-    }
+    let (images, labels) = (&eval.images, &eval.labels);
+    // Table 4 conditions on the victim: the images it classifies correctly.
+    let attack_set = correctly_classified(victim, images, labels);
+    let rates = attacks
+        .iter()
+        .map(|attack| {
+            evaluate_transfer(&**attack, &substitute, &[victim], images, labels, &attack_set)
+                .transfer_rate(0)
+        })
+        .collect();
     (agreement, rates)
 }
 

@@ -4,10 +4,13 @@
 //! the DA AlexNet (same weights, Ax-FPM multiplier), the fully quantized DQ
 //! ConvNet, and the weight-only quantized DQ ConvNet. DQ adversarials are
 //! crafted on the float DQ ConvNet (the deterministic reverse-engineerable
-//! surrogate the paper's discussion assumes).
+//! surrogate the paper's discussion assumes). Each row is two
+//! [`da_attacks::evaluate_transfer`] calls, exact AlexNet → DA and float
+//! DQ → (full, weight-only), and each clean filter conditions on its own
+//! source: the exact AlexNet or the float DQ ConvNet.
 
 use da_arith::MultiplierKind;
-use da_attacks::TargetModel;
+use da_attacks::{correctly_classified, evaluate_transfer};
 use da_nn::zoo::DqMode;
 
 use crate::experiments::transfer::with_multiplier;
@@ -86,61 +89,35 @@ pub fn table5(cache: &ModelCache, budget: &Budget) -> DqTable {
 
     let ds = cache.objects_test(budget.transfer_samples.max(10) * 2);
     let eval = ds.balanced_subset((budget.transfer_samples / ds.classes).max(1));
-    let attacks = crate::suites::dq_suite(5);
+    let (images, labels) = (&eval.images, &eval.labels);
+    // Each path's clean filter conditions on its own source.
+    let exact_set = correctly_classified(&alexnet, images, labels);
+    let dq_set = correctly_classified(&dq_float, images, labels);
 
-    let mut rows = Vec::new();
-    for attack in &attacks {
-        let mut attempted = 0usize;
-        let mut exact_hits = 0usize;
-        let mut da_hits = 0usize;
-        let mut dq_crafted = 0usize;
-        let mut full_hits = 0usize;
-        let mut weight_hits = 0usize;
-        for i in 0..eval.len() {
-            let x = eval.images.batch_item(i);
-            let label = eval.labels[i];
-
+    let rows = crate::suites::dq_suite(5)
+        .iter()
+        .map(|attack| {
             // DA path: craft on exact AlexNet, replay on the DA AlexNet.
-            if TargetModel::predict(&alexnet, &x) == label {
-                attempted += 1;
-                let adv = attack.run(&alexnet, &x, label);
-                if TargetModel::predict(&alexnet, &adv) != label {
-                    exact_hits += 1;
-                    if TargetModel::predict(&da, &adv) != label {
-                        da_hits += 1;
-                    }
-                }
-            }
-
+            let da_path =
+                evaluate_transfer(&**attack, &alexnet, &[&da], images, labels, &exact_set);
             // DQ path: craft on the float DQ ConvNet, replay on quantized.
-            if TargetModel::predict(&dq_float, &x) == label {
-                let adv = attack.run(&dq_float, &x, label);
-                if TargetModel::predict(&dq_float, &adv) != label {
-                    dq_crafted += 1;
-                    if TargetModel::predict(&dq_full, &adv) != label {
-                        full_hits += 1;
-                    }
-                    if TargetModel::predict(&dq_weight, &adv) != label {
-                        weight_hits += 1;
-                    }
-                }
+            let dq_path = evaluate_transfer(
+                &**attack,
+                &dq_float,
+                &[&dq_full, &dq_weight],
+                images,
+                labels,
+                &dq_set,
+            );
+            DqRow {
+                attack: attack.name().to_string(),
+                exact_rate: da_path.source_rate(),
+                da_rate: da_path.transfer_rate(0),
+                dq_full_rate: dq_path.transfer_rate(0),
+                dq_weight_rate: dq_path.transfer_rate(1),
             }
-        }
-        let rate = |hits: usize, base: usize| {
-            if base == 0 {
-                0.0
-            } else {
-                hits as f64 / base as f64
-            }
-        };
-        rows.push(DqRow {
-            attack: attack.name().to_string(),
-            exact_rate: rate(exact_hits, attempted),
-            da_rate: rate(da_hits, exact_hits),
-            dq_full_rate: rate(full_hits, dq_crafted),
-            dq_weight_rate: rate(weight_hits, dq_crafted),
-        });
-    }
+        })
+        .collect();
     DqTable { rows, samples: eval.len() }
 }
 

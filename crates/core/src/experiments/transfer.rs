@@ -1,13 +1,17 @@
 //! Transferability experiments: paper Tables 2, 3, and 10.
 //!
-//! Protocol (Figure 5): craft adversarial examples against the *exact*
-//! classifier, then replay each successful one against approximate targets
-//! that share the same weights and architecture but different multipliers.
+//! Protocol (Figure 5, [`da_attacks::evaluate_transfer`]): craft adversarial
+//! examples against the *exact* classifier, then replay each successful one
+//! against approximate targets that share the same weights and architecture
+//! but different multipliers. The clean filter conditions on the source:
+//! only images the exact classifier gets right are attacked.
 
 use std::sync::Arc;
 
 use da_arith::MultiplierKind;
-use da_attacks::{Attack, ServedModel, TargetModel};
+use da_attacks::{
+    correctly_classified, evaluate_transfer, Attack, ServedModel, TargetModel, TransferReport,
+};
 use da_datasets::Dataset;
 use da_nn::Network;
 
@@ -21,21 +25,10 @@ pub struct TransferTable {
     pub title: String,
     /// Target-column names.
     pub targets: Vec<String>,
-    /// Rows: attack name, source success rate, transfer rate per target.
-    pub rows: Vec<TransferRow>,
+    /// One report per attack, with one success count per target column.
+    pub rows: Vec<TransferReport>,
     /// Images attacked per row.
     pub samples: usize,
-}
-
-/// One row of a [`TransferTable`].
-#[derive(Debug, Clone)]
-pub struct TransferRow {
-    /// Attack name (paper row label).
-    pub attack: String,
-    /// Success rate on the source (exact) model.
-    pub source_rate: f64,
-    /// Success rate of the transferred examples on each target.
-    pub transfer_rates: Vec<f64>,
 }
 
 impl std::fmt::Display for TransferTable {
@@ -47,9 +40,9 @@ impl std::fmt::Display for TransferTable {
         }
         writeln!(f)?;
         for row in &self.rows {
-            write!(f, "{:<8} {:>9.0}%", row.attack, row.source_rate * 100.0)?;
-            for r in &row.transfer_rates {
-                write!(f, " {:>13.0}%", r * 100.0)?;
+            write!(f, "{:<8} {:>9.0}%", row.attack, row.source_rate() * 100.0)?;
+            for t in 0..self.targets.len() {
+                write!(f, " {:>13.0}%", row.transfer_rate(t) * 100.0)?;
             }
             writeln!(f)?;
         }
@@ -62,7 +55,7 @@ impl TransferTable {
     /// "average robustness improvement" is `1 − this`.
     pub fn mean_transfer_rate(&self, idx: usize) -> f64 {
         let n = self.rows.len().max(1) as f64;
-        self.rows.iter().map(|r| r.transfer_rates[idx]).sum::<f64>() / n
+        self.rows.iter().map(|r| r.transfer_rate(idx)).sum::<f64>() / n
     }
 }
 
@@ -85,86 +78,32 @@ pub fn multi_target_transfer(
     samples: usize,
 ) -> TransferTable {
     let eval = dataset.balanced_subset((samples / dataset.classes).max(1));
-    let mut rows = Vec::with_capacity(attacks.len());
-
     let served_source = ServedModel::new(source);
-    let source_model: &dyn TargetModel = match &served_source {
-        Some(s) => s,
-        None => source,
-    };
-    let served_targets: Vec<Option<ServedModel>> =
-        targets.iter().map(|(_, net)| ServedModel::new(net)).collect();
-    let target_models: Vec<&dyn TargetModel> = served_targets
+    let served_targets: Vec<_> = targets.iter().map(|(_, net)| ServedModel::new(net)).collect();
+    let source_model = served_or_direct(&served_source, source);
+    let target_models: Vec<&dyn TargetModel> =
+        served_targets.iter().zip(targets).map(|(s, (_, net))| served_or_direct(s, net)).collect();
+
+    let (images, labels) = (&eval.images, &eval.labels);
+    // One batched clean-filter pass on the source; identical for every row.
+    let attack_set = correctly_classified(source_model, images, labels);
+    let rows = attacks
         .iter()
-        .zip(targets)
-        .map(|(served, (_, net))| match served {
-            Some(s) => s as &dyn TargetModel,
-            None => *net as &dyn TargetModel,
-        })
+        .map(|a| evaluate_transfer(&**a, source_model, &target_models, images, labels, &attack_set))
         .collect();
-
-    // One batched clean-filter pass; identical for every attack row.
-    let clean_predictions = source_model.predict_batch(&eval.images);
-
-    for attack in attacks {
-        let mut attempted = 0usize;
-        let mut crafted: Vec<(da_tensor::Tensor, usize)> = Vec::new();
-        for i in 0..eval.len() {
-            let x = eval.images.batch_item(i);
-            let label = eval.labels[i];
-            if clean_predictions[i] != label {
-                continue;
-            }
-            attempted += 1;
-            crafted.push((attack.run(source_model, &x, label), label));
-        }
-
-        // Replay the adversarials on the source as one coalesced batch,
-        // then only the source-fooling subset on each target (the rest
-        // cannot transfer by definition).
-        let mut source_hits = 0usize;
-        let mut target_hits = vec![0usize; targets.len()];
-        if !crafted.is_empty() {
-            let (advs, labels): (Vec<da_tensor::Tensor>, Vec<usize>) = crafted.into_iter().unzip();
-            let source_replay = source_model.predict_batch(&da_tensor::Tensor::stack(&advs));
-            let fooling: Vec<da_tensor::Tensor> = advs
-                .iter()
-                .zip(&labels)
-                .zip(&source_replay)
-                .filter(|((_, label), pred)| *pred != *label)
-                .map(|((adv, _), _)| adv.clone())
-                .collect();
-            let fooling_labels: Vec<usize> = labels
-                .iter()
-                .zip(&source_replay)
-                .filter(|(label, pred)| *pred != *label)
-                .map(|(&label, _)| label)
-                .collect();
-            source_hits = fooling.len();
-            if !fooling.is_empty() {
-                let fooling_batch = da_tensor::Tensor::stack(&fooling);
-                for (t, model) in target_models.iter().enumerate() {
-                    let replay = model.predict_batch(&fooling_batch);
-                    target_hits[t] =
-                        replay.iter().zip(&fooling_labels).filter(|(p, l)| p != l).count();
-                }
-            }
-        }
-        rows.push(TransferRow {
-            attack: attack.name().to_string(),
-            source_rate: if attempted == 0 { 0.0 } else { source_hits as f64 / attempted as f64 },
-            transfer_rates: target_hits
-                .iter()
-                .map(|&h| if source_hits == 0 { 0.0 } else { h as f64 / source_hits as f64 })
-                .collect(),
-        });
-    }
-
     TransferTable {
         title: title.into(),
         targets: targets.iter().map(|(n, _)| n.clone()).collect(),
         rows,
         samples: eval.len(),
+    }
+}
+
+/// The served model when the layer stack compiled, else the network itself.
+fn served_or_direct<'a>(served: &'a Option<ServedModel>, net: &'a Network) -> &'a dyn TargetModel {
+    match served {
+        Some(s) => s,
+        None => net,
     }
 }
 
@@ -239,7 +178,7 @@ mod tests {
         assert_eq!(table.targets, ["Approximate"]);
         for row in &table.rows {
             assert!(
-                row.transfer_rates[0] <= row.source_rate + 1e-9,
+                row.transfer_rate(0) <= row.source_rate() + 1e-9,
                 "{}: transfer cannot exceed source",
                 row.attack
             );

@@ -4,12 +4,16 @@
 //! The attacker has full knowledge of the DA classifier, including its
 //! approximate gradients (BPDA/straight-through, crate docs of `da-nn`).
 //! Robustness here means a higher perturbation *price*: the L2 / MSE / PSNR
-//! of successful adversarials against DA versus the exact classifier.
+//! of successful adversarials against DA versus the exact classifier. Each
+//! series is one [`da_attacks::evaluate_transfer`] call with the attacked
+//! model as the source and no targets; the clean filter conditions on that
+//! model.
 
 use da_arith::MultiplierKind;
 use da_attacks::gradient::{CarliniWagnerL2, DeepFool};
-use da_attacks::{metrics, Attack, TargetModel};
+use da_attacks::{correctly_classified, evaluate_transfer, metrics, Attack, TransferReport};
 use da_nn::Network;
+use da_tensor::Tensor;
 
 use crate::experiments::transfer::with_multiplier;
 use crate::{Budget, ModelCache};
@@ -28,6 +32,22 @@ pub struct PerturbationSeries {
 }
 
 impl PerturbationSeries {
+    /// The price of `report`'s source-fooling adversarials; `images` are the
+    /// clean images its outcome indices point into.
+    fn of(report: &TransferReport, images: &Tensor) -> Self {
+        let mut series = PerturbationSeries {
+            failures: report.attempted - report.source_successes,
+            ..Self::default()
+        };
+        for o in report.outcomes.iter().filter(|o| o.fooled_source) {
+            let x = images.batch_item(o.index);
+            series.l2.push(o.l2);
+            series.mse.push(metrics::mse(&o.adversarial, &x));
+            series.psnr.push(metrics::psnr(&o.adversarial, &x));
+        }
+        series
+    }
+
     fn mean(values: &[f64]) -> f64 {
         if values.is_empty() {
             f64::NAN
@@ -114,42 +134,25 @@ impl std::fmt::Display for WhiteboxReport {
     }
 }
 
-fn attack_series(
-    attack: &dyn Attack,
-    model: &Network,
-    images: &da_tensor::Tensor,
-    labels: &[usize],
-) -> PerturbationSeries {
-    let mut series = PerturbationSeries::default();
-    for i in 0..labels.len() {
-        let x = images.batch_item(i);
-        let label = labels[i];
-        if TargetModel::predict(model, &x) != label {
-            continue;
-        }
-        let adv = attack.run(model, &x, label);
-        if TargetModel::predict(model, &adv) == label {
-            series.failures += 1;
-            continue;
-        }
-        series.l2.push(metrics::l2(&adv, &x));
-        series.mse.push(metrics::mse(&adv, &x));
-        series.psnr.push(metrics::psnr(&adv, &x));
-    }
-    series
-}
-
 /// Run one white-box attack against both classifiers.
 pub fn whitebox_report(attack: &dyn Attack, cache: &ModelCache, budget: &Budget) -> WhiteboxReport {
     let exact = cache.lenet(budget);
     let approx = with_multiplier(cache.lenet(budget), MultiplierKind::AxFpm);
     let ds = cache.digits_test(budget.whitebox_samples.max(2) * 2);
     let eval = ds.balanced_subset((budget.whitebox_samples / 10).max(1));
+    let (images, labels) = (&eval.images, &eval.labels);
+    // The attacked model is the source, with no targets; its clean filter
+    // conditions on itself.
+    let series = |model: &Network| {
+        let attack_set = correctly_classified(model, images, labels);
+        let report = evaluate_transfer(attack, model, &[], images, labels, &attack_set);
+        PerturbationSeries::of(&report, images)
+    };
 
     WhiteboxReport {
         attack: attack.name().to_string(),
-        exact: attack_series(attack, &exact, &eval.images, &eval.labels),
-        approx: attack_series(attack, &approx, &eval.images, &eval.labels),
+        exact: series(&exact),
+        approx: series(&approx),
     }
 }
 

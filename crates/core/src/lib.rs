@@ -12,7 +12,7 @@
 //! | Table 4 | [`experiments::blackbox`] |
 //! | Figures 8–11 | [`experiments::whitebox`] |
 //! | Figure 12 | [`experiments::confidence`] |
-//! | Tables 5 | [`experiments::dq`] |
+//! | Table 5 | [`experiments::dq`] |
 //! | Tables 6 / 8 | [`experiments::accuracy`] |
 //! | Tables 7 / 9 | [`experiments::energy`] |
 //! | Figure 16 | [`experiments::heatmap`] |

@@ -81,8 +81,9 @@
 //!   in would silently change what connected clients get back.
 //!
 //!   [`SnapshotError::Incompatible`]: crate::snapshot::SnapshotError::Incompatible
-//! * **Snapshot semantics.** The server's plan snapshots the network at
-//!   [`BatchServer::compile`] time, exactly like [`Network::plan`].
+//! * **Snapshot semantics.** The server serves the plan
+//!   [`Network::plan`] holds at [`BatchServer::compile`] time (one compile
+//!   shared with the network's own inference and gradients).
 //!   Mutating the network afterwards (`set_multiplier`, `params_mut`, a
 //!   training forward) invalidates the network's own cached plan but *not*
 //!   the server's plan: the server keeps serving the snapshot, and
@@ -609,12 +610,13 @@ pub struct BatchServer {
 }
 
 impl BatchServer {
-    /// Compile `network` into one plan, shared by every worker, and start
-    /// serving.
+    /// Serve `network`'s compiled plan ([`Network::plan`], the one the
+    /// network caches for its own inference and gradients), shared by every
+    /// worker.
     ///
-    /// Returns `None` when the network has no compiled form (the same
-    /// condition under which [`Network::plan`] returns `None`) — callers
-    /// fall back to the per-layer path.
+    /// Returns `None` when the network has no compiled form (when
+    /// [`Network::plan`] returns `None`) — callers fall back to the
+    /// per-layer path.
     ///
     /// # Panics
     ///
@@ -622,11 +624,10 @@ impl BatchServer {
     pub fn compile(network: &Network, config: ServeConfig) -> Option<BatchServer> {
         assert!(config.max_batch >= 1, "max_batch must be at least 1");
         assert!(config.queue_capacity >= 1, "queue_capacity must be at least 1");
-        // Read the epoch *before* compiling: a concurrent mutation mid-compile
-        // then flags the server stale instead of going unnoticed.
+        // Read the epoch *before* fetching the plan: a concurrent mutation
+        // mid-compile then flags the server stale instead of going unnoticed.
         let source_epoch = network.plan_epoch();
-        let plan = InferencePlan::compile(network, network.multiplier().cloned())?;
-        Some(Self::start(Arc::new(plan), config, source_epoch))
+        Some(Self::start(network.plan()?, config, source_epoch))
     }
 
     /// [`compile`](BatchServer::compile) in **int8 mode**: the server

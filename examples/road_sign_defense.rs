@@ -13,7 +13,7 @@
 use defensive_approximation::arith::MultiplierKind;
 use defensive_approximation::attacks::gradient::Pgd;
 use defensive_approximation::attacks::substitute::{train_substitute, SubstituteConfig};
-use defensive_approximation::attacks::{Attack, TargetModel};
+use defensive_approximation::attacks::{correctly_classified, evaluate_transfer};
 use defensive_approximation::core::experiments::transfer::with_multiplier;
 use defensive_approximation::core::{Budget, ModelCache};
 use defensive_approximation::datasets::objects::synth_objects;
@@ -34,28 +34,11 @@ fn blackbox_success(victim: &Network, tag: &str) -> f64 {
 
     let eval = synth_objects(40, 0xE7A1);
     let attack = Pgd::new(0.06, 0.01, 20, 7);
-    let mut crafted = 0usize;
-    let mut hits = 0usize;
-    for i in 0..eval.len() {
-        let x = eval.images.batch_item(i);
-        let label = eval.labels[i];
-        if TargetModel::predict(victim, &x) != label {
-            continue;
-        }
-        let adv = attack.run(&substitute, &x, label);
-        if TargetModel::predict(&substitute, &adv) == label {
-            continue;
-        }
-        crafted += 1;
-        if TargetModel::predict(victim, &adv) != label {
-            hits += 1;
-        }
-    }
-    if crafted == 0 {
-        0.0
-    } else {
-        hits as f64 / crafted as f64
-    }
+    // Attack the images the victim classifies correctly, crafting on the
+    // substitute and replaying the substitute-fooling ones on the victim.
+    let attack_set = correctly_classified(victim, &eval.images, &eval.labels);
+    evaluate_transfer(&attack, &substitute, &[victim], &eval.images, &eval.labels, &attack_set)
+        .transfer_rate(0)
 }
 
 fn main() {
