@@ -14,6 +14,11 @@
 //! * `<kind>-int4` rows time the same `lut_gemm` over a 256×16 table (int4
 //!   weight codes, so the lookup is an in-register shuffle) against
 //!   `<kind>-int8`, the int8 gather on the same shape.
+//! * `native-exact` rows time `da_tensor::ops::matmul` (the exact f32
+//!   micro-kernel `gemm_acc` that native plans, the conv input gradient and
+//!   training run on) against `exact batched`, the batched GEMM through the
+//!   exact multiplier's kernel, at 64³, 256³ and LeNet-5 conv2's
+//!   16×150×64.
 //!
 //! This is the perf baseline for future scaling PRs (SIMD, quantized int
 //! paths, sharding): run `cargo bench --bench gemm_backend_throughput` and
@@ -36,6 +41,7 @@ use da_arith::quantized::{lut_gemm, ProductLut, QuantParams, CODES4};
 use da_arith::{classify_row, MultiplierKind, RowClass};
 use da_bench::json::{JsonEmitter, Record};
 use da_nn::layers::{gemm_with, matmul_with_scalar};
+use da_tensor::ops::matmul;
 use da_tensor::Tensor;
 use rand::SeedableRng;
 
@@ -212,6 +218,33 @@ fn main() {
         }
         println!();
     }
+
+    // The exact f32 micro-kernel every native GEMM runs on.
+    let exact_mult = MultiplierKind::Exact.build();
+    let exact_sizes: &[(usize, usize, usize)] = if smoke {
+        &[(64, 64, 64), (16, 150, 64)]
+    } else {
+        &[(64, 64, 64), (256, 256, 256), (16, 150, 64)]
+    };
+    for &(m, k, n) in exact_sizes {
+        let macs = m * k * n;
+        let a = Tensor::rand_uniform(&[m, k], -1.0, 1.0, &mut rng);
+        let b = Tensor::rand_uniform(&[k, n], -1.0, 1.0, &mut rng);
+        let batched = macs_per_sec(macs, smoke, || gemm_with(&*exact_mult, &a, &b));
+        let exact = macs_per_sec(macs, smoke, || matmul(&a, &b));
+        let size = format!("{m}x{k}x{n}");
+        print_row(&size, "native-exact", "exact batched", Some(batched), exact);
+        emitter.record(
+            Record::new()
+                .label("size", size.as_str())
+                .label("multiplier", "exact")
+                .label("path", "native-exact")
+                .metric("matmul_macs_per_sec", exact)
+                .metric("batched_f32_macs_per_sec", batched)
+                .metric("speedup_vs_batched_f32", exact / batched),
+        );
+    }
+    println!();
     if let Some(path) = emitter.finish() {
         println!("wrote {}", path.display());
     }

@@ -130,7 +130,7 @@ use std::sync::{Arc, Mutex};
 use da_arith::quantized::{lut_gemm, LutOrder, ProductLut, QuantParams, CODES, CODES4};
 use da_arith::storage::Storage;
 use da_arith::{classify_row, BatchKernel, ExactMultiplier, Multiplier, RowClass};
-use da_tensor::ops::ConvGeometry;
+use da_tensor::ops::{gemm_acc, ConvGeometry};
 use da_tensor::parallel::par_map_chunks_with;
 use da_tensor::Tensor;
 
@@ -658,9 +658,9 @@ struct Layout {
     /// in step order.
     tape_len: usize,
     /// Longest step input or output per item (the reverse sweep's gradient
-    /// buffers) and longest conv output plane (its tap row).
+    /// buffers) and longest conv column block (taps × output plane).
     grad_len: usize,
-    row_len: usize,
+    cols_len: usize,
 }
 
 /// Grow `buf` to `want` elements, counting the growth.
@@ -696,12 +696,13 @@ impl Scratch {
 }
 
 /// The reverse sweep's per-item buffers: the gradient with respect to the
-/// current step's output (`dy`) and input (`dx`), and one conv tap row.
+/// current step's output (`dy`) and input (`dx`), and a conv step's
+/// `[taps, OH·OW]` column gradient.
 #[derive(Default)]
 struct GradBufs {
     dy: Vec<f32>,
     dx: Vec<f32>,
-    row: Vec<f32>,
+    cols: Vec<f32>,
 }
 
 /// Reusable per-worker buffers: two ping-pong activation buffers, the step
@@ -732,7 +733,7 @@ impl Workspace {
         grow(&mut self.tape, n * layout.tape_len, counter);
         grow(&mut self.grad.dy, layout.grad_len, counter);
         grow(&mut self.grad.dx, layout.grad_len, counter);
-        grow(&mut self.grad.row, layout.row_len, counter);
+        grow(&mut self.grad.cols, layout.cols_len, counter);
     }
 }
 
@@ -1435,7 +1436,7 @@ impl InferencePlan {
         let mut item_macs = 0usize;
         let mut codes = false;
         let (mut tape_at, mut at, mut tape_len) = (Vec::new(), None, 0usize);
-        let (mut grad_len, mut row_len) = (item_shape.iter().product::<usize>(), 0usize);
+        let (mut grad_len, mut cols_len) = (item_shape.iter().product::<usize>(), 0usize);
         for (t, step) in self.steps.iter().enumerate() {
             let in_shape = shape.clone();
             let out_shape = match step {
@@ -1499,8 +1500,8 @@ impl InferencePlan {
             }
             tape_at.push(at);
             grad_len = grad_len.max(shapes.out_len());
-            if let Step::Conv { .. } = step {
-                row_len = row_len.max(shapes.out_shape[1] * shapes.out_shape[2]);
+            if let Step::Conv { geom, .. } = step {
+                cols_len = cols_len.max(geom.taps() * shapes.out_shape[1] * shapes.out_shape[2]);
             }
             shape = shapes.out_shape.clone();
             resolved.push(shapes);
@@ -1517,7 +1518,7 @@ impl InferencePlan {
             tape_at,
             tape_len,
             grad_len,
-            row_len,
+            cols_len,
         }
     }
 
@@ -1679,7 +1680,7 @@ impl InferencePlan {
         seed: &[f32],
         dx: &mut [f32],
     ) {
-        let GradBufs { dy, dx: din, row } = bufs;
+        let GradBufs { dy, dx: din, cols } = bufs;
         dy[..seed.len()].copy_from_slice(seed);
         for (t, step) in self.steps.iter().enumerate().rev() {
             let shapes = &layout.resolved[t];
@@ -1713,8 +1714,7 @@ impl InferencePlan {
                     let Kernel::F32(w) = kernel else {
                         unreachable!("differentiable conv steps carry f32 weights")
                     };
-                    let (w, k) = (w.as_slice(), geom.taps());
-                    conv_dx(geom, shapes, |co, tap| w[co * k + tap], gy, gx, row);
+                    conv_dx(geom, shapes, w.as_slice(), gy, gx, cols);
                 }
                 Step::Dense { out_features, fuse_relu, kernel, .. } => {
                     if *fuse_relu {
@@ -1760,37 +1760,31 @@ fn relu_mask(g: &mut [f32], out: &[f32]) {
     }
 }
 
-/// Conv input gradient for one item: per tap row, `Wᵀ·g` in the
-/// reference's `matmul(Wᵀ, g)` order (`Cout` ascending, zero weights
-/// skipped), scattered into `gx` as `col2im` does, so each input pixel sums
-/// its terms in the same order. `weight(co, tap)` reads the exact weights.
+/// Conv input gradient for one item: the column gradient `Wᵀ·g` as one
+/// [`gemm_acc`] over the `[Cout, taps]` `weights` read transposed — per
+/// element the reference's `matmul(Wᵀ, g)` order (`Cout` ascending, zero
+/// weights skipped) — then scattered into `gx` tap row by tap row as
+/// `col2im` does, so each input pixel sums its terms in the same order.
 fn conv_dx(
     g: &ConvGeom,
     shapes: &ResolvedShape,
-    weight: impl Fn(usize, usize) -> f32,
+    weights: &[f32],
     gy: &[f32],
     gx: &mut [f32],
-    row: &mut [f32],
+    cols: &mut [f32],
 ) {
     let (h, w) = (shapes.in_shape[1], shapes.in_shape[2]);
     let (oh, ow) = (shapes.out_shape[1], shapes.out_shape[2]);
-    let row = &mut row[..oh * ow];
+    let taps = g.taps();
+    let cols = &mut cols[..taps * oh * ow];
+    cols.fill(0.0);
+    gemm_acc(taps, g.cout, oh * ow, weights, (1, taps), gy, cols);
     gx.fill(0.0);
-    let mut tap = 0usize;
+    let mut rows = cols.chunks_exact(oh * ow);
     for plane in gx.chunks_exact_mut(h * w) {
         for ky in 0..g.kh {
             for kx in 0..g.kw {
-                row.fill(0.0);
-                for (co, gco) in gy.chunks_exact(oh * ow).enumerate() {
-                    let a = weight(co, tap);
-                    if a == 0.0 {
-                        continue;
-                    }
-                    for (o, &gv) in row.iter_mut().zip(gco) {
-                        *o += a * gv;
-                    }
-                }
-                tap += 1;
+                let row = rows.next().expect("one column row per tap");
                 let ix0 = kx as isize - g.pad as isize;
                 for (oy, rrow) in row.chunks_exact(ow).enumerate() {
                     let iy = (oy * g.stride + ky) as isize - g.pad as isize;
@@ -1934,18 +1928,9 @@ fn exec_step(
             acc.fill(0.0);
             match (kernel, src) {
                 (Kernel::F32(wt), Acts::F32(x)) => {
-                    // Exact path: mirror `matmul(x, wᵀ)` with its
-                    // zero-activation skip.
-                    for (xi, ai) in x.chunks_exact(inf).zip(acc.chunks_exact_mut(outf)) {
-                        for (&av, wrow) in xi.iter().zip(wt.as_slice().chunks_exact(outf)) {
-                            if av == 0.0 {
-                                continue;
-                            }
-                            for (o, &bv) in ai.iter_mut().zip(wrow) {
-                                *o += av * bv;
-                            }
-                        }
-                    }
+                    // Exact path: `gemm_acc`, the kernel under
+                    // `matmul(x, wᵀ)`, zero-activation skip included.
+                    gemm_acc(n, inf, outf, x, (inf, 1), wt.as_slice(), acc);
                 }
                 (Kernel::Classified { wt, class }, Acts::F32(x)) => {
                     // The batched GEMM's loop with the activation as the
@@ -2065,18 +2050,9 @@ fn conv(
                         // accumulation order.
                         a.gemm_tile(wmat, gb, tile, class, acc, tile);
                     } else {
-                        // Exact path: mirror `da_tensor::ops::matmul`,
-                        // including its zero-weight skip.
-                        for (arow, wrow) in acc.chunks_exact_mut(tile).zip(wmat.chunks_exact(k)) {
-                            for (&av, grow) in wrow.iter().zip(gb.chunks_exact(tile)) {
-                                if av == 0.0 {
-                                    continue;
-                                }
-                                for (o, &gv) in arow.iter_mut().zip(grow) {
-                                    *o += av * gv;
-                                }
-                            }
-                        }
+                        // Exact path: `gemm_acc`, the kernel under
+                        // `matmul(wmat, cols)`, zero-weight skip included.
+                        gemm_acc(g.cout, k, tile, wmat, (k, 1), gb, acc);
                     }
                     for (co, row) in acc.chunks_exact(tile).enumerate() {
                         let at = item * out_len + co * p_total + p0;

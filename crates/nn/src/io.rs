@@ -1,10 +1,13 @@
 //! Self-contained binary weight serialization (little-endian, versioned).
 //!
 //! No serde format crate is available offline, so the format is deliberately
-//! trivial: a magic tag, a version, the tensor count, then each tensor as
+//! trivial: a magic tag, a version, then two tensor lists — the parameters
+//! and the non-learnable evaluation state ([`Network::buffers`]: batch-norm
+//! running statistics) — each as a count followed by every tensor as
 //! `rank, dims..., f32 data`. Loading validates the shapes against the
-//! receiving network and rejects corrupt or mismatched files.
+//! receiving network and rejects corrupt, mismatched or older-version files.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -15,7 +18,9 @@ use da_tensor::Tensor;
 use crate::Network;
 
 const MAGIC: &[u8; 4] = b"DANN";
-const VERSION: u32 = 1;
+/// Version 1 stored parameters only, so batch-norm networks came back with
+/// default running statistics.
+const VERSION: u32 = 2;
 
 /// Errors produced by model (de)serialization.
 #[derive(Debug)]
@@ -50,7 +55,8 @@ impl From<io::Error> for ModelIoError {
     }
 }
 
-/// Write `network`'s parameters to `path`.
+/// Write `network`'s parameters and evaluation state (batch-norm running
+/// statistics) to `path`.
 ///
 /// # Errors
 ///
@@ -59,22 +65,28 @@ pub fn save_params(network: &Network, path: impl AsRef<Path>) -> Result<(), Mode
     let mut w = BufWriter::new(File::create(path)?);
     w.write_all(MAGIC)?;
     w.write_all(&VERSION.to_le_bytes())?;
-    let params = network.params();
-    w.write_all(&(params.len() as u32).to_le_bytes())?;
-    for p in params {
-        w.write_all(&(p.shape().len() as u32).to_le_bytes())?;
-        for &d in p.shape() {
-            w.write_all(&(d as u32).to_le_bytes())?;
-        }
-        for &v in p.data() {
-            w.write_all(&v.to_le_bytes())?;
-        }
-    }
+    write_tensors(&mut w, &network.params())?;
+    write_tensors(&mut w, &network.buffers())?;
     w.flush()?;
     Ok(())
 }
 
-/// Load parameters saved by [`save_params`] into `network`.
+fn write_tensors<W: Write, T: Borrow<Tensor>>(w: &mut W, tensors: &[T]) -> io::Result<()> {
+    w.write_all(&(tensors.len() as u32).to_le_bytes())?;
+    for t in tensors.iter().map(Borrow::borrow) {
+        w.write_all(&(t.shape().len() as u32).to_le_bytes())?;
+        for &d in t.shape() {
+            w.write_all(&(d as u32).to_le_bytes())?;
+        }
+        for &v in t.data() {
+            w.write_all(&v.to_le_bytes())?;
+        }
+    }
+    Ok(())
+}
+
+/// Load parameters and evaluation state saved by [`save_params`] into
+/// `network`.
 ///
 /// # Errors
 ///
@@ -94,37 +106,8 @@ pub fn load_params(network: &mut Network, path: impl AsRef<Path>) -> Result<(), 
         return Err(ModelIoError::Format(format!("unsupported version {version}")));
     }
 
-    let count = read_u32(&mut r)? as usize;
-    let expected = network.params().len();
-    if count != expected {
-        return Err(ModelIoError::Format(format!(
-            "file has {count} tensors, network '{}' expects {expected}",
-            network.name()
-        )));
-    }
-
-    let mut tensors = Vec::with_capacity(count);
-    for idx in 0..count {
-        let rank = read_u32(&mut r)? as usize;
-        if rank == 0 || rank > 8 {
-            return Err(ModelIoError::Format(format!("tensor {idx} has rank {rank}")));
-        }
-        let mut shape = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            shape.push(read_u32(&mut r)? as usize);
-        }
-        let len: usize = shape.iter().product();
-        if len == 0 || len > (1 << 28) {
-            return Err(ModelIoError::Format(format!(
-                "tensor {idx} has implausible shape {shape:?}"
-            )));
-        }
-        let mut data = vec![0.0f32; len];
-        for v in &mut data {
-            *v = read_f32(&mut r)?;
-        }
-        tensors.push(Tensor::from_vec(data, &shape));
-    }
+    let params = read_tensors(&mut r, "parameter", &network.params(), network.name())?;
+    let buffers = read_tensors(&mut r, "buffer", &network.buffers(), network.name())?;
 
     // Trailing garbage indicates corruption.
     let mut probe = [0u8; 1];
@@ -132,20 +115,57 @@ pub fn load_params(network: &mut Network, path: impl AsRef<Path>) -> Result<(), 
         return Err(ModelIoError::Format("trailing bytes after tensor data".into()));
     }
 
-    // Validate every shape before mutating anything.
-    for (idx, (current, loaded)) in network.params().iter().zip(&tensors).enumerate() {
-        if current.shape() != loaded.shape() {
+    for (param, loaded) in network.params_mut().into_iter().zip(params) {
+        *param = loaded;
+    }
+    network.set_buffers(buffers);
+    Ok(())
+}
+
+/// Read one tensor list, checking its count and every shape against
+/// `expected` before returning it.
+fn read_tensors<R: Read, T: Borrow<Tensor>>(
+    r: &mut R,
+    what: &str,
+    expected: &[T],
+    network: &str,
+) -> Result<Vec<Tensor>, ModelIoError> {
+    let count = read_u32(r)? as usize;
+    if count != expected.len() {
+        return Err(ModelIoError::Format(format!(
+            "file has {count} {what} tensors, network '{network}' expects {}",
+            expected.len()
+        )));
+    }
+    let mut tensors = Vec::with_capacity(count);
+    for (idx, current) in expected.iter().map(Borrow::borrow).enumerate() {
+        let rank = read_u32(r)? as usize;
+        if rank == 0 || rank > 8 {
+            return Err(ModelIoError::Format(format!("{what} tensor {idx} has rank {rank}")));
+        }
+        let mut shape = Vec::with_capacity(rank);
+        for _ in 0..rank {
+            shape.push(read_u32(r)? as usize);
+        }
+        let len: usize = shape.iter().product();
+        if len == 0 || len > (1 << 28) {
             return Err(ModelIoError::Format(format!(
-                "tensor {idx} shape {:?} does not match network shape {:?}",
-                loaded.shape(),
+                "{what} tensor {idx} has implausible shape {shape:?}"
+            )));
+        }
+        if current.shape() != shape {
+            return Err(ModelIoError::Format(format!(
+                "{what} tensor {idx} shape {shape:?} does not match network shape {:?}",
                 current.shape()
             )));
         }
+        let mut data = vec![0.0f32; len];
+        for v in &mut data {
+            *v = read_f32(r)?;
+        }
+        tensors.push(Tensor::from_vec(data, &shape));
     }
-    for (param, loaded) in network.params_mut().into_iter().zip(tensors) {
-        *param = loaded;
-    }
-    Ok(())
+    Ok(tensors)
 }
 
 fn read_u32<R: Read>(r: &mut R) -> Result<u32, ModelIoError> {
@@ -190,6 +210,53 @@ mod tests {
         assert_ne!(source.logits(&x), target.logits(&x));
         load_params(&mut target, &path).expect("load");
         assert_eq!(source.logits(&x), target.logits(&x));
+    }
+
+    /// Batch-norm running statistics travel with the parameters: a trained
+    /// BN net reloaded into a fresh one evaluates identically, bit for bit.
+    #[test]
+    fn round_trip_preserves_batch_norm_statistics() {
+        use crate::layers::{BatchNorm, Mode};
+        use crate::optim::Sgd;
+        use crate::train::{train, TrainConfig};
+
+        let build = |seed: u64| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            Network::new("io-bn-test")
+                .push(Dense::new(4, 6, &mut rng))
+                .push(BatchNorm::new(6))
+                .push(Relu)
+                .push(Dense::new(6, 3, &mut rng))
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let xs = Tensor::randn(&[24, 4], 2.0, &mut rng).map(|v| v + 1.5);
+        let labels: Vec<usize> = (0..24).map(|i| i % 3).collect();
+        let mut source = build(10);
+        let config = TrainConfig { epochs: 3, batch_size: 8, seed: 1, verbose: false };
+        train(&mut source, &xs, &labels, &config, &mut Sgd::new(0.05));
+        assert_ne!(source.buffers(), build(10).buffers(), "training must move the statistics");
+
+        let path = tmp("round_trip_bn.bin");
+        save_params(&source, &path).expect("save");
+        let mut target = build(11);
+        load_params(&mut target, &path).expect("load");
+        let (want, got) = (source.forward(&xs, Mode::Eval).0, target.forward(&xs, Mode::Eval).0);
+        for (g, w) in got.data().iter().zip(want.data()) {
+            assert_eq!(g.to_bits(), w.to_bits(), "{g:?} vs {w:?}");
+        }
+    }
+
+    /// A version-1 file (parameters only) is rejected, so a model cache
+    /// retrains instead of loading default batch-norm statistics.
+    #[test]
+    fn rejects_version_one_files() {
+        let path = tmp("version_one.bin");
+        save_params(&make_net(12), &path).expect("save");
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, bytes).expect("rewrite");
+        let err = load_params(&mut make_net(12), &path).expect_err("must fail");
+        assert!(err.to_string().contains("unsupported version 1"), "{err}");
     }
 
     #[test]

@@ -98,6 +98,16 @@ pub trait Layer: Send + Sync {
         Vec::new()
     }
 
+    /// Non-learnable state that evaluation reads (batch-norm running
+    /// statistics), as copies. Default: none.
+    fn buffers(&self) -> Vec<Tensor> {
+        Vec::new()
+    }
+
+    /// Replace the state [`Layer::buffers`] reports, given in the same order
+    /// and shapes.
+    fn set_buffers(&mut self, _buffers: Vec<Tensor>) {}
+
     /// Install (or clear) the approximate multiplier used by this layer's
     /// forward inner products. Default: no-op for layers without multiplies.
     fn set_multiplier(&mut self, _multiplier: Option<Arc<dyn Multiplier>>) {}

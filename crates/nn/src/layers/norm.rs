@@ -157,6 +157,24 @@ impl Layer for BatchNorm {
         vec![&mut self.gamma, &mut self.beta]
     }
 
+    fn buffers(&self) -> Vec<Tensor> {
+        let running = self.running.lock().expect("running stats lock");
+        let c = self.channels();
+        vec![
+            Tensor::from_vec(running.mean.clone(), &[c]),
+            Tensor::from_vec(running.var.clone(), &[c]),
+        ]
+    }
+
+    fn set_buffers(&mut self, buffers: Vec<Tensor>) {
+        let c = self.channels();
+        let [mean, var]: [Tensor; 2] = buffers.try_into().expect("mean and variance");
+        assert!(mean.shape() == [c] && var.shape() == [c], "running statistics must be [{c}]");
+        let running = self.running.get_mut().expect("running stats lock");
+        running.mean = mean.into_vec();
+        running.var = var.into_vec();
+    }
+
     fn compile_eval(&self) -> Option<CompiledLayer> {
         // Snapshot the running statistics: plans freeze eval-mode behavior
         // (the network invalidates its cached plan on training forwards).

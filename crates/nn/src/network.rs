@@ -287,6 +287,30 @@ impl Network {
         self.layers.iter_mut().flat_map(|l| l.params_mut()).collect()
     }
 
+    /// Every layer's non-learnable evaluation state (batch-norm running
+    /// statistics), in layer order: what [`crate::io::save_params`] stores
+    /// beside the parameters.
+    pub fn buffers(&self) -> Vec<Tensor> {
+        self.layers.iter().flat_map(|l| l.buffers()).collect()
+    }
+
+    /// Replace the state [`Network::buffers`] reports, given in the same
+    /// order and shapes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a layer's buffers are missing or mis-shaped.
+    pub fn set_buffers(&mut self, buffers: Vec<Tensor>) {
+        self.invalidate_plan();
+        let mut rest = buffers.into_iter();
+        for layer in &mut self.layers {
+            let count = layer.buffers().len();
+            if count > 0 {
+                layer.set_buffers(rest.by_ref().take(count).collect());
+            }
+        }
+    }
+
     /// Per-layer kind names (for summaries and save-file validation).
     pub fn layer_names(&self) -> Vec<&'static str> {
         self.layers.iter().map(|l| l.name()).collect()

@@ -1,20 +1,19 @@
 //! Linear-algebra kernels: matrix multiplication and convolution lowering.
+//!
+//! Every exact `f32` GEMM in the workspace runs on one micro-kernel,
+//! [`gemm_acc`]: `out[i][j] += Σ_k a[i][k]·b[k][j]` with, per output
+//! element, `k` ascending, terms where `a[i][k] == 0.0` skipped (NaN is not
+//! skipped), and a separate multiply and add. [`matmul`], the compiled
+//! plans' native conv and dense steps and the plans' conv input gradient all
+//! call it, so they agree bit for bit. It runs on the widest [`GemmTier`]
+//! the CPU supports (probed once); the vector tiers hold a [`GEMM_MR`]-row
+//! block of accumulators in registers across the whole `k` sweep.
 
-use crate::parallel::par_map_chunks;
+use std::sync::OnceLock;
+
 use crate::Tensor;
 
-/// Below this many multiply-adds a matmul runs single-threaded: spawning
-/// scoped worker threads costs more than the arithmetic saves. Measured
-/// break-even on a 2-vCPU x86-64 container: two workers lose in wall time
-/// up to ~1M MACs (86k MACs: 65 µs vs 24 µs on one CPU) and win from ~2M
-/// (2.1M: 294 µs vs 317 µs).
-const PAR_MIN_MACS: usize = 1 << 21;
-
-/// `C = A · B` for row-major `A: [m, k]`, `B: [k, n]`.
-///
-/// Uses the cache-friendly `i-k-j` loop order; large products distribute
-/// output rows across worker threads (each row's accumulation order is
-/// unchanged, so results are bit-identical to the sequential loop).
+/// `C = A · B` for row-major `A: [m, k]`, `B: [k, n]`, on [`gemm_acc`].
 ///
 /// # Panics
 ///
@@ -37,33 +36,396 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(k, k2, "matmul inner dimensions {k} vs {k2}");
 
     let mut out = vec![0.0f32; m * n];
-    if n == 0 {
-        // Zero-width result: nothing to compute (and chunking by 0 would
-        // panic below).
-        return Tensor::from_vec(out, &[m, n]);
-    }
-    let ad = a.data();
-    let bd = b.data();
-    let row = |i: usize, orow: &mut [f32]| {
-        let arow = &ad[i * k..(i + 1) * k];
-        for (kk, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &bd[kk * n..(kk + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
-    };
-    if m > 1 && m * k * n >= PAR_MIN_MACS {
-        par_map_chunks(&mut out, n, row);
-    } else {
-        for (i, orow) in out.chunks_mut(n).enumerate() {
-            row(i, orow);
-        }
-    }
+    gemm_acc(m, k, n, a.data(), (k, 1), b.data(), &mut out);
     Tensor::from_vec(out, &[m, n])
+}
+
+/// Output rows one [`gemm_acc`] block holds in registers (the vector tiers).
+pub const GEMM_MR: usize = 4;
+
+/// An instruction-set body of [`gemm_acc`]. Every tier computes the same
+/// per-element operation sequence, so all agree bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GemmTier {
+    /// The plain `i-k-j` loop, adding `a[i][k]·b[k][..]` to the whole output
+    /// row for each `k` (auto-vectorized for the target's baseline, SSE2 on
+    /// x86-64), on any target.
+    Portable,
+    /// `GEMM_MR`×16 blocks of AVX2 registers.
+    Avx2,
+    /// `GEMM_MR`×32 blocks of AVX-512 registers.
+    Avx512,
+}
+
+impl GemmTier {
+    /// Every tier, narrowest first.
+    pub const ALL: [GemmTier; 3] = [GemmTier::Portable, GemmTier::Avx2, GemmTier::Avx512];
+
+    /// Whether this CPU can run the tier.
+    pub fn is_supported(self) -> bool {
+        match self {
+            GemmTier::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            GemmTier::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            GemmTier::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    /// The widest supported tier, probed once: the one [`gemm_acc`] runs.
+    pub fn best() -> GemmTier {
+        static BEST: OnceLock<GemmTier> = OnceLock::new();
+        *BEST.get_or_init(|| {
+            GemmTier::ALL.into_iter().rev().find(|t| t.is_supported()).unwrap_or(GemmTier::Portable)
+        })
+    }
+}
+
+/// The exact `f32` GEMM: `out[i][j] += Σ_k a[i][k]·b[k][j]` for
+/// `i < m`, `j < n`, with `a[i][k]` read at `a[i·rs + k·cs]`
+/// (`a_strides = (rs, cs)`, so a transposed operand needs no copy) and
+/// row-major `b: [k, n]`, `out: [m, n]`.
+///
+/// Per output element the terms are added in ascending `k`, each as a
+/// rounded product followed by a rounded add, and terms with
+/// `a[i][k] == 0.0` are skipped (a NaN `a` is not). That is the
+/// `i-k-j` loop `for k { if a != 0 { out += a·b } }` exactly, so the result
+/// is bit-identical to it, whatever `out` held before.
+///
+/// # Panics
+///
+/// Panics if `b.len() != k·n`, `out.len() != m·n`, or `a` is too short for
+/// the strides (an extent or offset that overflows `usize` counts as too
+/// long for any slice).
+pub fn gemm_acc(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    a_strides: (usize, usize),
+    b: &[f32],
+    out: &mut [f32],
+) {
+    run_gemm(GemmTier::best(), m, k, n, a, a_strides, b, out);
+}
+
+/// [`gemm_acc`] on a chosen tier (conformance tests pin every tier against
+/// a scalar reference).
+///
+/// # Panics
+///
+/// Panics as [`gemm_acc`] does, or if the CPU does not support `tier`.
+pub fn gemm_acc_on(
+    tier: GemmTier,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    a_strides: (usize, usize),
+    b: &[f32],
+    out: &mut [f32],
+) {
+    assert!(tier.is_supported(), "this CPU does not support the {tier:?} GEMM tier");
+    run_gemm(tier, m, k, n, a, a_strides, b, out);
+}
+
+fn run_gemm(
+    tier: GemmTier,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    (rs, cs): (usize, usize),
+    b: &[f32],
+    out: &mut [f32],
+) {
+    // Checked arithmetic: a wrapped product could pass these checks and let
+    // the sweeps below read or write out of bounds.
+    assert!(k.checked_mul(n) == Some(b.len()), "gemm_acc: b must be [k, n] = [{k}, {n}]");
+    assert!(m.checked_mul(n) == Some(out.len()), "gemm_acc: out must be [m, n] = [{m}, {n}]");
+    if m == 0 || k == 0 || n == 0 {
+        return;
+    }
+    let last_a = (m - 1)
+        .checked_mul(rs)
+        .zip((k - 1).checked_mul(cs))
+        .and_then(|(row, col)| row.checked_add(col));
+    assert!(last_a.is_some_and(|l| l < a.len()), "gemm_acc: a is too short for its strides");
+    let g = Gemm { m, k, n, a: a.as_ptr(), rs, cs, b: b.as_ptr(), out: out.as_mut_ptr() };
+    // SAFETY: the shapes were checked above, and `tier` is supported
+    // (`best` probed it, `gemm_acc_on` asserted it).
+    unsafe {
+        match tier {
+            GemmTier::Portable => {
+                for i in 0..g.m {
+                    stream_row(Gemm { a: g.a.add(i * g.rs), out: g.out.add(i * g.n), ..g }, g.n);
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            GemmTier::Avx2 => sweep_avx2(g),
+            #[cfg(target_arch = "x86_64")]
+            GemmTier::Avx512 => sweep_avx512(g),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => unreachable!("unsupported tiers never reach the sweep"),
+        }
+    }
+}
+
+/// [`gemm_acc`]'s shape-checked operands as the tier bodies take them (a
+/// block's view has `a`, `b` and `out` moved to its first row and column).
+#[derive(Clone, Copy)]
+struct Gemm {
+    m: usize,
+    k: usize,
+    n: usize,
+    a: *const f32,
+    rs: usize,
+    cs: usize,
+    b: *const f32,
+    out: *mut f32,
+}
+
+/// The first output row of `g`, `cols` columns wide, by the plain loop:
+/// for each `k` with `a[0][k] != 0.0`, add `a[0][k]·b[k][..]` to the whole
+/// row. Returns `cols`.
+///
+/// # Safety
+///
+/// `g` must have passed [`run_gemm`]'s shape checks, with at least `cols`
+/// columns left from its origin.
+#[inline(always)]
+unsafe fn stream_row(g: Gemm, cols: usize) -> usize {
+    let out = std::slice::from_raw_parts_mut(g.out, cols);
+    for kk in 0..g.k {
+        let av = *g.a.add(kk * g.cs);
+        if av == 0.0 {
+            continue;
+        }
+        let brow = std::slice::from_raw_parts(g.b.add(kk * g.n), cols);
+        for (o, &bv) in out.iter_mut().zip(brow) {
+            *o += av * bv;
+        }
+    }
+    cols
+}
+
+/// One register of `f32` lanes as the vector sweep sees it. Partial loads
+/// and stores touch only the first `len` lanes.
+///
+/// # Safety
+///
+/// The methods may only run on a CPU that supports the register type, and
+/// `p` must be valid for `len` lanes.
+#[cfg(target_arch = "x86_64")]
+trait Lanes: Copy {
+    const W: usize;
+    /// Whether the tier has 32 registers (room for a one-row block of
+    /// eight) and masked loads and stores (a partial register costs no
+    /// more than a full one).
+    const WIDE: bool;
+    /// The first `len ≤ W` lanes at `p` (the rest zero).
+    unsafe fn load(p: *const f32, len: usize) -> Self;
+    unsafe fn store(self, p: *mut f32, len: usize);
+    /// One `k` term of a row: `acc + a·b` per lane (a rounded multiply,
+    /// then a rounded add), leaving `acc` untouched when `a == 0.0`.
+    unsafe fn add_term<const C: usize>(acc: &mut [Self; C], a: f32, b: &[Self; C]);
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes for std::arch::x86_64::__m256 {
+    const W: usize = 8;
+    const WIDE: bool = false;
+    #[inline(always)]
+    unsafe fn load(p: *const f32, len: usize) -> Self {
+        use std::arch::x86_64::*;
+        if len == 8 {
+            _mm256_loadu_ps(p)
+        } else {
+            _mm256_maskload_ps(p, lane_mask8(len))
+        }
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f32, len: usize) {
+        use std::arch::x86_64::*;
+        if len == 8 {
+            _mm256_storeu_ps(p, self)
+        } else {
+            _mm256_maskstore_ps(p, lane_mask8(len), self)
+        }
+    }
+    #[inline(always)]
+    unsafe fn add_term<const C: usize>(acc: &mut [Self; C], a: f32, b: &[Self; C]) {
+        use std::arch::x86_64::*;
+        // No branch: zero `a` terms of post-ReLU operands are
+        // unpredictable. A skipped term adds `-0.0` instead, which leaves
+        // every accumulator unchanged (a signaling NaN comes back quiet,
+        // which Rust's float semantics allow). NEQ_UQ keeps NaN terms and
+        // drops ±0.0.
+        let va = _mm256_set1_ps(a);
+        let keep = _mm256_cmp_ps::<_CMP_NEQ_UQ>(va, _mm256_setzero_ps());
+        let fill = _mm256_andnot_ps(keep, _mm256_set1_ps(-0.0));
+        for (acc, &b) in acc.iter_mut().zip(b) {
+            let term = _mm256_or_ps(_mm256_and_ps(_mm256_mul_ps(va, b), keep), fill);
+            *acc = _mm256_add_ps(*acc, term);
+        }
+    }
+}
+
+/// All-ones in the first `len` of eight 32-bit lanes.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn lane_mask8(len: usize) -> std::arch::x86_64::__m256i {
+    use std::arch::x86_64::*;
+    _mm256_cmpgt_epi32(_mm256_set1_epi32(len as i32), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes for std::arch::x86_64::__m512 {
+    const W: usize = 16;
+    const WIDE: bool = true;
+    #[inline(always)]
+    unsafe fn load(p: *const f32, len: usize) -> Self {
+        std::arch::x86_64::_mm512_maskz_loadu_ps(lane_mask16(len), p)
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f32, len: usize) {
+        std::arch::x86_64::_mm512_mask_storeu_ps(p, lane_mask16(len), self)
+    }
+    #[inline(always)]
+    unsafe fn add_term<const C: usize>(acc: &mut [Self; C], a: f32, b: &[Self; C]) {
+        use std::arch::x86_64::*;
+        // A masked add, not a branch (see the AVX2 body).
+        let va = _mm512_set1_ps(a);
+        let keep = _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(va, _mm512_setzero_ps());
+        for (acc, &b) in acc.iter_mut().zip(b) {
+            *acc = _mm512_mask_add_ps(*acc, keep, *acc, _mm512_mul_ps(va, b));
+        }
+    }
+}
+
+/// The first `len ≤ 16` lanes of a 16-lane mask.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn lane_mask16(len: usize) -> u16 {
+    ((1u32 << len) - 1) as u16
+}
+
+/// The AVX2 body of [`gemm_acc`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and `g` must have passed [`run_gemm`]'s
+/// shape checks.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn sweep_avx2(g: Gemm) {
+    sweep::<std::arch::x86_64::__m256>(g);
+}
+
+/// The AVX-512 body of [`gemm_acc`].
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, and `g` must have passed [`run_gemm`]'s
+/// shape checks.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn sweep_avx512(g: Gemm) {
+    sweep::<std::arch::x86_64::__m512>(g);
+}
+
+/// The sweep the vector tiers run: [`GEMM_MR`]-row blocks down `out` (the
+/// last one shorter), each across column blocks of registers of
+/// accumulators — `R` rows × `C` registers with `R·C = 8` for `R ≥ 2` — so
+/// enough independent add chains are in flight to hide the add latency. A
+/// lone row (a batch-1 GEMM, or the last row of `out`) takes up to eight
+/// registers on a [`Lanes::WIDE`] tier; a tier with 16 registers runs it as
+/// [`stream_row`] instead, since one-row blocks of four registers re-read
+/// all of `b` per 32 columns and measured slower than the plain loop. A
+/// `WIDE` tier takes a block whenever it is more than half used; the other
+/// takes one only when it is full, so only the last block of a row is
+/// partial.
+///
+/// # Safety
+///
+/// The CPU must support `V`, and `g` must have passed [`run_gemm`]'s shape
+/// checks.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn sweep<V: Lanes>(g: Gemm) {
+    for i in (0..g.m).step_by(GEMM_MR) {
+        let mut j = 0;
+        while j < g.n {
+            let cols = g.n - j;
+            let fits =
+                |c: usize| if V::WIDE { cols.div_ceil(V::W) > c / 2 } else { cols >= c * V::W };
+            let at = Gemm { a: g.a.add(i * g.rs), b: g.b.add(j), out: g.out.add(i * g.n + j), ..g };
+            j += match g.m - i {
+                1 if !V::WIDE => stream_row(at, cols),
+                1 if fits(8) => block::<V, 1, 8>(at, cols),
+                1 if fits(4) => block::<V, 1, 4>(at, cols),
+                1 => block::<V, 1, 2>(at, cols),
+                2 if fits(4) => block::<V, 2, 4>(at, cols),
+                2 => block::<V, 2, 2>(at, cols),
+                3 => block::<V, 3, 2>(at, cols),
+                _ => block::<V, GEMM_MR, 2>(at, cols),
+            };
+        }
+    }
+}
+
+/// One `R`-row output block of up to `C` registers per row at `g`'s
+/// origin (`cols` columns remain in the row, so trailing registers may be
+/// partial or empty). Returns `C·W`, the columns it covered.
+///
+/// # Safety
+///
+/// As [`sweep`], with `R` rows and `cols` columns left in `g` from its
+/// origin.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn block<V: Lanes, const R: usize, const C: usize>(g: Gemm, cols: usize) -> usize {
+    if cols >= C * V::W {
+        // Constant full lengths: no partial-lane code in the `k` loop.
+        block_sweep::<V, R, C>(g, [V::W; C]);
+    } else {
+        block_sweep::<V, R, C>(g, std::array::from_fn(|c| cols.saturating_sub(c * V::W).min(V::W)));
+    }
+    C * V::W
+}
+
+/// [`block`]'s body over registers of `lens` lanes: load the block, add
+/// every `k` term in ascending order, store it.
+///
+/// # Safety
+///
+/// As [`block`], with `lens` covering at most the columns left.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn block_sweep<V: Lanes, const R: usize, const C: usize>(g: Gemm, lens: [usize; C]) {
+    // `wrapping_add`: an empty register's offset may point past `b`/`out`;
+    // its zero-length load and store touch no memory.
+    let regs = |p: *const f32| -> [V; C] {
+        std::array::from_fn(|c| V::load(p.wrapping_add(c * V::W), lens[c]))
+    };
+    let mut acc: [[V; C]; R] = std::array::from_fn(|r| regs(g.out.add(r * g.n)));
+    for kk in 0..g.k {
+        let bk = regs(g.b.add(kk * g.n));
+        for (r, acc) in acc.iter_mut().enumerate() {
+            V::add_term(acc, *g.a.add(r * g.rs + kk * g.cs), &bk);
+        }
+    }
+    for (r, acc) in acc.iter().enumerate() {
+        for (c, v) in acc.iter().enumerate() {
+            v.store(g.out.add(r * g.n).wrapping_add(c * V::W), lens[c]);
+        }
+    }
 }
 
 /// Spatial geometry of a 2-D convolution/pooling window.
