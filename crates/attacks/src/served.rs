@@ -62,26 +62,18 @@ impl<'a> ServedModel<'a> {
         // cost threads and workspaces — evaluation harnesses often hold
         // several ServedModels at once.
         let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(4);
-        ServedModel::with_config(
-            network,
-            ServeConfig {
-                workers,
-                max_batch: 32,
-                flush_deadline: std::time::Duration::ZERO,
-                queue_capacity: 256,
-                ..ServeConfig::default()
-            },
-        )
-    }
-
-    /// [`ServedModel::new`] with explicit serving knobs.
-    pub fn with_config(network: &'a Network, config: ServeConfig) -> Option<ServedModel<'a>> {
-        assert!(config.workers >= 1, "a served model needs at least one worker");
-        let server = BatchServer::compile(network, config)?;
+        let config = ServeConfig {
+            workers,
+            max_batch: 32,
+            flush_deadline: std::time::Duration::ZERO,
+            queue_capacity: 256,
+            ..ServeConfig::default()
+        };
+        let server = BatchServer::from_plan(network.plan()?, config);
         Some(ServedModel { network, server })
     }
 
-    /// The batch server behind the model (stats, staleness checks).
+    /// The batch server behind the model (serving stats, batched queries).
     pub fn server(&self) -> &BatchServer {
         &self.server
     }

@@ -258,16 +258,15 @@ fn concurrent_load(rng: &mut rand::rngs::StdRng, emitter: &mut JsonEmitter) {
                 }
             });
 
-            let server = BatchServer::compile(
-                &net,
+            let server = BatchServer::from_plan(
+                net.plan().expect("zoo models compile"),
                 ServeConfig {
                     max_batch: 8,
                     flush_deadline: Duration::from_micros(200),
                     queue_capacity: 64,
                     ..ServeConfig::default()
                 },
-            )
-            .expect("zoo models compile");
+            );
             let served = best_secs(reps, || {
                 std::thread::scope(|scope| {
                     for t in 0..SUBMITTERS {

@@ -61,8 +61,8 @@ fn main() {
     };
 
     for &(name, clients, requests) in scenarios {
-        let server =
-            BatchServer::from_snapshot(&snap, ServeConfig::default()).expect("snapshot serves");
+        let plan = InferencePlan::load(&snap).expect("snapshot serves");
+        let server = BatchServer::from_plan(std::sync::Arc::new(plan), ServeConfig::default());
         let front =
             NetServer::bind(server, "127.0.0.1:0", NetConfig::default()).expect("bind loopback");
         let (addr, handle, join) = front.spawn();

@@ -637,7 +637,7 @@ impl ScratchLen {
 
 /// Shape inference result for one per-item input shape: per-step shapes and
 /// workspace sizing. Computed on the first `predict_batch` call and cached.
-struct Layout {
+pub(crate) struct Layout {
     item_shape: Vec<usize>,
     resolved: Vec<ResolvedShape>,
     out_shape: Vec<usize>,
@@ -661,6 +661,42 @@ struct Layout {
     /// buffers) and longest conv column block (taps × output plane).
     grad_len: usize,
     cols_len: usize,
+}
+
+/// `Err(what)` unless `ok`: shape inference's non-panicking assert.
+fn require(ok: bool, what: &str) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(what.to_string())
+    }
+}
+
+/// `Err` naming both values unless `got == want`.
+fn require_eq(got: usize, want: usize, what: &str) -> Result<(), String> {
+    require(got == want, &format!("{what}: {got} vs {want}"))
+}
+
+/// [`ConvGeometry::output`] for a `[C, H, W]` input, returning its panic
+/// conditions (zero stride, a window larger than the padded input) as
+/// `Err` instead. A snapshot's geometry is data, so it is checked here
+/// before the panicking call.
+fn window_output(
+    in_shape: &[usize],
+    kernel: (usize, usize),
+    stride: usize,
+    pad: usize,
+) -> Result<(usize, usize), String> {
+    let input = (in_shape[1], in_shape[2]);
+    require(stride > 0, "stride must be positive")?;
+    let fits = |x: usize, k: usize| {
+        pad.checked_mul(2).and_then(|p| x.checked_add(p)).is_some_and(|padded| padded >= k)
+    };
+    require(
+        fits(input.0, kernel.0) && fits(input.1, kernel.1),
+        &format!("kernel {kernel:?} larger than padded input {input:?}+{pad}"),
+    )?;
+    Ok(ConvGeometry { input, kernel, stride, pad }.output())
 }
 
 /// Grow `buf` to `want` elements, counting the growth.
@@ -1412,23 +1448,41 @@ impl InferencePlan {
 
     /// The cached layout for `item_shape`, computing it on first use (or
     /// when the serving shape changes).
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`try_layout_for`](InferencePlan::try_layout_for)'s
+    /// message when the steps cannot run on `item_shape`.
     fn layout_for(&self, item_shape: &[usize]) -> Arc<Layout> {
+        self.try_layout_for(item_shape).unwrap_or_else(|msg| panic!("{msg}"))
+    }
+
+    /// [`layout_for`](InferencePlan::layout_for) without the panic: `Err`
+    /// carries the shape-inference message (the per-layer forward's) when
+    /// the steps cannot run on `item_shape`. A computed layout is cached.
+    pub(crate) fn try_layout_for(&self, item_shape: &[usize]) -> Result<Arc<Layout>, String> {
         {
             let guard = self.layout.lock().expect("layout lock");
             if let Some(layout) = &*guard {
                 if layout.item_shape == item_shape {
-                    return layout.clone();
+                    return Ok(layout.clone());
                 }
             }
         }
-        let layout = Arc::new(self.compute_layout(item_shape));
+        let layout = Arc::new(self.compute_layout(item_shape)?);
         *self.layout.lock().expect("layout lock") = Some(layout.clone());
-        layout
+        Ok(layout)
+    }
+
+    /// The item shape of the cached layout: the shape this plan last
+    /// served, if it has served (or been checked against) one.
+    pub(crate) fn served_item_shape(&self) -> Option<Vec<usize>> {
+        self.layout.lock().expect("layout lock").as_ref().map(|l| l.item_shape.clone())
     }
 
     /// Shape inference: walk the steps once for a per-item input shape,
     /// validating like the per-layer forward would and sizing the arena.
-    fn compute_layout(&self, item_shape: &[usize]) -> Layout {
+    fn compute_layout(&self, item_shape: &[usize]) -> Result<Layout, String> {
         let mut shape = item_shape.to_vec();
         let mut resolved = Vec::with_capacity(self.steps.len());
         let (mut f_len, mut q_len) = (0usize, 0usize);
@@ -1441,33 +1495,22 @@ impl InferencePlan {
             let in_shape = shape.clone();
             let out_shape = match step {
                 Step::Conv { geom, .. } => {
-                    assert_eq!(in_shape.len(), 3, "Conv2d expects [N, C, H, W]");
-                    assert_eq!(in_shape[0], geom.cin, "input channel mismatch");
-                    let (oh, ow) = ConvGeometry {
-                        input: (in_shape[1], in_shape[2]),
-                        kernel: (geom.kh, geom.kw),
-                        stride: geom.stride,
-                        pad: geom.pad,
-                    }
-                    .output();
+                    require(in_shape.len() == 3, "Conv2d expects [N, C, H, W]")?;
+                    require_eq(in_shape[0], geom.cin, "input channel mismatch")?;
+                    let (oh, ow) =
+                        window_output(&in_shape, (geom.kh, geom.kw), geom.stride, geom.pad)?;
                     item_macs += geom.cout * geom.taps() * oh * ow;
                     vec![geom.cout, oh, ow]
                 }
                 Step::Dense { in_features, out_features, .. } => {
-                    assert_eq!(in_shape.len(), 1, "Dense expects [N, In]");
-                    assert_eq!(in_shape[0], *in_features, "feature mismatch");
+                    require(in_shape.len() == 1, "Dense expects [N, In]")?;
+                    require_eq(in_shape[0], *in_features, "feature mismatch")?;
                     item_macs += in_features * out_features;
                     vec![*out_features]
                 }
                 Step::MaxPool { window, stride } => {
-                    assert_eq!(in_shape.len(), 3, "MaxPool2d expects [N, C, H, W]");
-                    let (oh, ow) = ConvGeometry {
-                        input: (in_shape[1], in_shape[2]),
-                        kernel: (*window, *window),
-                        stride: *stride,
-                        pad: 0,
-                    }
-                    .output();
+                    require(in_shape.len() == 3, "MaxPool2d expects [N, C, H, W]")?;
+                    let (oh, ow) = window_output(&in_shape, (*window, *window), *stride, 0)?;
                     vec![in_shape[0], oh, ow]
                 }
                 Step::Flatten => vec![in_shape.iter().product()],
@@ -1477,11 +1520,11 @@ impl InferencePlan {
                 | Step::QuantizeInput { .. }
                 | Step::QDequantize { .. } => in_shape.clone(),
                 Step::BatchNorm { gamma, .. } => {
-                    assert!(
+                    require(
                         in_shape.len() == 1 || in_shape.len() == 3,
-                        "BatchNorm expects [N, F] or [N, C, H, W]"
-                    );
-                    assert_eq!(in_shape[0], gamma.len(), "channel mismatch");
+                        "BatchNorm expects [N, F] or [N, C, H, W]",
+                    )?;
+                    require_eq(in_shape[0], gamma.len(), "channel mismatch")?;
                     in_shape.clone()
                 }
             };
@@ -1506,7 +1549,7 @@ impl InferencePlan {
             shape = shapes.out_shape.clone();
             resolved.push(shapes);
         }
-        Layout {
+        Ok(Layout {
             item_shape: item_shape.to_vec(),
             resolved,
             out_len: shape.iter().product(),
@@ -1519,7 +1562,7 @@ impl InferencePlan {
             tape_len,
             grad_len,
             cols_len,
-        }
+        })
     }
 
     /// The plan executor: run every step over a group of `n` items. For

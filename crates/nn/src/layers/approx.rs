@@ -14,8 +14,8 @@
 //! plane sweep. The function is generic over the multiplier: instantiated
 //! with [`da_arith::ExactMultiplier`] the inner loop compiles to the native
 //! multiply-add loop; instantiated with `dyn Multiplier` (the layer-boundary
-//! case, via [`matmul_with`]) dispatch happens once per row-slice, not per
-//! element.
+//! case: layers hold an `Arc<dyn Multiplier>`) dispatch happens once per
+//! row-slice, not per element.
 //!
 //! [`matmul_with_scalar`] keeps the seed's one-virtual-call-per-MAC loop as
 //! the bit-exactness reference: `gemm_with` must (and is property-tested to)
@@ -34,12 +34,16 @@ const TILE_COLS: usize = 256;
 /// kernel (thread spawn costs more than it saves).
 const PAR_MIN_MACS: usize = 1 << 15;
 
-/// `A · B` where every scalar product goes through `multiplier`, on the
-/// batched backend.
+/// `A · B` where every scalar product goes through `multiplier`: the
+/// blocked, cache-tiled GEMM over the slice-level arithmetic backend.
 ///
 /// Shapes as in [`da_tensor::ops::matmul`]: `A: [m, k]`, `B: [k, n]`.
-/// This is the `dyn`-boundary convenience wrapper over [`gemm_with`] used by
-/// layers holding an `Arc<dyn Multiplier>`.
+/// Monomorphizes over `M`, so concrete multiplier types get statically
+/// dispatched inner loops, and a `&dyn Multiplier` dispatches once per
+/// row-slice. Output rows are distributed over the scoped thread pool for
+/// large products; each worker reuses one [`da_arith::BatchKernel`] across
+/// all its tiles. Per output element the `k` accumulation order matches
+/// [`matmul_with_scalar`], so results are bit-identical for any multiplier.
 ///
 /// # Panics
 ///
@@ -49,34 +53,19 @@ const PAR_MIN_MACS: usize = 1 << 15;
 ///
 /// ```
 /// use da_arith::ExactMultiplier;
-/// use da_nn::layers::matmul_with;
+/// use da_nn::layers::gemm_with;
 /// use da_tensor::{ops::matmul, Tensor};
 ///
 /// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
 /// let b = Tensor::from_vec(vec![0.5, 1.0, -1.0, 2.0], &[2, 2]);
-/// assert_eq!(matmul_with(&ExactMultiplier, &a, &b), matmul(&a, &b));
+/// assert_eq!(gemm_with(&ExactMultiplier, &a, &b), matmul(&a, &b));
 /// ```
-pub fn matmul_with(multiplier: &dyn Multiplier, a: &Tensor, b: &Tensor) -> Tensor {
-    gemm_with(multiplier, a, b)
-}
-
-/// The blocked, cache-tiled GEMM over the slice-level arithmetic backend.
-///
-/// Monomorphizes over `M`, so concrete multiplier types get statically
-/// dispatched inner loops. Output rows are distributed over the scoped
-/// thread pool for large products; each worker reuses one
-/// [`da_arith::BatchKernel`] across all its tiles. Per output element the `k` accumulation order matches
-/// [`matmul_with_scalar`], so results are bit-identical for any multiplier.
-///
-/// # Panics
-///
-/// Panics on rank or inner-dimension mismatch.
 pub fn gemm_with<M: Multiplier + ?Sized>(multiplier: &M, a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.shape().len(), 2, "matmul_with lhs must be rank-2");
-    assert_eq!(b.shape().len(), 2, "matmul_with rhs must be rank-2");
+    assert_eq!(a.shape().len(), 2, "gemm_with lhs must be rank-2");
+    assert_eq!(b.shape().len(), 2, "gemm_with rhs must be rank-2");
     let (m, k) = (a.shape()[0], a.shape()[1]);
     let (k2, n) = (b.shape()[0], b.shape()[1]);
-    assert_eq!(k, k2, "matmul_with inner dimensions {k} vs {k2}");
+    assert_eq!(k, k2, "gemm_with inner dimensions {k} vs {k2}");
 
     let mut out = vec![0.0f32; m * n];
     if n == 0 {
@@ -167,11 +156,11 @@ fn gemm_rows<'k>(
 ///
 /// Panics on rank or inner-dimension mismatch.
 pub fn matmul_with_scalar(multiplier: &dyn Multiplier, a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.shape().len(), 2, "matmul_with lhs must be rank-2");
-    assert_eq!(b.shape().len(), 2, "matmul_with rhs must be rank-2");
+    assert_eq!(a.shape().len(), 2, "matmul_with_scalar lhs must be rank-2");
+    assert_eq!(b.shape().len(), 2, "matmul_with_scalar rhs must be rank-2");
     let (m, k) = (a.shape()[0], a.shape()[1]);
     let (k2, n) = (b.shape()[0], b.shape()[1]);
-    assert_eq!(k, k2, "matmul_with inner dimensions {k} vs {k2}");
+    assert_eq!(k, k2, "matmul_with_scalar inner dimensions {k} vs {k2}");
 
     let mut out = vec![0.0f32; m * n];
     let ad = a.data();
@@ -220,7 +209,7 @@ mod tests {
         let a = Tensor::randn(&[4, 6], 1.0, &mut rng);
         let b = Tensor::randn(&[6, 3], 1.0, &mut rng);
         let want = matmul(&a, &b);
-        let got = matmul_with(&ExactMultiplier, &a, &b);
+        let got = gemm_with(&ExactMultiplier, &a, &b);
         for (x, y) in got.data().iter().zip(want.data()) {
             assert!((x - y).abs() < 1e-5);
         }
@@ -232,7 +221,7 @@ mod tests {
         let a = Tensor::rand_uniform(&[3, 5], 0.1, 1.0, &mut rng);
         let b = Tensor::rand_uniform(&[5, 2], 0.1, 1.0, &mut rng);
         let ax = MultiplierKind::AxFpm.build();
-        let approx = matmul_with(&*ax, &a, &b);
+        let approx = gemm_with(&*ax, &a, &b);
         let exact = matmul(&a, &b);
         for (x, y) in approx.data().iter().zip(exact.data()) {
             assert!(x >= y, "positive accumulations must inflate: {x} vs {y}");

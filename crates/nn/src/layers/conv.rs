@@ -7,7 +7,7 @@ use da_tensor::ops::{col2im, im2col, matmul, ConvGeometry};
 use da_tensor::parallel::par_map_chunks;
 use da_tensor::Tensor;
 
-use super::approx::{matmul_with, transpose2d};
+use super::approx::{gemm_with, transpose2d};
 use super::{Cache, Layer, Mode};
 use crate::engine::CompiledLayer;
 use crate::quant::dorefa_quantize_weights;
@@ -119,7 +119,7 @@ impl Layer for Conv2d {
         let run_item = |i: usize, piece: &mut [f32]| {
             let cols = im2col(&x.batch_item(i), geom);
             let y = match &self.multiplier {
-                Some(m) => matmul_with(&**m, &wmat, &cols),
+                Some(m) => gemm_with(&**m, &wmat, &cols),
                 None => matmul(&wmat, &cols),
             };
             piece.copy_from_slice(y.data());

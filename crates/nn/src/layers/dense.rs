@@ -6,7 +6,7 @@ use da_arith::Multiplier;
 use da_tensor::ops::matmul;
 use da_tensor::Tensor;
 
-use super::approx::{matmul_with, transpose2d};
+use super::approx::{gemm_with, transpose2d};
 use super::{Cache, Layer, Mode};
 use crate::engine::CompiledLayer;
 use crate::quant::dorefa_quantize_weights;
@@ -78,7 +78,7 @@ impl Layer for Dense {
         assert_eq!(x.shape()[1], self.weight.shape()[1], "feature mismatch");
         let wt = transpose2d(&self.effective_weight()); // [In, Out]
         let mut out = match &self.multiplier {
-            Some(m) => matmul_with(&**m, x, &wt),
+            Some(m) => gemm_with(&**m, x, &wt),
             None => matmul(x, &wt),
         };
         let (n, o) = (out.shape()[0], out.shape()[1]);

@@ -17,7 +17,7 @@ mod norm;
 mod pool;
 mod simple;
 
-pub use approx::{gemm_with, matmul_with, matmul_with_scalar, transpose2d};
+pub use approx::{gemm_with, matmul_with_scalar, transpose2d};
 pub use conv::Conv2d;
 pub use dense::Dense;
 pub use norm::BatchNorm;

@@ -40,11 +40,10 @@
 //!   (`da_tensor::parallel`) and gives each worker its own
 //!   [`da_arith::BatchKernel`], fed one row class per B tile computed once
 //!   per GEMM; gate-level cores run on the bit-sliced plane sweep (see
-//!   `da_arith::batch`).
-//! * [`layers::matmul_with`] is the `dyn`-boundary wrapper layers use; the
-//!   `dyn Multiplier` is resolved once per row-slice, never per element.
-//!   With [`da_arith::ExactMultiplier`] the monomorphized inner loop
-//!   compiles to the native multiply-add loop.
+//!   `da_arith::batch`). Layers call it with their `dyn Multiplier`, which
+//!   is resolved once per row-slice, never per element; with
+//!   [`da_arith::ExactMultiplier`] the monomorphized inner loop compiles
+//!   to the native multiply-add loop.
 //! * [`layers::matmul_with_scalar`] keeps the historical per-scalar loop as
 //!   the semantic reference: the batched GEMM is property-tested
 //!   (`tests/gemm_equivalence.rs`) to match it bit-for-bit for every
@@ -99,4 +98,4 @@ pub use engine::InferencePlan;
 pub use layers::{Cache, Layer, Mode};
 pub use network::Network;
 pub use serve::{BatchServer, ServeConfig, ServeError};
-pub use snapshot::{PlanCache, SnapshotError};
+pub use snapshot::SnapshotError;

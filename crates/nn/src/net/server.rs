@@ -68,6 +68,7 @@ use std::time::{Duration, Instant};
 use da_tensor::Tensor;
 use polling::{Event, Poller};
 
+use crate::engine::InferencePlan;
 use crate::net::frame::{self, ErrCode, FrameDecoder, Message, DEFAULT_MAX_FRAME};
 use crate::serve::{BatchServer, Reply, ServeError};
 
@@ -739,7 +740,7 @@ impl Reactor {
                 }
             },
         };
-        match self.server.reload_from_snapshot(path) {
+        match InferencePlan::load(path).and_then(|plan| self.server.reload_plan(Arc::new(plan))) {
             Ok(generation) => {
                 self.stats.reloads_ok += 1;
                 (true, generation, String::new())

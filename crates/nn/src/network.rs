@@ -1,7 +1,6 @@
 //! The sequential [`Network`] container and the classifier API attacked by
 //! `da-attacks`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use da_arith::Multiplier;
@@ -46,8 +45,6 @@ pub struct Network {
     /// Lazily compiled serving plan ([`crate::engine`]); invalidated on any
     /// mutation that could change evaluation-mode outputs.
     plan: Mutex<PlanSlot>,
-    /// Monotonic plan-invalidation counter (see [`Network::plan_epoch`]).
-    epoch: AtomicU64,
 }
 
 impl Network {
@@ -58,7 +55,6 @@ impl Network {
             layers: Vec::new(),
             multiplier: None,
             plan: Mutex::new(PlanSlot::Stale),
-            epoch: AtomicU64::new(0),
         }
     }
 
@@ -111,20 +107,6 @@ impl Network {
     /// Drop the cached serving plan so the next inference recompiles.
     fn invalidate_plan(&self) {
         *self.plan.lock().expect("plan lock") = PlanSlot::Stale;
-        self.epoch.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Monotonic counter bumped by every plan invalidation
-    /// ([`Network::push`], [`Network::set_multiplier`],
-    /// [`Network::params_mut`], and training-mode forwards).
-    ///
-    /// Holders of compiled snapshots — a cached
-    /// [`Arc`]`<`[`InferencePlan`]`>` or a [`crate::serve::BatchServer`]'s
-    /// plan — record this at compile time and compare later to
-    /// detect that the network has diverged from their snapshot (see
-    /// [`crate::serve::BatchServer::is_stale`]).
-    pub fn plan_epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
     }
 
     /// The compiled serving plan for the network's current state, compiling
@@ -133,7 +115,10 @@ impl Network {
     ///
     /// The cache is invalidated by [`Network::set_multiplier`],
     /// [`Network::params_mut`], and training-mode forwards (which update
-    /// batch-norm running statistics).
+    /// batch-norm running statistics). Each recompile returns a new `Arc`,
+    /// so a holder of an earlier plan (a
+    /// [`BatchServer`](crate::serve::BatchServer), say) can tell the network
+    /// has moved on with `!Arc::ptr_eq(&held, &net.plan()?)`.
     pub fn plan(&self) -> Option<Arc<InferencePlan>> {
         let mut slot = self.plan.lock().expect("plan lock");
         match &*slot {

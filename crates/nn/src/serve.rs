@@ -69,36 +69,41 @@
 //!   [`ServeStats::degraded_total`] counts them. Recovery is hysteretic:
 //!   the server returns to the primary only after
 //!   [`ServeConfig::brownout_exit_quiet`] with no sheds.
-//! * **Hot reload.** [`BatchServer::reload_plan`] /
-//!   [`BatchServer::reload_from_snapshot`] atomically swap the served plan
-//!   under live traffic: a replacement snapshot is fully validated before
-//!   the swap (a corrupt file is rejected and the old plans keep serving),
-//!   and [`ServeStats::generation`] records each successful swap. The
-//!   swap also performs a **shape handshake**: a replacement whose
-//!   serving interface ([`InferencePlan::interface`] — input/output
-//!   shapes or precision family) differs from the current plan's is
-//!   rejected with [`SnapshotError::Incompatible`], because swapping it
-//!   in would silently change what connected clients get back.
+//! * **Hot reload.** [`BatchServer::reload_plan`] atomically swaps the
+//!   served plan under live traffic, and [`ServeStats::generation`] records
+//!   each successful swap. A replacement read from disk is fully validated
+//!   by [`InferencePlan::load`] before it reaches the server (a corrupt
+//!   file never gets that far, and the old plan keeps serving). The swap
+//!   then performs a **shape handshake**: a replacement whose serving
+//!   interface ([`InferencePlan::interface`] — input/output shapes or
+//!   precision family) differs from the current plan's, or whose shape
+//!   inference fails on the item shape the current plan has been serving,
+//!   is rejected with [`SnapshotError::Incompatible`], because swapping it
+//!   in would silently change what connected clients get back (or fail
+//!   every later request).
+//! * **Snapshot semantics.** A server serves the `Arc` it was given by
+//!   [`BatchServer::from_plan`], the only constructor. Pass
+//!   [`Network::plan`](crate::Network::plan) to share the network's own
+//!   cached plan (the one its inference and gradients run on). Mutating
+//!   the network afterwards (`set_multiplier`, `params_mut`, a training
+//!   forward) invalidates the network's cached plan but *not* the
+//!   server's: the server keeps serving its snapshot, and
+//!   `!Arc::ptr_eq(&served, &net.plan()?)` tells the caller the network
+//!   has moved on and the server should be rebuilt (or reloaded).
 //!
-//!   [`SnapshotError::Incompatible`]: crate::snapshot::SnapshotError::Incompatible
-//! * **Snapshot semantics.** The server serves the plan
-//!   [`Network::plan`] holds at [`BatchServer::compile`] time (one compile
-//!   shared with the network's own inference and gradients).
-//!   Mutating the network afterwards (`set_multiplier`, `params_mut`, a
-//!   training forward) invalidates the network's own cached plan but *not*
-//!   the server's plan: the server keeps serving the snapshot, and
-//!   [`BatchServer::is_stale`] reports the divergence (via
-//!   [`Network::plan_epoch`]) so operators can rebuild.
-//!
-//! Servers can also serve **int8 plans**
-//! ([`BatchServer::compile_quantized`]): the queue, batching, backpressure,
-//! and failure-containment machinery is plan-agnostic, and quantized plans
-//! are deterministic with independent batch items, so the bit-identity
+//! The server is plan-agnostic: int8 and int4 plans
+//! ([`InferencePlan::compile_quantized`],
+//! [`InferencePlan::compile_quantized_int4`], or a snapshot of either
+//! mapped back with [`InferencePlan::load`]) are served through the same queue, batching,
+//! backpressure and failure-containment machinery, and because quantized
+//! plans are deterministic with independent batch items, the bit-identity
 //! contract holds against a serial run of the same quantized plan.
 //!
 //! # Quickstart
 //!
 //! ```
+//! use std::sync::Arc;
+//!
 //! use da_arith::MultiplierKind;
 //! use da_nn::serve::{BatchServer, ServeConfig};
 //! use da_nn::zoo::lenet5;
@@ -108,13 +113,14 @@
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 //! let mut net = lenet5(10, &mut rng);
 //! net.set_multiplier(Some(MultiplierKind::AxFpm.build()));
-//! let server = BatchServer::compile(&net, ServeConfig::default())
-//!     .expect("zoo models compile");
+//! let plan = net.plan().expect("zoo models compile");
+//! let server = BatchServer::from_plan(plan.clone(), ServeConfig::default());
 //! // Submit from any number of threads; each caller gets its own logits.
 //! let pending = server.submit(&Tensor::zeros(&[1, 28, 28])).unwrap();
 //! let logits = pending.wait().unwrap();
 //! assert_eq!(logits.shape(), &[10]);
-//! assert!(!server.is_stale(&net));
+//! // The server shares the network's cached plan until the network changes.
+//! assert!(Arc::ptr_eq(&plan, &net.plan().unwrap()));
 //! ```
 
 use std::collections::VecDeque;
@@ -129,7 +135,7 @@ use da_tensor::Tensor;
 
 use crate::engine::InferencePlan;
 use crate::loss::argmax_logits;
-use crate::Network;
+use crate::snapshot::SnapshotError;
 
 /// Micro-batching knobs for a [`BatchServer`].
 #[derive(Debug, Clone)]
@@ -541,8 +547,7 @@ pub struct ServeStats {
     /// background expiry sweep.
     pub deadline_expired: u64,
     /// Plan generation: 0 for the plan the server started with,
-    /// bumped by each successful [`BatchServer::reload_plan`] /
-    /// [`BatchServer::reload_from_snapshot`].
+    /// bumped by each successful [`BatchServer::reload_plan`].
     pub generation: u64,
     /// Requests shed with [`ServeError::Overloaded`] by admission-time
     /// overload control (estimate-shed plus shed-oldest victims).
@@ -605,106 +610,23 @@ pub struct BatchServer {
     sweeper: Option<JoinHandle<()>>,
     queue_capacity: usize,
     default_deadline: Option<Duration>,
-    /// The source network's [`Network::plan_epoch`] at compile time.
-    source_epoch: u64,
 }
 
 impl BatchServer {
-    /// Serve `network`'s compiled plan ([`Network::plan`], the one the
-    /// network caches for its own inference and gradients), shared by every
-    /// worker.
+    /// Serve `plan`, shared by every worker: N workers run the same `Arc`,
+    /// so a plan whose tables borrow an `mmap`ed snapshot is served over
+    /// **one** mapping, with no per-worker copy of the product tables or
+    /// weight matrices.
     ///
-    /// Returns `None` when the network has no compiled form (when
-    /// [`Network::plan`] returns `None`) — callers fall back to the
-    /// per-layer path.
+    /// The plan comes from the caller: [`Network::plan`] shares the
+    /// network's own cached plan, [`InferencePlan::compile_quantized`] and
+    /// [`InferencePlan::compile_quantized_int4`] build int8 and int4
+    /// plans, and [`InferencePlan::load`] maps a
+    /// snapshot back with no calibration, table build or weight copy (the
+    /// near-zero cold-start path). The server keeps serving this `Arc`
+    /// until [`reload_plan`](BatchServer::reload_plan) replaces it.
     ///
-    /// # Panics
-    ///
-    /// Panics if `config.max_batch` or `config.queue_capacity` is zero.
-    pub fn compile(network: &Network, config: ServeConfig) -> Option<BatchServer> {
-        assert!(config.max_batch >= 1, "max_batch must be at least 1");
-        assert!(config.queue_capacity >= 1, "queue_capacity must be at least 1");
-        // Read the epoch *before* fetching the plan: a concurrent mutation
-        // mid-compile then flags the server stale instead of going unnoticed.
-        let source_epoch = network.plan_epoch();
-        Some(Self::start(network.plan()?, config, source_epoch))
-    }
-
-    /// [`compile`](BatchServer::compile) in **int8 mode**: the server
-    /// serves one [`InferencePlan::compile_quantized`] plan, calibrated on
-    /// `calibration`, shared by every worker (sharing matters most here:
-    /// quantized plans carry multi-MiB product tables and, for gate-level
-    /// multipliers, a 65 536-product build cost).
-    ///
-    /// The batching contract is unchanged: quantized plans are
-    /// deterministic and run batch items independently, so served logits
-    /// stay bit-identical to a serial
-    /// [`InferencePlan::predict_batch`] on the same plan under any
-    /// concurrent schedule (covered by `tests/quantized_plan.rs`).
-    ///
-    /// Returns `None` when the network cannot compile to a quantized plan
-    /// (see [`InferencePlan::compile_quantized`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`compile`](BatchServer::compile) does, or if
-    /// `calibration` is not a non-empty batch of the served shape.
-    pub fn compile_quantized(
-        network: &Network,
-        calibration: &da_tensor::Tensor,
-        config: ServeConfig,
-    ) -> Option<BatchServer> {
-        assert!(config.max_batch >= 1, "max_batch must be at least 1");
-        assert!(config.queue_capacity >= 1, "queue_capacity must be at least 1");
-        let source_epoch = network.plan_epoch();
-        let plan = Arc::new(InferencePlan::compile_quantized(
-            network,
-            network.multiplier().cloned(),
-            calibration,
-        )?);
-        Some(Self::start(plan, config, source_epoch))
-    }
-
-    /// [`compile_quantized`](BatchServer::compile_quantized) in
-    /// **int4-weight mode**: the shared snapshot is one
-    /// [`InferencePlan::compile_quantized_int4`] plan — conv/dense layers
-    /// serve the in-register shuffle GEMM over 256×16 tables where
-    /// calibration allows, with per-layer int8 gather fallback (a
-    /// mixed-precision snapshot; see [`InferencePlan::int4_layer_mix`]).
-    /// The sharing rationale and the bit-identical batching contract are
-    /// exactly [`compile_quantized`](BatchServer::compile_quantized)'s.
-    ///
-    /// Returns `None` when the network cannot compile to a quantized plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`compile_quantized`](BatchServer::compile_quantized) does.
-    pub fn compile_quantized_int4(
-        network: &Network,
-        calibration: &da_tensor::Tensor,
-        config: ServeConfig,
-    ) -> Option<BatchServer> {
-        assert!(config.max_batch >= 1, "max_batch must be at least 1");
-        assert!(config.queue_capacity >= 1, "queue_capacity must be at least 1");
-        let source_epoch = network.plan_epoch();
-        let plan = Arc::new(InferencePlan::compile_quantized_int4(
-            network,
-            network.multiplier().cloned(),
-            calibration,
-        )?);
-        Some(Self::start(plan, config, source_epoch))
-    }
-
-    /// Serve an already-compiled (or snapshot-loaded) plan: every worker
-    /// runs the same `Arc`, so a plan whose tables borrow an `mmap`ed
-    /// snapshot is served by N workers over **one** mapping — no per-worker
-    /// copy of the multi-MiB product tables or weight matrices.
-    ///
-    /// A plan served this way has no source [`Network`], so
-    /// [`is_stale`](BatchServer::is_stale) reports `true` against *any*
-    /// network (the sentinel epoch `u64::MAX` is never a real
-    /// [`Network::plan_epoch`] value): staleness tracking is only
-    /// meaningful for the `compile*` constructors.
+    /// [`Network::plan`]: crate::Network::plan
     ///
     /// # Panics
     ///
@@ -712,32 +634,6 @@ impl BatchServer {
     pub fn from_plan(plan: Arc<InferencePlan>, config: ServeConfig) -> BatchServer {
         assert!(config.max_batch >= 1, "max_batch must be at least 1");
         assert!(config.queue_capacity >= 1, "queue_capacity must be at least 1");
-        Self::start(plan, config, u64::MAX)
-    }
-
-    /// Map the plan snapshot at `path` (see [`crate::snapshot`]) and serve
-    /// it via [`from_plan`](BatchServer::from_plan). This is the
-    /// near-zero-cold-start path: no calibration, no LUT build, no weight
-    /// copy — time-to-first-inference is dominated by the first batch
-    /// itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`from_plan`](BatchServer::from_plan) does.
-    pub fn from_snapshot(
-        path: impl AsRef<std::path::Path>,
-        config: ServeConfig,
-    ) -> Result<BatchServer, crate::snapshot::SnapshotError> {
-        let plan = Arc::new(InferencePlan::load(path)?);
-        Ok(Self::from_plan(plan, config))
-    }
-
-    /// Shared startup: install the panic hook, install the plan, and spawn
-    /// `config.workers` supervised workers plus the deadline-expiry sweep.
-    /// `source_epoch` is the network's [`Network::plan_epoch`] read
-    /// *before* compiling, so a concurrent mutation mid-compile flags the
-    /// server stale instead of going unnoticed.
-    fn start(plan: Arc<InferencePlan>, config: ServeConfig, source_epoch: u64) -> BatchServer {
         install_quiet_panic_hook();
         let now = Instant::now();
         let shared = Arc::new(Shared {
@@ -784,7 +680,6 @@ impl BatchServer {
             sweeper,
             queue_capacity: config.queue_capacity,
             default_deadline: config.default_deadline,
-            source_epoch,
         }
     }
 
@@ -1006,17 +901,6 @@ impl BatchServer {
         Ok(Tensor::stack(&rows))
     }
 
-    /// Whether `network` has been invalidated since this server compiled its
-    /// plan (weights, multiplier, or training-mode statistics changed).
-    ///
-    /// A stale server keeps serving its compile-time snapshot — exactly like
-    /// a held [`Arc`]`<`[`InferencePlan`]`>` — so callers decide when to
-    /// rebuild. Only meaningful for the network the server was compiled
-    /// from.
-    pub fn is_stale(&self, network: &Network) -> bool {
-        network.plan_epoch() != self.source_epoch
-    }
-
     /// Worker-thread count.
     pub fn workers(&self) -> usize {
         self.workers.len()
@@ -1050,32 +934,24 @@ impl BatchServer {
     /// Install (or replace) the brownout **fallback plan** — the cheaper
     /// plan dispatch fails over to under sustained shed pressure (see
     /// [`ServeConfig::brownout_enter_sheds`]). The fallback must serve the
-    /// same input/output interface as the primary; its *precision family*
-    /// may differ — an int8 snapshot backing an f32 primary is the point
-    /// (approximate answers beat no answers, and replies say so via
-    /// [`Reply::degraded`]).
-    pub fn set_fallback_plan(
-        &self,
-        plan: Arc<InferencePlan>,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        let want = self.shared.plan.read().unwrap_or_else(PoisonError::into_inner).interface();
-        let got = plan.interface();
-        if got.input != want.input || got.output_features != want.output_features {
-            return Err(crate::snapshot::SnapshotError::Incompatible(format!(
-                "fallback plan serves [{got}] but the primary serves [{want}]"
-            )));
+    /// same input/output interface as the primary, and run the item shape
+    /// the primary has been serving; its *precision family* may differ —
+    /// an int8 snapshot backing an f32 primary is the point (approximate
+    /// answers beat no answers, and replies say so via
+    /// [`Reply::degraded`]). A mismatch is [`SnapshotError::Incompatible`].
+    pub fn set_fallback_plan(&self, plan: Arc<InferencePlan>) -> Result<(), SnapshotError> {
+        {
+            let primary = self.shared.plan.read().unwrap_or_else(PoisonError::into_inner);
+            let (want, got) = (primary.interface(), plan.interface());
+            if got.input != want.input || got.output_features != want.output_features {
+                return Err(SnapshotError::Incompatible(format!(
+                    "fallback plan serves [{got}] but the primary serves [{want}]"
+                )));
+            }
+            check_served_shape(&primary, &plan, "fallback plan")?;
         }
         *self.shared.fallback.write().unwrap_or_else(PoisonError::into_inner) = Some(plan);
         Ok(())
-    }
-
-    /// Map and validate the snapshot at `path`, then
-    /// [`set_fallback_plan`](BatchServer::set_fallback_plan) it.
-    pub fn set_fallback_from_snapshot(
-        &self,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        self.set_fallback_plan(Arc::new(InferencePlan::load(path)?))
     }
 
     /// Force the brownout state — a test/ops override. `on = true` enters
@@ -1107,48 +983,31 @@ impl BatchServer {
     /// generation. The swap never drops a request: batches already
     /// executing finish on the plan they started with (their `Arc` keeps it
     /// alive), every batch dispatched after the swap runs on `plan`, and
-    /// queued requests are untouched.
+    /// queued requests are untouched. A replacement from disk comes from
+    /// [`InferencePlan::load`], which validates the whole file first.
     ///
     /// The swap performs a **shape handshake**: a replacement whose
     /// serving interface ([`InferencePlan::interface`] — input constraint,
-    /// logit width, or precision family) differs from the current plan's
-    /// is rejected with [`SnapshotError::Incompatible`] and the old plan
-    /// keeps serving, generation unchanged. Connected clients pipelining
-    /// requests across the swap would otherwise silently start getting
-    /// different shapes (or a different numeric contract) back.
-    ///
-    /// [`SnapshotError::Incompatible`]: crate::snapshot::SnapshotError::Incompatible
-    pub fn reload_plan(
-        &self,
-        plan: Arc<InferencePlan>,
-    ) -> Result<u64, crate::snapshot::SnapshotError> {
+    /// logit width, or precision family) differs from the current plan's,
+    /// or whose shape inference fails on the item shape the current plan
+    /// has been serving, is rejected with [`SnapshotError::Incompatible`]
+    /// and the old plan keeps serving, generation unchanged. Connected
+    /// clients pipelining requests across the swap would otherwise
+    /// silently start getting different shapes (or a different numeric
+    /// contract, or only errors) back.
+    pub fn reload_plan(&self, plan: Arc<InferencePlan>) -> Result<u64, SnapshotError> {
         {
             let mut current = self.shared.plan.write().unwrap_or_else(PoisonError::into_inner);
             let (want, got) = (current.interface(), plan.interface());
             if got != want {
-                return Err(crate::snapshot::SnapshotError::Incompatible(format!(
+                return Err(SnapshotError::Incompatible(format!(
                     "replacement serves [{got}] but the current plan serves [{want}]"
                 )));
             }
+            check_served_shape(&current, &plan, "replacement")?;
             *current = plan;
         }
         Ok(self.shared.counters.generation.fetch_add(1, Ordering::Relaxed) + 1)
-    }
-
-    /// Hot reload: map and **fully validate** the plan snapshot at `path`,
-    /// then [`reload_plan`](BatchServer::reload_plan) it. Validation —
-    /// including the shape handshake — happens before any swap, so a torn,
-    /// truncated, corrupt, or interface-incompatible replacement is
-    /// rejected with the loader's [`SnapshotError`] and the current pool
-    /// keeps serving — graceful degradation, generation unchanged.
-    ///
-    /// [`SnapshotError`]: crate::snapshot::SnapshotError
-    pub fn reload_from_snapshot(
-        &self,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<u64, crate::snapshot::SnapshotError> {
-        let plan = Arc::new(InferencePlan::load(path)?);
-        self.reload_plan(plan)
     }
 
     /// Stop accepting requests without blocking: submitters (including ones
@@ -1195,6 +1054,24 @@ impl std::fmt::Debug for BatchServer {
             .field("stats", &self.stats())
             .finish()
     }
+}
+
+/// Refuse a `replacement` (named `role` in the error) whose shape inference
+/// fails on the item shape `current` has been serving. The interface
+/// handshake compares only the first and last weight steps, so a stack
+/// built for another image size passes it and would then fail every
+/// request. A plan that has served nothing yet has no shape to check.
+fn check_served_shape(
+    current: &InferencePlan,
+    replacement: &InferencePlan,
+    role: &str,
+) -> Result<(), SnapshotError> {
+    let Some(shape) = current.served_item_shape() else { return Ok(()) };
+    replacement.try_layout_for(&shape).map(drop).map_err(|msg| {
+        SnapshotError::Incompatible(format!(
+            "{role} cannot serve the current item shape {shape:?}: {msg}"
+        ))
+    })
 }
 
 /// The adaptive flush-deadline policy a worker applies between batches
@@ -1523,6 +1400,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 mod tests {
     use super::*;
     use crate::layers::{Conv2d, Dense, Flatten, MaxPool2d, Relu};
+    use crate::Network;
     use da_arith::MultiplierKind;
     use rand::SeedableRng;
 
@@ -1551,7 +1429,7 @@ mod tests {
         let mut net = tiny_cnn(3);
         net.set_multiplier(Some(MultiplierKind::AxFpm.build()));
         let plan = net.plan().expect("compilable");
-        let server = BatchServer::compile(&net, cfg(2, 4, 8)).expect("compilable");
+        let server = BatchServer::from_plan(net.plan().expect("compilable"), cfg(2, 4, 8));
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         let x = Tensor::randn(&[1, 8, 8], 1.0, &mut rng);
         let got = server.logits(&x).expect("served");
@@ -1565,7 +1443,7 @@ mod tests {
     fn predict_batch_round_trips_through_the_queue() {
         let net = tiny_cnn(5);
         let plan = net.plan().expect("compilable");
-        let server = BatchServer::compile(&net, cfg(2, 3, 4)).expect("compilable");
+        let server = BatchServer::from_plan(net.plan().expect("compilable"), cfg(2, 3, 4));
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);
         let x = Tensor::randn(&[7, 1, 8, 8], 1.0, &mut rng);
         let got = server.predict_batch(&x).expect("served");
@@ -1600,7 +1478,7 @@ mod tests {
         assert!(fresh.mean_batch().is_finite());
 
         let net = tiny_cnn(11);
-        let server = BatchServer::compile(&net, cfg(0, 1, 4)).expect("compilable");
+        let server = BatchServer::from_plan(net.plan().expect("compilable"), cfg(0, 1, 4));
         assert_eq!(server.stats().mean_batch(), 0.0);
         assert!(server.stats().mean_batch().is_finite());
     }
@@ -1610,7 +1488,7 @@ mod tests {
     #[test]
     fn predict_batch_propagates_shutdown_instead_of_panicking() {
         let net = tiny_cnn(13);
-        let server = BatchServer::compile(&net, cfg(1, 2, 4)).expect("compilable");
+        let server = BatchServer::from_plan(net.plan().expect("compilable"), cfg(1, 2, 4));
         server.begin_shutdown();
         let x = Tensor::zeros(&[3, 1, 8, 8]);
         assert_eq!(server.predict_batch(&x).err(), Some(ServeError::ShuttingDown));
@@ -1625,14 +1503,14 @@ mod tests {
         let net = tiny_cnn(17);
         let x1 = Tensor::zeros(&[1, 8, 8]);
         // Zero workers: the queue can only fill.
-        let stuck = BatchServer::compile(&net, cfg(0, 1, 1)).expect("compilable");
+        let stuck = BatchServer::from_plan(net.plan().expect("compilable"), cfg(0, 1, 1));
         let _held = stuck.try_submit(&x1).expect("first fits");
         assert_eq!(stuck.try_submit(&x1).err(), Some(ServeError::QueueFull));
         assert_eq!(stuck.try_submit_with(&x1, Box::new(|_| {})).err(), Some(ServeError::QueueFull));
         // One worker, capacity 2 < batch 6: submissions backpressure and
         // complete (bounded: workers drain while the submitter blocks).
         let plan = net.plan().expect("compilable");
-        let server = BatchServer::compile(&net, cfg(1, 2, 2)).expect("compilable");
+        let server = BatchServer::from_plan(net.plan().expect("compilable"), cfg(1, 2, 2));
         let mut rng = rand::rngs::StdRng::seed_from_u64(18);
         let x = Tensor::randn(&[6, 1, 8, 8], 1.0, &mut rng);
         let got = server.predict_batch(&x).expect("drains through backpressure");
@@ -1644,7 +1522,7 @@ mod tests {
         let mut net = tiny_cnn(19);
         net.set_multiplier(Some(MultiplierKind::AxFpm.build()));
         let plan = net.plan().expect("compilable");
-        let server = BatchServer::compile(&net, cfg(1, 4, 8)).expect("compilable");
+        let server = BatchServer::from_plan(net.plan().expect("compilable"), cfg(1, 4, 8));
         let mut rng = rand::rngs::StdRng::seed_from_u64(20);
         let x = Tensor::randn(&[1, 8, 8], 1.0, &mut rng);
         let (tx, rx) = mpsc::channel();
@@ -1716,7 +1594,7 @@ mod tests {
             queue_capacity: 8,
             ..ServeConfig::default()
         };
-        let server = BatchServer::compile(&net, config).expect("compilable");
+        let server = BatchServer::from_plan(net.plan().expect("compilable"), config);
         let x = Tensor::zeros(&[1, 8, 8]);
         server.logits(&x).expect("served");
         assert_eq!(server.stats().flush_deadline_ns, 1);
@@ -1725,7 +1603,7 @@ mod tests {
     #[test]
     fn zero_worker_server_applies_backpressure_and_fails_on_shutdown() {
         let net = tiny_cnn(7);
-        let server = BatchServer::compile(&net, cfg(0, 1, 2)).expect("compilable");
+        let server = BatchServer::from_plan(net.plan().expect("compilable"), cfg(0, 1, 2));
         let x = Tensor::zeros(&[1, 8, 8]);
         let a = server.try_submit(&x).expect("first fits");
         let b = server.try_submit(&x).expect("second fits");
@@ -1733,25 +1611,6 @@ mod tests {
         server.shutdown();
         assert_eq!(a.wait().err(), Some(ServeError::ShuttingDown));
         assert_eq!(b.wait().err(), Some(ServeError::ShuttingDown));
-    }
-
-    #[test]
-    fn uncompilable_network_declines() {
-        struct Opaque;
-        impl crate::Layer for Opaque {
-            fn name(&self) -> &'static str {
-                "opaque"
-            }
-            fn forward(&self, x: &Tensor, _mode: crate::Mode) -> (Tensor, crate::Cache) {
-                (x.clone(), crate::Cache::none())
-            }
-            fn backward(&self, _cache: &crate::Cache, grad: &Tensor) -> (Tensor, Vec<Tensor>) {
-                (grad.clone(), Vec::new())
-            }
-        }
-        let net = Network::new("opaque").push(Opaque);
-        assert!(BatchServer::compile(&net, cfg(1, 1, 1)).is_none());
-        assert!(BatchServer::compile(&net, cfg(0, 1, 1)).is_none());
     }
 
     #[test]
@@ -1779,7 +1638,7 @@ mod tests {
     #[test]
     fn ewma_service_time_warms_up_after_batches() {
         let net = tiny_cnn(53);
-        let server = BatchServer::compile(&net, cfg(1, 4, 8)).expect("compilable");
+        let server = BatchServer::from_plan(net.plan().expect("compilable"), cfg(1, 4, 8));
         assert_eq!(server.stats().ewma_service_ns, 0, "cold server has no estimate");
         let x = Tensor::zeros(&[1, 8, 8]);
         for _ in 0..3 {
@@ -1794,7 +1653,7 @@ mod tests {
     #[test]
     fn estimate_shed_rejects_doomed_deadlines_at_admission() {
         let net = tiny_cnn(59);
-        let server = BatchServer::compile(&net, cfg(0, 1, 8)).expect("compilable");
+        let server = BatchServer::from_plan(net.plan().expect("compilable"), cfg(0, 1, 8));
         // Pretend every item takes 1 s; a 5 ms deadline is then hopeless.
         server.force_ewma_service_ns(1_000_000_000);
         let x = Tensor::zeros(&[1, 8, 8]);
@@ -1817,7 +1676,7 @@ mod tests {
     #[test]
     fn shed_oldest_trades_doomed_queued_work_for_new_arrivals() {
         let net = tiny_cnn(61);
-        let server = BatchServer::compile(&net, cfg(0, 1, 1)).expect("compilable");
+        let server = BatchServer::from_plan(net.plan().expect("compilable"), cfg(0, 1, 1));
         let x = Tensor::zeros(&[1, 8, 8]);
         // Admit A while the estimate is still cold...
         let a = server
@@ -1845,7 +1704,7 @@ mod tests {
     #[test]
     fn shed_oldest_never_touches_deadline_free_work() {
         let net = tiny_cnn(67);
-        let server = BatchServer::compile(&net, cfg(0, 1, 1)).expect("compilable");
+        let server = BatchServer::from_plan(net.plan().expect("compilable"), cfg(0, 1, 1));
         server.force_ewma_service_ns(1_000_000_000);
         let x = Tensor::zeros(&[1, 8, 8]);
         let _held = server.try_submit(&x).expect("fills the queue");
@@ -1870,7 +1729,7 @@ mod tests {
         let plan_primary = net_primary.plan().expect("compilable");
         let plan_fallback =
             Arc::new(InferencePlan::compile(&net_fallback, None).expect("compilable"));
-        let server = BatchServer::compile(&net_primary, cfg(1, 2, 8)).expect("compilable");
+        let server = BatchServer::from_plan(net_primary.plan().expect("compilable"), cfg(1, 2, 8));
         server.set_fallback_plan(plan_fallback.clone()).expect("same interface installs");
         let mut rng = rand::rngs::StdRng::seed_from_u64(74);
         let x = Tensor::randn(&[1, 8, 8], 1.0, &mut rng);
@@ -1911,7 +1770,7 @@ mod tests {
             brownout_exit_quiet: Duration::from_secs(60),
             ..cfg(0, 1, 8)
         };
-        let server = BatchServer::compile(&net, config).expect("compilable");
+        let server = BatchServer::from_plan(net.plan().expect("compilable"), config);
         let fallback = Arc::new(InferencePlan::compile(&net, None).expect("compilable"));
         server.set_fallback_plan(fallback).expect("installs");
         server.force_ewma_service_ns(1_000_000_000);
@@ -1933,7 +1792,7 @@ mod tests {
     fn brownout_needs_a_fallback_plan() {
         let net = tiny_cnn(83);
         let config = ServeConfig { brownout_enter_sheds: 1, ..cfg(0, 1, 8) };
-        let server = BatchServer::compile(&net, config).expect("compilable");
+        let server = BatchServer::from_plan(net.plan().expect("compilable"), config);
         server.force_ewma_service_ns(1_000_000_000);
         let x = Tensor::zeros(&[1, 8, 8]);
         let doomed = Instant::now() + Duration::from_millis(1);
@@ -1947,7 +1806,7 @@ mod tests {
     #[test]
     fn fallback_handshake_rejects_interface_mismatch() {
         let net = tiny_cnn(89);
-        let server = BatchServer::compile(&net, cfg(1, 2, 8)).expect("compilable");
+        let server = BatchServer::from_plan(net.plan().expect("compilable"), cfg(1, 2, 8));
         // Different logit width → rejected.
         let mut rng = rand::rngs::StdRng::seed_from_u64(90);
         let wide = Network::new("wide")
@@ -1958,7 +1817,7 @@ mod tests {
             .push(Dense::new(3 * 4 * 4, 7, &mut rng));
         let wide_plan = Arc::new(InferencePlan::compile(&wide, None).expect("compilable"));
         match server.set_fallback_plan(wide_plan) {
-            Err(crate::snapshot::SnapshotError::Incompatible(msg)) => {
+            Err(SnapshotError::Incompatible(msg)) => {
                 assert!(msg.contains("7"), "{msg}");
             }
             other => panic!("expected Incompatible, got {other:?}"),
@@ -1972,7 +1831,7 @@ mod tests {
     fn reload_plan_rejects_interface_mismatch() {
         let net = tiny_cnn(97);
         let plan = net.plan().expect("compilable");
-        let server = BatchServer::compile(&net, cfg(1, 2, 8)).expect("compilable");
+        let server = BatchServer::from_plan(net.plan().expect("compilable"), cfg(1, 2, 8));
         let mut rng = rand::rngs::StdRng::seed_from_u64(98);
         let wide = Network::new("wide")
             .push(Conv2d::new(1, 3, 3, 1, 1, &mut rng))
@@ -1981,10 +1840,7 @@ mod tests {
             .push(Flatten)
             .push(Dense::new(3 * 4 * 4, 9, &mut rng));
         let wide_plan = Arc::new(InferencePlan::compile(&wide, None).expect("compilable"));
-        assert!(matches!(
-            server.reload_plan(wide_plan),
-            Err(crate::snapshot::SnapshotError::Incompatible(_))
-        ));
+        assert!(matches!(server.reload_plan(wide_plan), Err(SnapshotError::Incompatible(_))));
         assert_eq!(server.generation(), 0, "a rejected reload must not bump the generation");
         let x = Tensor::randn(&[1, 8, 8], 1.0, &mut rng);
         let want = plan.predict_batch(&Tensor::stack(std::slice::from_ref(&x)));
@@ -1995,12 +1851,73 @@ mod tests {
         );
     }
 
+    /// The same stack built for 10×10 images (dense 75→5): its interface
+    /// reads like `tiny_cnn`'s (`conv(cin=1) -> 5 logits`), but it cannot
+    /// run the 8×8 items `tiny_cnn` serves.
+    fn tiny_cnn_for_10x10(seed: u64) -> Arc<InferencePlan> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let net = Network::new("serve-tiny-10")
+            .push(Conv2d::new(1, 3, 3, 1, 1, &mut rng))
+            .push(Relu)
+            .push(MaxPool2d::new(2, 2))
+            .push(Flatten)
+            .push(Dense::new(3 * 5 * 5, 5, &mut rng));
+        Arc::new(InferencePlan::compile(&net, None).expect("compilable"))
+    }
+
+    /// Hot reload and the brownout fallback refuse a plan whose shape
+    /// inference fails on the item shape being served, even though its
+    /// interface matches: swapping it in would fail every later request.
+    #[test]
+    fn reload_and_fallback_reject_a_plan_that_cannot_serve_the_current_shape() {
+        let net = tiny_cnn(101);
+        let plan = net.plan().expect("compilable");
+        let server = BatchServer::from_plan(plan.clone(), cfg(1, 2, 8));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(102);
+        let x = Tensor::randn(&[1, 8, 8], 1.0, &mut rng);
+        let want = plan.predict_batch(&Tensor::stack(std::slice::from_ref(&x)));
+        assert_eq!(server.logits(&x).expect("served").data(), want.data());
+
+        let other = tiny_cnn_for_10x10(103);
+        assert_eq!(other.interface(), plan.interface(), "the interface handshake alone passes");
+        match server.reload_plan(other.clone()) {
+            Err(SnapshotError::Incompatible(msg)) => {
+                assert!(msg.contains("feature mismatch"), "{msg}");
+            }
+            other => panic!("expected Incompatible, got {other:?}"),
+        }
+        assert_eq!(server.generation(), 0, "a rejected reload must not bump the generation");
+        assert!(matches!(server.set_fallback_plan(other), Err(SnapshotError::Incompatible(_))));
+
+        // A kernel larger than the padded item is a typed rejection too, not
+        // a panic in `ConvGeometry::output` under the plan lock.
+        let big_kernel = Network::new("serve-tiny-9x9")
+            .push(Conv2d::new(1, 3, 9, 1, 0, &mut rng))
+            .push(Flatten)
+            .push(Dense::new(3, 5, &mut rng));
+        let big_kernel = Arc::new(InferencePlan::compile(&big_kernel, None).expect("compilable"));
+        match server.reload_plan(big_kernel) {
+            Err(SnapshotError::Incompatible(msg)) => {
+                assert!(msg.contains("larger than padded input"), "{msg}");
+            }
+            other => panic!("expected Incompatible, got {other:?}"),
+        }
+        assert_eq!(server.generation(), 0);
+
+        // Neither reached dispatch: the old plan serves bit-identically,
+        // and a forced brownout has no fallback to degrade to.
+        server.force_degraded(true);
+        let reply = server.submit(&x).expect("queued").wait_reply().expect("old plan serves");
+        assert!(!reply.degraded);
+        assert_eq!(reply.data.as_slice(), want.data());
+    }
+
     /// An already-expired deadline is rejected at admission — typed, never
     /// queued, counted in stats.
     #[test]
     fn expired_deadline_is_shed_at_admission() {
         let net = tiny_cnn(29);
-        let server = BatchServer::compile(&net, cfg(0, 1, 4)).expect("compilable");
+        let server = BatchServer::from_plan(net.plan().expect("compilable"), cfg(0, 1, 4));
         let x = Tensor::zeros(&[1, 8, 8]);
         let past = Instant::now() - Duration::from_millis(10);
         assert_eq!(
@@ -2025,7 +1942,7 @@ mod tests {
     #[test]
     fn sweeper_expires_stranded_requests() {
         let net = tiny_cnn(31);
-        let server = BatchServer::compile(&net, cfg(0, 1, 4)).expect("compilable");
+        let server = BatchServer::from_plan(net.plan().expect("compilable"), cfg(0, 1, 4));
         let x = Tensor::zeros(&[1, 8, 8]);
         let deadline = Instant::now() + Duration::from_millis(30);
         let pending = server.submit_deadline(&x, Some(deadline)).expect("queued");
@@ -2041,7 +1958,7 @@ mod tests {
         let net = tiny_cnn(37);
         let config =
             ServeConfig { default_deadline: Some(Duration::from_millis(25)), ..cfg(0, 1, 4) };
-        let server = BatchServer::compile(&net, config).expect("compilable");
+        let server = BatchServer::from_plan(net.plan().expect("compilable"), config);
         let pending = server.submit(&Tensor::zeros(&[1, 8, 8])).expect("queued");
         assert_eq!(pending.wait().err(), Some(ServeError::DeadlineExceeded));
     }
@@ -2055,7 +1972,7 @@ mod tests {
         let net_b = tiny_cnn(43); // different seed → different weights
         let plan_a = net_a.plan().expect("compilable");
         let plan_b = net_b.plan().expect("compilable");
-        let server = BatchServer::compile(&net_a, cfg(2, 4, 8)).expect("compilable");
+        let server = BatchServer::from_plan(net_a.plan().expect("compilable"), cfg(2, 4, 8));
         assert_eq!(server.generation(), 0);
         let mut rng = rand::rngs::StdRng::seed_from_u64(44);
         let x = Tensor::randn(&[1, 8, 8], 1.0, &mut rng);
@@ -2079,7 +1996,8 @@ mod tests {
     fn poisoned_lock_does_not_cascade_into_submitters() {
         let net = tiny_cnn(47);
         let plan = net.plan().expect("compilable");
-        let server = Arc::new(BatchServer::compile(&net, cfg(1, 2, 8)).expect("compilable"));
+        let server =
+            Arc::new(BatchServer::from_plan(net.plan().expect("compilable"), cfg(1, 2, 8)));
         // Poison the mutex from a scratch thread.
         let poisoner = server.clone();
         let _ = std::thread::spawn(move || {

@@ -49,7 +49,10 @@
 //! errors ([`SnapshotError`]) at load — never as a panic in a serving
 //! worker. Structural validation (section bounds, payload lengths vs layer
 //! shapes, quantizer validity, step/precision consistency) runs before the
-//! plan is assembled, so a plan that loads successfully is safe to serve.
+//! plan is assembled. Whether a loaded plan's layer shapes fit a given
+//! input is the shape inference of its first batch (a `predict_batch`
+//! panic), and a serving hot reload checks it against the item shape being
+//! served before the swap (`BatchServer::reload_plan`).
 //!
 //! **Sharing.** Steps that shared one `Arc<ProductLut>` in the compiled
 //! plan reference the same payload section in the file and are re-interned
@@ -57,17 +60,13 @@
 //! round trip (observable through
 //! [`InferencePlan::product_lut_sharing`]).
 //!
-//! # Warm pools
-//!
-//! [`PlanCache`] is the compile-once/map-everywhere front end: keyed
-//! snapshot files in one directory, with [`PlanCache::get_or_insert_with`]
-//! compiling on miss and mapping on hit. A rotation-style defense can
-//! precompile one snapshot per [`MultiplierKind`] and later swap serving
-//! pools in milliseconds (see `examples/snapshot.rs`).
+//! **Publishing.** Write a replacement to a temporary file and rename it
+//! over the old one, so a concurrent reader (a server's hot reload) never
+//! maps a half-written file.
 
 use std::fs::File;
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use da_arith::quantized::{CODES, CODES4};
@@ -119,9 +118,6 @@ pub enum SnapshotError {
     /// have no stable serial name, and big-endian hosts would break the
     /// little-endian zero-copy layout.
     Unsupported(&'static str),
-    /// A [`PlanCache`] key contains path separators or other characters
-    /// outside `[A-Za-z0-9._-]`.
-    BadKey(String),
     /// A hot-reload replacement's serving interface (input/output shapes or
     /// precision family) differs from the plan it would replace — swapping
     /// it in would silently change what connected clients get back.
@@ -144,7 +140,6 @@ impl std::fmt::Display for SnapshotError {
                 write!(f, "snapshot requires unknown multiplier {name:?}")
             }
             SnapshotError::Unsupported(what) => write!(f, "cannot snapshot: {what}"),
-            SnapshotError::BadKey(key) => write!(f, "invalid plan-cache key {key:?}"),
             SnapshotError::Incompatible(what) => {
                 write!(f, "incompatible replacement plan: {what}")
             }
@@ -941,7 +936,8 @@ impl InferencePlan {
         let file = File::open(path.as_ref())?;
         // SAFETY: the mapping is validated by checksum immediately after
         // being created; concurrent modification of a published snapshot
-        // file is excluded by convention (PlanCache publishes via rename).
+        // file is excluded by convention (publish by writing a temporary
+        // file and renaming it over the old one).
         let map = unsafe { Mmap::map(&file)? };
         let region: Arc<dyn ByteRegion> = Arc::new(map);
         // The borrow is re-derived from the Arc'd region for decoding; the
@@ -949,97 +945,5 @@ impl InferencePlan {
         let bytes: &[u8] =
             unsafe { std::slice::from_raw_parts(region.bytes().as_ptr(), region.bytes().len()) };
         decode_plan(bytes, region)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Plan cache
-// ---------------------------------------------------------------------------
-
-/// A directory of keyed plan snapshots: the compile-once/map-everywhere
-/// warm path.
-///
-/// One process precompiles a pool of wirings (e.g. one per
-/// [`MultiplierKind`]) with [`PlanCache::store`]; later processes — or
-/// later runs of the same process — map them back in milliseconds with
-/// [`PlanCache::load`] or [`PlanCache::get_or_insert_with`]. Stores publish
-/// atomically (write to a temp file, then rename), so concurrent readers
-/// never observe a torn snapshot.
-pub struct PlanCache {
-    dir: PathBuf,
-}
-
-/// File extension for cached snapshots.
-const CACHE_EXT: &str = "daplan";
-
-impl PlanCache {
-    /// Open (creating if needed) a cache directory.
-    pub fn new(dir: impl Into<PathBuf>) -> Result<PlanCache, SnapshotError> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(PlanCache { dir })
-    }
-
-    /// The snapshot path for `key`. Keys are restricted to
-    /// `[A-Za-z0-9._-]` (no path separators) so a key can never escape the
-    /// cache directory.
-    pub fn path(&self, key: &str) -> Result<PathBuf, SnapshotError> {
-        if key.is_empty()
-            || !key.chars().all(|ch| ch.is_ascii_alphanumeric() || matches!(ch, '.' | '_' | '-'))
-        {
-            return Err(SnapshotError::BadKey(key.to_string()));
-        }
-        Ok(self.dir.join(format!("{key}.{CACHE_EXT}")))
-    }
-
-    /// Whether a snapshot for `key` exists (without validating it).
-    pub fn contains(&self, key: &str) -> bool {
-        self.path(key).map(|p| p.exists()).unwrap_or(false)
-    }
-
-    /// Save `plan` under `key`, publishing atomically. Returns the final
-    /// snapshot path.
-    pub fn store(&self, key: &str, plan: &InferencePlan) -> Result<PathBuf, SnapshotError> {
-        let path = self.path(key)?;
-        let tmp = self.dir.join(format!(".{key}.{}.tmp", std::process::id()));
-        plan.save(&tmp)?;
-        std::fs::rename(&tmp, &path)?;
-        Ok(path)
-    }
-
-    /// Map the snapshot stored under `key`.
-    pub fn load(&self, key: &str) -> Result<InferencePlan, SnapshotError> {
-        InferencePlan::load(self.path(key)?)
-    }
-
-    /// Map `key` if cached; otherwise compile with `make`, store the
-    /// result, and return it. `make` returning `None` (a network that does
-    /// not compile) surfaces as [`SnapshotError::Unsupported`].
-    pub fn get_or_insert_with(
-        &self,
-        key: &str,
-        make: impl FnOnce() -> Option<InferencePlan>,
-    ) -> Result<InferencePlan, SnapshotError> {
-        if self.contains(key) {
-            return self.load(key);
-        }
-        let plan = make().ok_or(SnapshotError::Unsupported("network does not compile"))?;
-        self.store(key, &plan)?;
-        Ok(plan)
-    }
-
-    /// The keys currently cached (files with the snapshot extension).
-    pub fn keys(&self) -> Vec<String> {
-        let mut keys: Vec<String> = std::fs::read_dir(&self.dir)
-            .into_iter()
-            .flatten()
-            .flatten()
-            .filter_map(|e| {
-                let name = e.file_name().into_string().ok()?;
-                name.strip_suffix(&format!(".{CACHE_EXT}")).map(str::to_string)
-            })
-            .collect();
-        keys.sort();
-        keys
     }
 }

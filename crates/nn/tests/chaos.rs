@@ -28,7 +28,8 @@
 
 #![cfg(all(unix, feature = "failpoints"))]
 
-use std::sync::{Mutex, MutexGuard};
+use std::path::Path;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use da_failpoints::{Fault, Spec};
@@ -69,6 +70,11 @@ fn bits_eq(a: &[f32], b: &[f32]) -> bool {
 
 /// One worker, one-sample batches, no flush wait: dispatch order is exactly
 /// submission order, so `skip(n)` targets the n+1-th request's batch.
+/// Hot reload from a file: map and validate the snapshot, then swap it in.
+fn reload_from(server: &BatchServer, path: &Path) -> Result<u64, SnapshotError> {
+    server.reload_plan(Arc::new(InferencePlan::load(path)?))
+}
+
 fn serial_cfg() -> ServeConfig {
     ServeConfig {
         workers: 1,
@@ -84,7 +90,7 @@ fn serial_cfg() -> ServeConfig {
 fn worker_panic_mid_batch_respawns_and_survivors_stay_bit_identical() {
     let _g = lock();
     let net = tiny_cnn(11);
-    let server = BatchServer::compile(&net, serial_cfg()).expect("tiny cnn compiles");
+    let server = BatchServer::from_plan(net.plan().expect("tiny cnn compiles"), serial_cfg());
 
     // Panic on exactly the 2nd dispatched batch, once.
     da_failpoints::set(
@@ -130,7 +136,7 @@ fn worker_panic_mid_batch_respawns_and_survivors_stay_bit_identical() {
 fn execution_fault_fails_one_batch_without_a_restart() {
     let _g = lock();
     let net = tiny_cnn(12);
-    let server = BatchServer::compile(&net, serial_cfg()).expect("tiny cnn compiles");
+    let server = BatchServer::from_plan(net.plan().expect("tiny cnn compiles"), serial_cfg());
 
     da_failpoints::set(
         "serve/worker_batch",
@@ -152,7 +158,7 @@ fn execution_fault_fails_one_batch_without_a_restart() {
 fn slow_batch_expires_queued_deadlines_without_stranding_callers() {
     let _g = lock();
     let net = tiny_cnn(13);
-    let server = BatchServer::compile(&net, serial_cfg()).expect("tiny cnn compiles");
+    let server = BatchServer::from_plan(net.plan().expect("tiny cnn compiles"), serial_cfg());
 
     // The first dispatched batch stalls for 200 ms — far past the 10 ms
     // budget the second request carries.
@@ -202,28 +208,31 @@ fn corrupt_or_unreadable_reload_is_rejected_then_a_valid_one_lands() {
     }
     std::fs::write(&path_bad, &bytes).expect("write corrupt");
 
-    let server = BatchServer::from_snapshot(&path_a, serial_cfg()).expect("serve snapshot A");
+    let server = BatchServer::from_plan(
+        Arc::new(InferencePlan::load(&path_a).expect("serve snapshot A")),
+        serial_cfg(),
+    );
     let probe = sample(5);
     let before = server.logits(&probe).expect("A serves");
     let want_a = plan_a.predict_batch(&Tensor::stack(std::slice::from_ref(&probe)));
     assert!(bits_eq(before.data(), want_a.data()));
 
     // 1. Corrupt replacement: rejected, generation unchanged, A serves on.
-    assert!(server.reload_from_snapshot(&path_bad).is_err(), "corrupt snapshot must not load");
+    assert!(reload_from(&server, &path_bad).is_err(), "corrupt snapshot must not load");
     assert_eq!(server.generation(), 0);
     let still_a = server.logits(&probe).expect("A still serving");
     assert!(bits_eq(still_a.data(), want_a.data()), "old plan must keep serving");
 
     // 2. Unreadable replacement (injected read failure): same outcome.
     da_failpoints::set("snapshot/load", Spec::new(Fault::Err("chaos: disk gone".into())).times(1));
-    match server.reload_from_snapshot(&path_b) {
+    match reload_from(&server, &path_b) {
         Err(e) => assert!(e.to_string().contains("chaos: disk gone"), "{e}"),
         Ok(_) => panic!("injected read failure must reject the reload"),
     }
     assert_eq!(server.generation(), 0);
 
     // 3. Valid replacement: lands atomically with a generation bump.
-    let generation = server.reload_from_snapshot(&path_b).expect("valid reload");
+    let generation = reload_from(&server, &path_b).expect("valid reload");
     assert_eq!(generation, 1);
     assert_eq!(server.stats().generation, 1);
     let after = server.logits(&probe).expect("B serves");
@@ -239,7 +248,7 @@ fn corrupt_or_unreadable_reload_is_rejected_then_a_valid_one_lands() {
 fn stalled_worker_inflates_the_service_estimate_and_sheds_instead_of_collapsing() {
     let _g = lock();
     let net = tiny_cnn(51);
-    let server = BatchServer::compile(&net, serial_cfg()).expect("tiny cnn compiles");
+    let server = BatchServer::from_plan(net.plan().expect("tiny cnn compiles"), serial_cfg());
 
     // One stalled batch. The service-time measurement spans the failpoint
     // site, so the 150 ms stall lands in the EWMA the admission estimate
@@ -301,11 +310,14 @@ fn interface_mismatched_reload_is_rejected_while_the_old_plan_serves() {
     let plan_wide = InferencePlan::compile(&wide, None).expect("wide plan compiles");
     plan_wide.save(&path_wide).expect("save wide");
 
-    let server = BatchServer::from_snapshot(&path_a, serial_cfg()).expect("serve snapshot A");
+    let server = BatchServer::from_plan(
+        Arc::new(InferencePlan::load(&path_a).expect("serve snapshot A")),
+        serial_cfg(),
+    );
     let probe = sample(9);
     let want = plan_a.predict_batch(&Tensor::stack(std::slice::from_ref(&probe)));
 
-    match server.reload_from_snapshot(&path_wide) {
+    match reload_from(&server, &path_wide) {
         Err(SnapshotError::Incompatible(why)) => {
             assert!(why.contains('9'), "the rejection names the offending shape: {why}");
         }
@@ -324,7 +336,7 @@ fn interface_mismatched_reload_is_rejected_while_the_old_plan_serves() {
 fn accept_error_storm_backs_off_and_service_resumes() {
     let _g = lock();
     let net = tiny_cnn(31);
-    let server = BatchServer::compile(&net, serial_cfg()).expect("tiny cnn compiles");
+    let server = BatchServer::from_plan(net.plan().expect("tiny cnn compiles"), serial_cfg());
     let net_cfg = NetConfig { accept_backoff: Duration::from_millis(10), ..NetConfig::default() };
     let front = NetServer::bind(server, "127.0.0.1:0", net_cfg).expect("bind loopback");
     let (addr, handle, join) = front.spawn();
@@ -355,7 +367,7 @@ fn accept_error_storm_backs_off_and_service_resumes() {
 fn worker_crash_behind_the_socket_front_end_is_a_typed_reply_not_a_hang() {
     let _g = lock();
     let net = tiny_cnn(41);
-    let server = BatchServer::compile(&net, serial_cfg()).expect("tiny cnn compiles");
+    let server = BatchServer::from_plan(net.plan().expect("tiny cnn compiles"), serial_cfg());
     let front =
         NetServer::bind(server, "127.0.0.1:0", NetConfig::default()).expect("bind loopback");
     let (addr, handle, join) = front.spawn();

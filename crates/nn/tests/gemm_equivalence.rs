@@ -191,13 +191,22 @@ fn exact_gemm_equals_native_matmul_bitwise() {
 /// monomorphized path (dispatch style must not change results).
 #[test]
 fn dyn_and_monomorphized_gemm_agree() {
+    use da_arith::bfloat::BfloatMultiplier;
+    use da_arith::fpm::FloatMultiplier;
+    use da_arith::heap::heap_multiplier;
+
     let mut rng = rand::rngs::StdRng::seed_from_u64(10);
     let a = adversarial_tensor(&[6, 9], &mut rng, 0.2);
     let b = adversarial_tensor(&[9, 5], &mut rng, 0.2);
-    for kind in MultiplierKind::ALL {
-        let arc = kind.build();
-        let via_dyn = gemm_with(&*arc, &a, &b);
-        let via_matmul_with = da_nn::layers::matmul_with(&*arc, &a, &b);
-        assert_bit_equal(&via_dyn, &via_matmul_with, kind.as_str());
+    let monomorphized = [
+        (MultiplierKind::Exact, gemm_with(&ExactMultiplier, &a, &b)),
+        (MultiplierKind::ExactFpm, gemm_with(&FloatMultiplier::exact(), &a, &b)),
+        (MultiplierKind::AxFpm, gemm_with(&FloatMultiplier::ax_fpm(), &a, &b)),
+        (MultiplierKind::Heap, gemm_with(&heap_multiplier(), &a, &b)),
+        (MultiplierKind::Bfloat16, gemm_with(&BfloatMultiplier, &a, &b)),
+    ];
+    for (kind, want) in &monomorphized {
+        let via_dyn = gemm_with(&*kind.build(), &a, &b);
+        assert_bit_equal(&via_dyn, want, kind.as_str());
     }
 }

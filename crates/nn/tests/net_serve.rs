@@ -13,6 +13,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Duration;
 
 use da_nn::layers::{Conv2d, Dense, Flatten, MaxPool2d, Relu};
@@ -20,7 +21,7 @@ use da_nn::net::{
     Client, ErrCode, FrameDecoder, Message, NetConfig, NetServer, NetStats, DEFAULT_MAX_FRAME,
 };
 use da_nn::serve::{BatchServer, ServeConfig};
-use da_nn::{Mode, Network};
+use da_nn::{InferencePlan, Mode, Network};
 use da_tensor::Tensor;
 use rand::SeedableRng;
 
@@ -51,7 +52,7 @@ fn front_end(
     std::thread::JoinHandle<std::io::Result<NetStats>>,
 ) {
     let net = tiny_cnn(7);
-    let server = BatchServer::compile(&net, serve).expect("tiny cnn compiles");
+    let server = BatchServer::from_plan(net.plan().expect("tiny cnn compiles"), serve);
     let front = NetServer::bind(server, "127.0.0.1:0", net_cfg).expect("bind loopback");
     let (addr, handle, join) = front.spawn();
     (net, addr, handle, join)
@@ -376,7 +377,10 @@ fn reload_over_the_wire_swaps_plans_without_dropping_the_connection() {
     da_nn::InferencePlan::compile(&net_a, None).expect("plan A").save(&path_a).expect("save A");
     da_nn::InferencePlan::compile(&net_b, None).expect("plan B").save(&path_b).expect("save B");
 
-    let server = BatchServer::from_snapshot(&path_a, serve_cfg()).expect("serve A");
+    let server = BatchServer::from_plan(
+        Arc::new(InferencePlan::load(&path_a).expect("serve A")),
+        serve_cfg(),
+    );
     let net_cfg = NetConfig { reload_path: Some(path_a.clone()), ..NetConfig::default() };
     let front = NetServer::bind(server, "127.0.0.1:0", net_cfg).expect("bind loopback");
     let (addr, handle, join) = front.spawn();

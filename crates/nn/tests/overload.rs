@@ -66,7 +66,7 @@ fn shed_and_refused_requests_never_reach_a_worker() {
         queue_capacity: 8,
         ..ServeConfig::default()
     };
-    let server = BatchServer::compile(&net, config).expect("tiny cnn compiles");
+    let server = BatchServer::from_plan(net.plan().expect("tiny cnn compiles"), config);
 
     // Make the server look expensive: with a 10 s per-item estimate, any
     // 5 ms budget is provably doomed at admission. Real batches blend the
@@ -138,7 +138,7 @@ fn rate_limited_requests_get_typed_retry_hints_and_never_execute() {
         queue_capacity: 32,
         ..ServeConfig::default()
     };
-    let server = BatchServer::compile(&net, serve).expect("tiny cnn compiles");
+    let server = BatchServer::from_plan(net.plan().expect("tiny cnn compiles"), serve);
     // Two tokens, then ~one token per half hour: exactly two requests of
     // the burst can be admitted no matter how slowly this test runs.
     let net_cfg = NetConfig { rate: Some(0.0005), burst: Some(2.0), ..NetConfig::default() };
@@ -192,7 +192,7 @@ fn per_connection_buckets_are_independent() {
         queue_capacity: 32,
         ..ServeConfig::default()
     };
-    let server = BatchServer::compile(&net, serve).expect("tiny cnn compiles");
+    let server = BatchServer::from_plan(net.plan().expect("tiny cnn compiles"), serve);
     // One token per connection, negligible refill.
     let net_cfg =
         NetConfig { conn_rate: Some(0.0005), conn_burst: Some(1.0), ..NetConfig::default() };

@@ -2,9 +2,9 @@
 //!
 //! `Network` caches a compiled [`InferencePlan`] and invalidates it on
 //! `set_multiplier`, `params_mut`, and training-mode forwards. A
-//! [`BatchServer`] holds *replicas* compiled from the same network; those
-//! snapshots intentionally do not follow later mutations, and
-//! [`BatchServer::is_stale`] (backed by [`Network::plan_epoch`]) is how the
+//! [`BatchServer`] serves the plan `Arc` it was given (here the network's
+//! own cached plan); that snapshot intentionally does not follow later
+//! mutations, and `!Arc::ptr_eq(&served, &net.plan())` is how the
 //! divergence is detected. Each test here drives one invalidation edge
 //! while a server is live and asserts all three observable facts: the
 //! network recompiles, the server keeps serving the old snapshot
@@ -16,7 +16,7 @@ use std::time::Duration;
 use da_arith::MultiplierKind;
 use da_nn::layers::{BatchNorm, Conv2d, Dense, Flatten, MaxPool2d, Relu};
 use da_nn::serve::{BatchServer, ServeConfig};
-use da_nn::{Mode, Network};
+use da_nn::{InferencePlan, Mode, Network};
 use da_tensor::Tensor;
 use rand::SeedableRng;
 
@@ -55,6 +55,12 @@ fn sample(seed: u64) -> Tensor {
     Tensor::rand_uniform(&[1, 1, 8, 8], 0.0, 1.0, &mut rng)
 }
 
+/// Whether `net` has moved on from the `served` plan: its cached plan is
+/// a different `Arc` (every invalidation recompiles into a new one).
+fn moved_on(served: &Arc<InferencePlan>, net: &Network) -> bool {
+    !Arc::ptr_eq(served, &net.plan().expect("compiles"))
+}
+
 /// Bit equality of two logits tensors.
 fn bits_eq(a: &Tensor, b: &Tensor) -> bool {
     a.shape() == b.shape() && a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits())
@@ -66,8 +72,8 @@ fn set_multiplier_invalidates_a_live_plan_and_strands_server_replicas() {
     let x = sample(2);
     let plan_before = net.plan().expect("compiles");
     let exact_logits = net.logits(&x);
-    let server = BatchServer::compile(&net, serve_cfg()).expect("compiles");
-    assert!(!server.is_stale(&net), "fresh server must not be stale");
+    let server = BatchServer::from_plan(plan_before.clone(), serve_cfg());
+    assert!(!moved_on(&plan_before, &net), "fresh server must not be stale");
 
     net.set_multiplier(Some(MultiplierKind::AxFpm.build()));
 
@@ -78,13 +84,13 @@ fn set_multiplier_invalidates_a_live_plan_and_strands_server_replicas() {
     assert!(!bits_eq(&exact_logits, &approx_logits), "multiplier swap must change logits");
 
     // The server still serves the exact snapshot, bit for bit — and says so.
-    assert!(server.is_stale(&net), "multiplier swap must flag the server stale");
+    assert!(moved_on(&plan_before, &net), "multiplier swap must flag the server stale");
     let served = server.logits(&x.batch_item(0)).expect("stale server keeps serving");
     assert_eq!(served.data(), exact_logits.data(), "snapshot must not drift");
 
     // Rebuilding resolves the staleness and serves the new datapath.
-    let rebuilt = BatchServer::compile(&net, serve_cfg()).expect("compiles");
-    assert!(!rebuilt.is_stale(&net));
+    let rebuilt = BatchServer::from_plan(plan_after.clone(), serve_cfg());
+    assert!(!moved_on(&plan_after, &net));
     let reserved = rebuilt.logits(&x.batch_item(0)).expect("serving");
     assert_eq!(reserved.data(), approx_logits.data());
 }
@@ -95,8 +101,7 @@ fn params_mut_invalidates_a_live_plan_and_strands_server_replicas() {
     let x = sample(4);
     let before = net.logits(&x);
     let plan_before = net.plan().expect("compiles");
-    let server = BatchServer::compile(&net, serve_cfg()).expect("compiles");
-    let epoch_before = net.plan_epoch();
+    let server = BatchServer::from_plan(plan_before.clone(), serve_cfg());
 
     // Touch one weight through the mutable-params API (what optimizers use).
     {
@@ -104,8 +109,7 @@ fn params_mut_invalidates_a_live_plan_and_strands_server_replicas() {
         params[0].data_mut()[0] += 1.0;
     }
 
-    assert!(net.plan_epoch() > epoch_before, "params_mut must bump the epoch");
-    assert!(server.is_stale(&net), "weight mutation must flag the server stale");
+    assert!(moved_on(&plan_before, &net), "weight mutation must flag the server stale");
     let plan_after = net.plan().expect("compiles");
     assert!(!Arc::ptr_eq(&plan_before, &plan_after), "plan cache must recompile");
     let after = net.logits(&x);
@@ -123,15 +127,13 @@ fn training_forward_invalidates_a_live_plan_via_running_statistics() {
     let x = Tensor::rand_uniform(&[4, 1, 8, 8], 0.0, 1.0, &mut rng);
     let eval_before = net.logits(&x);
     let plan_before = net.plan().expect("compiles");
-    let server = BatchServer::compile(&net, serve_cfg()).expect("compiles");
-    let epoch_before = net.plan_epoch();
+    let server = BatchServer::from_plan(plan_before.clone(), serve_cfg());
 
     // A training-mode forward updates batch-norm running statistics, which
     // compiled plans snapshot — it must invalidate even without `&mut`.
     let _ = net.forward(&x, Mode::Train { seed: 7 });
 
-    assert!(net.plan_epoch() > epoch_before, "training forward must bump the epoch");
-    assert!(server.is_stale(&net), "running-stat update must flag the server stale");
+    assert!(moved_on(&plan_before, &net), "running-stat update must flag the server stale");
     let plan_after = net.plan().expect("compiles");
     assert!(!Arc::ptr_eq(&plan_before, &plan_after), "plan cache must recompile");
     let eval_after = net.logits(&x);
@@ -147,38 +149,39 @@ fn training_forward_invalidates_a_live_plan_via_running_statistics() {
 }
 
 #[test]
-fn plan_epoch_is_monotonic_across_all_invalidation_edges() {
+fn plan_cache_recompiles_across_all_invalidation_edges() {
     let mut net = tiny_cnn(11);
-    let mut last = net.plan_epoch();
-    let bumped = |net: &Network, tag: &str, last: &mut u64| {
-        let now = net.plan_epoch();
-        assert!(now > *last, "{tag} must bump the plan epoch ({now} vs {last})");
-        *last = now;
+    let mut last = net.plan().expect("compiles");
+    let recompiled = |net: &Network, tag: &str, last: &mut Arc<InferencePlan>| {
+        assert!(moved_on(last, net), "{tag} must recompile the plan");
+        *last = net.plan().expect("compiles");
     };
 
     net.set_multiplier(Some(MultiplierKind::Bfloat16.build()));
-    bumped(&net, "set_multiplier(Some)", &mut last);
+    recompiled(&net, "set_multiplier(Some)", &mut last);
     net.set_multiplier(None);
-    bumped(&net, "set_multiplier(None)", &mut last);
+    recompiled(&net, "set_multiplier(None)", &mut last);
     let _ = net.params_mut();
-    bumped(&net, "params_mut", &mut last);
+    recompiled(&net, "params_mut", &mut last);
     let x = sample(12);
     let _ = net.forward(&x, Mode::Train { seed: 1 });
-    bumped(&net, "training forward", &mut last);
+    recompiled(&net, "training forward", &mut last);
 
-    // Read-only serving does NOT bump the epoch.
+    // Read-only serving does NOT invalidate.
     let _ = net.logits(&x);
     let _ = net.plan();
     let _ = net.forward(&x, Mode::Eval);
-    assert_eq!(net.plan_epoch(), last, "read paths must not invalidate");
+    assert!(!moved_on(&last, &net), "read paths must not invalidate");
 }
 
 #[test]
 fn eval_forward_keeps_server_fresh() {
     let net = tiny_cnn(13);
-    let server = BatchServer::compile(&net, serve_cfg()).expect("compiles");
+    let plan = net.plan().expect("compiles");
+    let server = BatchServer::from_plan(plan.clone(), serve_cfg());
     let x = sample(14);
     let _ = net.forward(&x, Mode::Eval);
     let _ = net.logits(&x);
-    assert!(!server.is_stale(&net), "eval-mode inference must not flag staleness");
+    let _ = server.logits(&x.batch_item(0)).expect("serving");
+    assert!(!moved_on(&plan, &net), "eval-mode inference must not flag staleness");
 }

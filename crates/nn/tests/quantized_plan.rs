@@ -14,7 +14,7 @@
 //! * quantized logits stay close to the f32 plan's on random stacks;
 //! * results are deterministic and independent of batch composition (the
 //!   property the batch-serving contract rests on), including through a
-//!   concurrently loaded [`BatchServer::compile_quantized`] server;
+//!   concurrently loaded [`BatchServer`] serving a quantized plan;
 //! * steady-state serving does not allocate;
 //! * stacks without a quantized form decline to compile.
 
@@ -233,9 +233,11 @@ fn quantized_serving_is_bit_identical_under_concurrency() {
     let calibration = Tensor::rand_uniform(&[8, 1, 10, 10], 0.0, 1.0, &mut r);
     let plan = InferencePlan::compile_quantized(&net, net.multiplier().cloned(), &calibration)
         .expect("quantizable");
-    let server = BatchServer::compile_quantized(
-        &net,
-        &calibration,
+    let server = BatchServer::from_plan(
+        Arc::new(
+            InferencePlan::compile_quantized(&net, net.multiplier().cloned(), &calibration)
+                .expect("quantizable"),
+        ),
         ServeConfig {
             workers: 2,
             max_batch: 3,
@@ -243,8 +245,7 @@ fn quantized_serving_is_bit_identical_under_concurrency() {
             queue_capacity: 16,
             ..ServeConfig::default()
         },
-    )
-    .expect("quantizable");
+    );
     let samples: Vec<Tensor> =
         (0..24).map(|_| Tensor::rand_uniform(&[1, 10, 10], 0.0, 1.0, &mut r)).collect();
     let served: Vec<Tensor> = std::thread::scope(|scope| {
@@ -269,9 +270,6 @@ fn quantized_serving_is_bit_identical_under_concurrency() {
         }
     }
     assert!(server.stats().items >= 24);
-    assert!(!server.is_stale(&net));
-    net.set_multiplier(None);
-    assert!(server.is_stale(&net));
 }
 
 /// Stacks with no quantized form (batch norm, DoReFa activation
@@ -284,7 +282,6 @@ fn unquantizable_stacks_decline() {
     let x = Tensor::rand_uniform(&[2, 3, 32, 32], 0.0, 1.0, &mut r);
     assert!(InferencePlan::compile(&dq, None).is_some(), "dq compiles in f32");
     assert!(InferencePlan::compile_quantized(&dq, None, &x).is_none(), "but not to int8");
-    assert!(BatchServer::compile_quantized(&dq, &x, ServeConfig::default()).is_none());
 
     struct Opaque;
     impl Layer for Opaque {
@@ -519,9 +516,11 @@ fn int4_serving_is_bit_identical_to_the_plan() {
     let calibration = Tensor::rand_uniform(&[6, 1, 10, 10], 0.0, 1.0, &mut r);
     let plan = InferencePlan::compile_quantized_int4(&net, net.multiplier().cloned(), &calibration)
         .expect("quantizable");
-    let server = BatchServer::compile_quantized_int4(
-        &net,
-        &calibration,
+    let server = BatchServer::from_plan(
+        Arc::new(
+            InferencePlan::compile_quantized_int4(&net, net.multiplier().cloned(), &calibration)
+                .expect("quantizable"),
+        ),
         ServeConfig {
             workers: 2,
             max_batch: 3,
@@ -529,8 +528,7 @@ fn int4_serving_is_bit_identical_to_the_plan() {
             queue_capacity: 16,
             ..ServeConfig::default()
         },
-    )
-    .expect("quantizable");
+    );
     let samples: Vec<Tensor> =
         (0..8).map(|_| Tensor::rand_uniform(&[1, 10, 10], 0.0, 1.0, &mut r)).collect();
     let pending: Vec<Pending> =

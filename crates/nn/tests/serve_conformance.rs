@@ -87,7 +87,7 @@ fn assert_conformance(kind: Option<MultiplierKind>, config: ServeConfig, tag: &s
     let reference = net.forward(&Tensor::stack(&all_items()), Mode::Eval).0;
     let out_len = reference.shape()[1];
 
-    let server = BatchServer::compile(&net, config).expect("tiny cnn compiles");
+    let server = BatchServer::from_plan(net.plan().expect("tiny cnn compiles"), config);
     let served = submit_concurrently(&server);
     let stats = server.stats();
     assert_eq!(stats.items as usize, SUBMITTERS * ITEMS_PER_SUBMITTER, "{tag}: lost items");
@@ -182,8 +182,8 @@ fn served_predict_batch_is_bit_identical_under_concurrent_load() {
     let batch = Tensor::stack(&all_items());
     let reference = plan.predict_batch(&batch);
 
-    let server = BatchServer::compile(
-        &net,
+    let server = BatchServer::from_plan(
+        net.plan().expect("compiles"),
         ServeConfig {
             workers: 2,
             max_batch: 4,
@@ -191,8 +191,7 @@ fn served_predict_batch_is_bit_identical_under_concurrent_load() {
             queue_capacity: 8,
             ..ServeConfig::default()
         },
-    )
-    .expect("compiles");
+    );
     std::thread::scope(|scope| {
         let noise = scope.spawn(|| {
             for j in 0..ITEMS_PER_SUBMITTER {
@@ -221,8 +220,8 @@ fn backpressure_bounds_the_queue_and_shutdown_fails_pending() {
     let net = tiny_cnn(29);
     // No workers: nothing drains, so the capacity bound is observable
     // deterministically.
-    let server = BatchServer::compile(
-        &net,
+    let server = BatchServer::from_plan(
+        net.plan().expect("compiles"),
         ServeConfig {
             workers: 0,
             max_batch: 4,
@@ -230,8 +229,7 @@ fn backpressure_bounds_the_queue_and_shutdown_fails_pending() {
             queue_capacity: 3,
             ..ServeConfig::default()
         },
-    )
-    .expect("compiles");
+    );
     let x = Tensor::zeros(&[1, 8, 8]);
     let queued: Vec<Pending> =
         (0..3).map(|_| server.try_submit(&x).expect("under capacity")).collect();
@@ -260,8 +258,8 @@ fn backpressure_bounds_the_queue_and_shutdown_fails_pending() {
 #[test]
 fn batches_coalesce_under_a_flush_deadline() {
     let net = tiny_cnn(31);
-    let server = BatchServer::compile(
-        &net,
+    let server = BatchServer::from_plan(
+        net.plan().expect("compiles"),
         ServeConfig {
             workers: 1,
             max_batch: 8,
@@ -271,8 +269,7 @@ fn batches_coalesce_under_a_flush_deadline() {
             queue_capacity: 64,
             ..ServeConfig::default()
         },
-    )
-    .expect("compiles");
+    );
     let pending: Vec<Pending> =
         (0..8).map(|j| server.submit(&item(0, j)).expect("accepting")).collect();
     for p in pending {
@@ -290,8 +287,8 @@ fn mixed_shape_requests_batch_separately_and_correctly() {
     // A ReLU-only stack accepts any item shape, so one server can see
     // heterogeneous requests; batches must only coalesce same-shape runs.
     let net = Network::new("relu-only").push(Relu);
-    let server = BatchServer::compile(
-        &net,
+    let server = BatchServer::from_plan(
+        net.plan().expect("relu compiles"),
         ServeConfig {
             workers: 2,
             max_batch: 4,
@@ -299,8 +296,7 @@ fn mixed_shape_requests_batch_separately_and_correctly() {
             queue_capacity: 32,
             ..ServeConfig::default()
         },
-    )
-    .expect("relu compiles");
+    );
     let shapes: [&[usize]; 2] = [&[2, 3], &[5]];
     let mut rng = rand::rngs::StdRng::seed_from_u64(37);
     let items: Vec<Tensor> = (0..16).map(|i| Tensor::randn(shapes[i % 2], 1.0, &mut rng)).collect();
@@ -318,8 +314,8 @@ fn mixed_shape_requests_batch_separately_and_correctly() {
 #[test]
 fn execution_failure_is_contained_to_its_batch() {
     let net = tiny_cnn(41);
-    let server = BatchServer::compile(
-        &net,
+    let server = BatchServer::from_plan(
+        net.plan().expect("compiles"),
         ServeConfig {
             workers: 1,
             max_batch: 1,
@@ -327,8 +323,7 @@ fn execution_failure_is_contained_to_its_batch() {
             queue_capacity: 8,
             ..ServeConfig::default()
         },
-    )
-    .expect("compiles");
+    );
     // Wrong spatial size: the plan's shape inference rejects it.
     let bad = server.logits(&Tensor::zeros(&[1, 6, 6]));
     match bad {

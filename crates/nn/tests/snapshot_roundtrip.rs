@@ -21,7 +21,7 @@ use da_arith::MultiplierKind;
 use da_nn::engine::InferencePlan;
 use da_nn::layers::{Conv2d, Dense, Dropout, Flatten, MaxPool2d, Relu};
 use da_nn::serve::{BatchServer, ServeConfig};
-use da_nn::snapshot::{file_checksum, PlanCache, SnapshotError, MAGIC, VERSION};
+use da_nn::snapshot::{file_checksum, SnapshotError, MAGIC, VERSION};
 use da_nn::Network;
 use da_tensor::Tensor;
 use rand::SeedableRng;
@@ -114,7 +114,8 @@ fn roundtrip_is_bit_identical_for_every_kind_and_precision() {
     }
 }
 
-/// Serving through [`BatchServer::from_snapshot`] equals a serial
+/// Serving a mapped snapshot ([`InferencePlan::load`] then
+/// [`BatchServer::from_plan`]) equals a serial
 /// `predict_batch` on the in-memory plan, bitwise.
 #[test]
 fn served_snapshot_matches_serial_plan() {
@@ -130,8 +131,8 @@ fn served_snapshot_matches_serial_plan() {
     let x = Tensor::rand_uniform(&[6, 1, 10, 10], 0.0, 1.0, &mut r);
     let want = plan.predict_batch(&x);
 
-    let server = BatchServer::from_snapshot(
-        &path,
+    let server = BatchServer::from_plan(
+        Arc::new(InferencePlan::load(&path).expect("snapshot serves")),
         ServeConfig {
             workers: 3,
             max_batch: 4,
@@ -139,8 +140,7 @@ fn served_snapshot_matches_serial_plan() {
             queue_capacity: 16,
             ..ServeConfig::default()
         },
-    )
-    .expect("snapshot serves");
+    );
     let pending: Vec<_> =
         (0..6).map(|i| server.submit(&x.batch_item(i)).expect("accepting")).collect();
     for (i, p) in pending.into_iter().enumerate() {
@@ -150,53 +150,7 @@ fn served_snapshot_matches_serial_plan() {
         }
     }
     server.shutdown();
-
-    // A snapshot-origin server has no source network: always stale.
-    let server = BatchServer::from_plan(Arc::new(plan), ServeConfig::default());
-    assert!(server.is_stale(&net));
-    server.shutdown();
     std::fs::remove_file(&path).ok();
-}
-
-/// [`PlanCache`]: store/load round trip, hits skip the compiler, and keys
-/// that could escape the directory are rejected.
-#[test]
-fn plan_cache_round_trips_and_validates_keys() {
-    let dir = std::env::temp_dir().join(format!("da-snap-cache-{}", std::process::id()));
-    let cache = PlanCache::new(&dir).expect("cache dir");
-
-    let mut net = tiny_cnn(33);
-    net.set_multiplier(Some(MultiplierKind::Bfloat16.build()));
-    let mut r = rng(34);
-    let calibration = Tensor::rand_uniform(&[4, 1, 10, 10], 0.0, 1.0, &mut r);
-    let x = Tensor::rand_uniform(&[2, 1, 10, 10], 0.0, 1.0, &mut r);
-
-    assert!(!cache.contains("bfloat16-int8"));
-    let mut compiles = 0;
-    let plan = cache
-        .get_or_insert_with("bfloat16-int8", || {
-            compiles += 1;
-            InferencePlan::compile_quantized(&net, net.multiplier().cloned(), &calibration)
-        })
-        .expect("compile + store");
-    assert_eq!(compiles, 1);
-    assert!(cache.contains("bfloat16-int8"));
-    assert_eq!(cache.keys(), vec!["bfloat16-int8".to_string()]);
-
-    // Hit path: the closure must not run again, and the mapped plan serves
-    // bit-identically.
-    let hit = cache
-        .get_or_insert_with("bfloat16-int8", || panic!("cache hit must not compile"))
-        .expect("load");
-    assert_bit_equal(&hit.predict_batch(&x), &plan.predict_batch(&x), "cache hit");
-
-    for bad in ["../escape", "a/b", "", "nul\0byte", "dir\\key"] {
-        assert!(
-            matches!(cache.store(bad, &plan), Err(SnapshotError::BadKey(_))),
-            "key {bad:?} must be rejected"
-        );
-    }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Build one valid snapshot image to mutate in the hostile-file tests.

@@ -13,13 +13,17 @@
 //! 1. every concurrently served logits row is **bit-identical** to a serial
 //!    `InferencePlan::predict_batch` on the same sample (the defensive
 //!    perturbation must not depend on batch composition), and
-//! 2. the server detects when the deployed network drifts from its
-//!    compiled snapshot (`BatchServer::is_stale`), and
+//! 2. the server keeps serving the plan it was given when the deployed
+//!    network drifts (the network's cached plan becomes a new `Arc`, so
+//!    `Arc::ptr_eq` against `Network::plan` tells the caller to rebuild),
+//!    and
 //! 3. quantized serving runs **from a plan snapshot** — compiled and
 //!    calibrated once, saved, then mapped back in milliseconds
-//!    (`BatchServer::from_snapshot`) with the measured cold-start delta
-//!    printed; see `examples/snapshot.rs` for the warm-pool workflow.
+//!    (`InferencePlan::load`, served by `BatchServer::from_plan`) with the
+//!    measured cold-start delta printed; see `examples/snapshot.rs` for
+//!    the warm-pool workflow.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use defensive_approximation::arith::MultiplierKind;
@@ -53,7 +57,9 @@ fn main() {
         config.queue_capacity
     );
 
-    let server = BatchServer::compile(&net, config).expect("LeNet-5 compiles to serving plans");
+    // The server shares the network's own cached plan.
+    let plan = net.plan().expect("LeNet-5 compiles to serving plans");
+    let server = BatchServer::from_plan(plan.clone(), config);
     let data = synth_digits(CLIENTS * REQUESTS_PER_CLIENT, 42);
 
     // Concurrent clients: each submits its slice of the dataset one sample
@@ -93,7 +99,6 @@ fn main() {
     );
 
     // 1. Bit-identity against serial plan inference.
-    let plan = net.plan().expect("same stack compiled for the serial reference");
     let reference = plan.predict_batch(&data.images);
     let classes = reference.shape()[1];
     let mut checked = 0usize;
@@ -111,11 +116,13 @@ fn main() {
     }
     println!("bit-identity: {checked}/{checked} served rows match serial inference exactly");
 
-    // 2. Staleness detection: redeploying on different hardware makes the
-    // server's compiled snapshot stale.
-    assert!(!server.is_stale(&net));
+    // 2. Staleness: redeploying on different hardware recompiles the
+    // network's plan, while the server keeps serving the one it was given.
+    assert!(Arc::ptr_eq(&plan, &net.plan().expect("compiled")));
     net.set_multiplier(Some(MultiplierKind::Bfloat16.build()));
-    assert!(server.is_stale(&net));
+    assert!(!Arc::ptr_eq(&plan, &net.plan().expect("still compiles")));
+    let first = server.logits(&data.images.batch_item(0)).expect("server accepting");
+    assert_eq!(first.data(), &reference.data()[..classes], "the served plan must not drift");
     println!("staleness: multiplier swap detected; rebuild the server to serve the new datapath");
     server.shutdown();
 
@@ -136,8 +143,8 @@ fn main() {
     qplan.save(&snap_path).expect("snapshot save");
     drop(qplan); // the serving processes below start from the file alone
     let start = Instant::now();
-    let qserver =
-        BatchServer::from_snapshot(&snap_path, ServeConfig::default()).expect("snapshot load");
+    let qplan = InferencePlan::load(&snap_path).expect("snapshot load");
+    let qserver = BatchServer::from_plan(Arc::new(qplan), ServeConfig::default());
     let load_ms = start.elapsed().as_secs_f64() * 1e3;
     println!(
         "cold start: compile+calibrate {compile_ms:.1} ms vs snapshot map {load_ms:.2} ms \
@@ -171,17 +178,16 @@ fn main() {
     // batch says the layer tolerates it (the rest stay on the int8 gather),
     // and accepted layers run the in-register shuffle GEMM. The mixed
     // int4/int8 layer split survives the snapshot round trip, so the plan
-    // is compiled once and both the server and the serial reference share
-    // the same mapped file.
+    // is compiled once and the server runs the same mapped plan whose layer
+    // mix is reported below.
     let mult = net.multiplier().cloned();
     let q4plan = InferencePlan::compile_quantized_int4(&net, mult, &calibration)
         .expect("LeNet-5 quantizes to int4");
     let snap4_path = std::env::temp_dir().join(format!("da-serve4-{}.daplan", std::process::id()));
     q4plan.save(&snap4_path).expect("snapshot save");
     drop(q4plan);
-    let q4server =
-        BatchServer::from_snapshot(&snap4_path, ServeConfig::default()).expect("snapshot load");
-    let q4plan = InferencePlan::load(&snap4_path).expect("snapshot load");
+    let q4plan = Arc::new(InferencePlan::load(&snap4_path).expect("snapshot load"));
+    let q4server = BatchServer::from_plan(q4plan.clone(), ServeConfig::default());
     let (int4_layers, int8_fallback) = q4plan.int4_layer_mix();
     let start = Instant::now();
     let pending: Vec<_> = (0..total)

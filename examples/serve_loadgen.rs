@@ -42,7 +42,7 @@
 #[cfg(unix)]
 use std::io::{Read, Write};
 #[cfg(unix)]
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 #[cfg(unix)]
 use std::time::{Duration, Instant};
 
@@ -122,8 +122,8 @@ fn main() {
     let selfhost = addr.is_none().then(|| {
         let path = std::env::temp_dir().join(format!("da-loadgen-{}.daplan", std::process::id()));
         write_demo_snapshot(&path);
-        let server = BatchServer::from_snapshot(&path, ServeConfig::default())
-            .expect("demo snapshot serves");
+        let plan = InferencePlan::load(&path).expect("demo snapshot serves");
+        let server = BatchServer::from_plan(Arc::new(plan), ServeConfig::default());
         let front =
             NetServer::bind(server, "127.0.0.1:0", NetConfig::default()).expect("bind loopback");
         if verify.is_none() {

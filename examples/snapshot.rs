@@ -13,22 +13,24 @@
 //! path:
 //!
 //! 1. **Precompile a pool**: one int8 plan per multiplier wiring, each
-//!    saved into a [`PlanCache`] directory (compile happens once, ever).
+//!    saved with `InferencePlan::save` as `<dir>/<key>.daplan` (compile
+//!    happens once, ever).
 //! 2. **Map, don't compile**: reload every pool entry and compare wall
 //!    times — loads are zero-parse and zero-copy (tables and weights are
 //!    served straight out of the `mmap`), so the cold start collapses from
 //!    seconds to milliseconds.
 //! 3. **Serve and rotate**: stand a `BatchServer` on one mapped
 //!    plan, verify logits are bit-identical to the originally compiled
-//!    plan, then "rotate" to a different wiring by mapping its snapshot.
+//!    plan, then "rotate" to each other wiring by mapping its snapshot and
+//!    hot-reloading it into the same server (`BatchServer::reload_plan`).
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use defensive_approximation::arith::MultiplierKind;
 use defensive_approximation::datasets::digits::synth_digits;
 use defensive_approximation::nn::engine::InferencePlan;
 use defensive_approximation::nn::serve::{BatchServer, ServeConfig};
-use defensive_approximation::nn::snapshot::PlanCache;
 use defensive_approximation::nn::zoo::lenet5;
 use rand::SeedableRng;
 
@@ -39,7 +41,8 @@ fn main() {
     let data = synth_digits(16, 42);
 
     let dir = std::env::temp_dir().join(format!("da-plan-pool-{}", std::process::id()));
-    let cache = PlanCache::new(&dir).expect("cache directory");
+    std::fs::create_dir_all(&dir).expect("pool directory");
+    let path_of = |kind: MultiplierKind| dir.join(format!("lenet5-int8-{}.daplan", kind.as_str()));
 
     println!("== Plan snapshot warm pool ==");
     println!("pool dir: {}", dir.display());
@@ -47,27 +50,23 @@ fn main() {
     println!("{:<12} {:>12} {:>12} {:>9} {:>10}", "wiring", "compile", "map", "speedup", "file");
 
     // 1 + 2. Precompile one int8 plan per wiring into the pool, then map it
-    // back and compare cold starts. `get_or_insert_with` is the warm path:
-    // on a second run of this binary every compile below is skipped.
+    // back and compare cold starts.
     let mut reference = Vec::new();
     for kind in MultiplierKind::ALL {
         net.set_multiplier(Some(kind.build()));
-        let key = format!("lenet5-int8-{}", kind.as_str());
+        let path = path_of(kind);
 
         let start = Instant::now();
-        let plan = cache
-            .get_or_insert_with(&key, || {
-                InferencePlan::compile_quantized(&net, net.multiplier().cloned(), &calibration)
-            })
+        let plan = InferencePlan::compile_quantized(&net, net.multiplier().cloned(), &calibration)
             .expect("LeNet-5 quantizes");
         let compile_ms = start.elapsed().as_secs_f64() * 1e3;
+        plan.save(&path).expect("snapshot save");
 
         let start = Instant::now();
-        let mapped = cache.load(&key).expect("pool entry maps");
+        let mapped = InferencePlan::load(&path).expect("pool entry maps");
         let map_ms = start.elapsed().as_secs_f64() * 1e3;
 
-        let bytes =
-            std::fs::metadata(cache.path(&key).expect("valid key")).map(|m| m.len()).unwrap_or(0);
+        let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
         println!(
             "{:<12} {:>10.1}ms {:>10.2}ms {:>8.0}x {:>7}KiB",
             kind.as_str(),
@@ -84,20 +83,21 @@ fn main() {
         reference.push((kind, want));
     }
     println!();
-    println!("pool ready: {:?}", cache.keys());
+    println!("pool ready: {} snapshots in {}", reference.len(), dir.display());
 
     // 3. Rotation: serve each wiring in turn from its snapshot alone. A
-    // rotating defense swaps the datapath by pointing the server at a
-    // different mapping — milliseconds, no recompilation, no calibration.
+    // rotating defense swaps the datapath by hot-reloading a different
+    // mapping into the live server — milliseconds, no recompilation, no
+    // calibration.
     let total = data.images.shape()[0];
-    for (kind, want) in &reference {
-        let key = format!("lenet5-int8-{}", kind.as_str());
+    let map = |kind| Arc::new(InferencePlan::load(path_of(kind)).expect("snapshot maps"));
+    let server = BatchServer::from_plan(map(reference[0].0), ServeConfig::default());
+    for (generation, (kind, want)) in reference.iter().enumerate() {
         let start = Instant::now();
-        let server = BatchServer::from_snapshot(
-            cache.path(&key).expect("valid key"),
-            ServeConfig::default(),
-        )
-        .expect("snapshot serves");
+        if generation > 0 {
+            let swapped = server.reload_plan(map(*kind)).expect("same interface swaps");
+            assert_eq!(swapped, generation as u64);
+        }
         let pending: Vec<_> = (0..total)
             .map(|i| server.submit(&data.images.batch_item(i)).expect("accepting"))
             .collect();
@@ -113,12 +113,12 @@ fn main() {
         }
         let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
         println!(
-            "rotated to {:<12} served {total} samples bit-identically in {elapsed_ms:.1} ms \
-             (map + serve, no compile)",
+            "generation {generation} {:<12} served {total} samples bit-identically in \
+             {elapsed_ms:.1} ms (map + swap + serve, no compile)",
             kind.as_str()
         );
-        server.shutdown();
     }
+    server.shutdown();
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -5,10 +5,9 @@
 //!     --snapshot model.daplan --addr 127.0.0.1:0 --demo-snapshot
 //! ```
 //!
-//! Boots [`BatchServer::from_snapshot`] (mmap cold start, no compilation)
-//!
-//! [`BatchServer::from_snapshot`]: defensive_approximation::nn::serve::BatchServer::from_snapshot
-//! and hands it to the `da_nn::net` reactor. The process prints exactly one
+//! Maps the snapshot with [`InferencePlan::load`] (mmap cold start, no
+//! compilation), serves it with [`BatchServer::from_plan`] and hands the
+//! server to the `da_nn::net` reactor. The process prints exactly one
 //! `listening on <addr>` line once the socket is bound — harnesses bind
 //! port 0 and scrape the kernel-assigned port from that line — then serves
 //! until a client sends a `SHUTDOWN` frame, which drains in-flight work and
@@ -25,11 +24,16 @@
 //! mmaps + fully validates the replacement before atomically swapping it
 //! in. A corrupt replacement is rejected and the old plan keeps serving.
 //! Clients can trigger the same reload over the wire with a `RELOAD` frame.
+//!
+//! [`InferencePlan::load`]: defensive_approximation::nn::engine::InferencePlan::load
+//! [`BatchServer::from_plan`]: defensive_approximation::nn::serve::BatchServer::from_plan
 
 #[cfg(unix)]
 fn main() {
+    use std::sync::Arc;
     use std::time::Duration;
 
+    use defensive_approximation::nn::engine::InferencePlan;
     use defensive_approximation::nn::net::{NetConfig, NetServer};
     use defensive_approximation::nn::serve::{BatchServer, ServeConfig};
 
@@ -91,8 +95,8 @@ fn main() {
     // booted from (an operator overwrites the file, then signals).
     net.reload_path = Some(reload_path.unwrap_or_else(|| snapshot.clone()).into());
 
-    let server = match BatchServer::from_snapshot(&snapshot, serve) {
-        Ok(s) => s,
+    let server = match InferencePlan::load(&snapshot) {
+        Ok(plan) => BatchServer::from_plan(Arc::new(plan), serve),
         Err(e) => die(&format!("cannot serve snapshot {snapshot}: {e}")),
     };
     // A pre-loaded cheaper plan (typically an int8 snapshot beside the f32
@@ -100,7 +104,9 @@ fn main() {
     // and interface-checked at boot: a brownout is the wrong moment to
     // discover the fallback does not fit.
     if let Some(path) = &brownout_snapshot {
-        if let Err(e) = server.set_fallback_from_snapshot(path) {
+        if let Err(e) =
+            InferencePlan::load(path).and_then(|p| server.set_fallback_plan(Arc::new(p)))
+        {
             die(&format!("cannot use brownout snapshot {path}: {e}"));
         }
         eprintln!("brownout fallback armed from {path}");

@@ -6,6 +6,8 @@
 //! `BatchServer` machinery. Training reuses the `da_core::ModelCache`
 //! smoke backbone, so repeated runs reload cached weights.
 
+use std::sync::Arc;
+
 use defensive_approximation::arith::MultiplierKind;
 use defensive_approximation::core::{Budget, ModelCache};
 use defensive_approximation::nn::engine::{InferencePlan, PlanPrecision};
@@ -72,12 +74,13 @@ fn trained_quantized_lenet_serves_bit_identically() {
     let calibration = cache.digits_test(32).images;
     let plan = InferencePlan::compile_quantized(&net, net.multiplier().cloned(), &calibration)
         .expect("LeNet quantizes");
-    let server = BatchServer::compile_quantized(
-        &net,
-        &calibration,
+    let server = BatchServer::from_plan(
+        Arc::new(
+            InferencePlan::compile_quantized(&net, net.multiplier().cloned(), &calibration)
+                .expect("LeNet quantizes"),
+        ),
         ServeConfig { workers: 2, max_batch: 4, ..ServeConfig::default() },
-    )
-    .expect("LeNet quantizes");
+    );
     let samples = cache.digits_test(24).images;
     let want = plan.predict_batch(&samples);
     let classes = want.shape()[1];
