@@ -99,7 +99,6 @@ pub(crate) fn gemm_tile_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rotating::RotatingMultiplier;
     use crate::simd::nan_stable_add;
     use crate::{Multiplier, MultiplierKind};
     use rand::{Rng, SeedableRng};
@@ -162,17 +161,8 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let specials = [0.0f32, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e-40, f32::MAX];
         let (rows, k, tile, stride) = (3usize, 4usize, 9usize, 13usize);
-        let mut mults: Vec<(String, std::sync::Arc<dyn Multiplier>)> =
-            MultiplierKind::ALL.iter().map(|k| (k.to_string(), k.build())).collect();
-        let rotating = std::sync::Arc::new(RotatingMultiplier::from_kinds(&[
-            MultiplierKind::Exact,
-            MultiplierKind::AxFpm,
-            MultiplierKind::Heap,
-        ]));
-        for epoch in 0..rotating.schedule_len() {
-            mults.push((format!("rotating@{epoch}"), rotating.clone()));
-        }
-        for (name, m) in &mults {
+        for name in MultiplierKind::ALL {
+            let m = name.build();
             for special_rate in [0usize, 4] {
                 let gen = |rng: &mut rand::rngs::StdRng, n: usize| -> Vec<f32> {
                     (0..n)
@@ -208,9 +198,6 @@ mod tests {
                         );
                     }
                 }
-            }
-            if name.starts_with("rotating") {
-                rotating.advance();
             }
         }
     }

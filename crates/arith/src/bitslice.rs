@@ -8,8 +8,8 @@
 //! pairs** into bit-planes (one `u64` per significand bit position), sweeps
 //! the adder rows once per plane set, and transposes the product planes back.
 //! Every word-level boolean op then retires 64 multiplies' worth of one gate,
-//! which is what gives gate-level and rotating wirings — the kinds with no
-//! closed form and no precomputed table — SIMD-class throughput while staying
+//! which is what gives gate-level wirings — the kinds with no closed form
+//! and no precomputed table — SIMD-class throughput while staying
 //! bit-identical to [`ArrayMultiplier::multiply`](crate::ArrayMultiplier::multiply).
 
 use crate::array::{ArrayMultiplierSpec, CellAssignment, CpaKind, PortMap};

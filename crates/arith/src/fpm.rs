@@ -271,8 +271,8 @@ fn pack_clamped(sign_bit: u32, exp: i32, frac: u32) -> f32 {
 /// one-shot slice entry points: decomposes the shared operand once per
 /// sweep. Cores without a proven closed form (HEAP, ablation wirings) run on
 /// the bit-sliced plane sweep ([`BitslicedArray`], 64 products per block, or
-/// 8×64 across runs of normal weights in a tile GEMM), which needs no table
-/// and therefore also covers rotating wirings. Cores **with** a closed form
+/// 8×64 across runs of normal weights in a tile GEMM), which needs no table.
+/// Cores **with** a closed form
 /// (canonical AMA5, the exact array) run on the lane-parallel kernels of
 /// [`crate::simd`]: the caller's [`RowClass`] picks a class-matched
 /// `LANES`-wide block pipeline; `Special` rows stay on the shared

@@ -41,11 +41,10 @@
 //!   [`simd`]: the row class picks a `LANES`-wide branchless block
 //!   pipeline, autovectorized on every target. Inf/NaN rows stay on the
 //!   shared scalar slow path, so special-value semantics cannot diverge.
-//! * **Gate-level cores without a closed form** (HEAP, rotating ablation
+//! * **Gate-level cores without a closed form** (HEAP, port-map ablation
 //!   wirings) run the netlist itself on the [`bitslice`] plane sweep: 64
 //!   products per block, and 8×64 per wide block wherever a tile GEMM has a
-//!   run of eight normal weights. There is no table to build or invalidate,
-//!   which is what makes rotating schedules viable at serving throughput.
+//!   run of eight normal weights. There is no table to build.
 //! * When operands are **codes**, the [`quantized`] module collapses any
 //!   multiplier's hot path — gate-level cores included — into one
 //!   precomputed [`ProductLut`]: every entry is the scalar multiplier's own
@@ -106,7 +105,6 @@ pub mod heap;
 pub mod metrics;
 pub mod profile;
 pub mod quantized;
-pub mod rotating;
 pub mod simd;
 pub mod storage;
 

@@ -103,7 +103,7 @@ fn every_truth_table_matches_the_bitwise_reference_on_random_words() {
 }
 
 /// The specs the golden vectors cover: the pinned HEAP core, the canonical
-/// AMA5 core under **every** port-map wiring (the rotation ablation's full
+/// AMA5 core under **every** port-map wiring (the port-map ablation's full
 /// orbit), and every uniform cell kind (each distinct sum/carry truth-table
 /// pair) under the canonical wiring.
 fn golden_specs() -> Vec<(String, ArrayMultiplierSpec)> {

@@ -8,19 +8,13 @@
 //! `LANES+1`, `4·LANES+3`, and the bit-sliced block seam
 //! `BITSLICE_LANES-1`, `BITSLICE_LANES`, `BITSLICE_LANES+1`, with
 //! NaN/Inf/denormal/zero values pinned at block boundaries and inside the
-//! scalar tail, for **every** [`MultiplierKind`] (and a rotating schedule
-//! for the tile GEMM). References are built from
-//! scalar [`da_arith::Multiplier::multiply`] plus the pinned
+//! scalar tail, for **every** [`MultiplierKind`]. References are built
+//! from scalar [`da_arith::Multiplier::multiply`] plus the pinned
 //! [`da_arith::simd::nan_stable_add`] accumulate, the crate's documented
 //! reduction semantics.
 
-use std::sync::Arc;
-
-use da_arith::rotating::RotatingMultiplier;
 use da_arith::simd::nan_stable_add;
-use da_arith::{
-    classify_row, Multiplier, MultiplierKind, RowClass, BITSLICE_LANES, BITSLICE_WIDE, LANES,
-};
+use da_arith::{classify_row, MultiplierKind, RowClass, BITSLICE_LANES, BITSLICE_WIDE, LANES};
 use rand::{Rng, SeedableRng};
 
 /// The lane-boundary length sweep: SIMD block/tail splits, then the
@@ -148,7 +142,7 @@ fn dot_is_bit_exact_at_lane_boundaries() {
 /// `gemm_tile` under every valid class cover equals the scalar `multiply`
 /// loop accumulated with `k` ascending, at lane-boundary tile widths with
 /// specials pinned at tile boundaries and a strided output (the engine's
-/// fused conv path), for every kind and a rotating schedule.
+/// fused conv path), for every kind.
 #[test]
 fn gemm_tile_is_bit_exact_at_lane_boundary_tiles() {
     let mut rng = rng();
@@ -157,17 +151,8 @@ fn gemm_tile_is_bit_exact_at_lane_boundary_tiles() {
     // `BITSLICE_WIDE` normal weights that gate-level kernels fuse.
     let wide_k = 2 * BITSLICE_WIDE + 1;
     let cases = [(3usize, 4usize, None), (wide_k, 8, Some(wide_k + 4))];
-    let rotating = Arc::new(RotatingMultiplier::from_kinds(&[
-        MultiplierKind::Heap,
-        MultiplierKind::Bfloat16,
-        MultiplierKind::AxFpm,
-    ]));
-    let mut mults: Vec<(String, Arc<dyn Multiplier>)> =
-        MultiplierKind::ALL.iter().map(|k| (k.to_string(), k.build())).collect();
-    for epoch in 0..rotating.schedule_len() {
-        mults.push((format!("rotating@{epoch}"), rotating.clone()));
-    }
-    for (name, m) in &mults {
+    for name in MultiplierKind::ALL {
+        let m = name.build();
         for (k, nan_at, zero_at) in cases {
             for tile in LENGTHS {
                 if tile == 0 {
@@ -207,9 +192,6 @@ fn gemm_tile_is_bit_exact_at_lane_boundary_tiles() {
                     assert_rows_equal(&acc, &want, &ctx);
                 }
             }
-        }
-        if name.starts_with("rotating") {
-            rotating.advance();
         }
     }
 }

@@ -236,6 +236,30 @@ mod tests {
         assert!(acc > 0.7, "smoke LeNet accuracy {acc}");
     }
 
+    /// A DQ net reloaded through a second cache evaluates exactly as the net
+    /// that was trained: parameters and batch-norm running statistics both
+    /// survive the round trip. The accuracy floor is on the training images:
+    /// smoke-budget DQ nets fit them (measured 0.92 / 0.68 / 0.29 for Float /
+    /// WeightOnly / Full) but sit near chance on held-out images.
+    #[test]
+    fn dq_convnets_reload_bit_identically_above_chance() {
+        let budget = Budget::smoke();
+        let cache = temp_cache("dq");
+        let reload = ModelCache::new(cache.dir());
+        let test = cache.objects_test(200).images;
+        let train = cache.objects_train(&budget);
+        for mode in [DqMode::Float, DqMode::WeightOnly, DqMode::Full] {
+            let trained = cache.dq_convnet(&budget, mode);
+            let reloaded = reload.dq_convnet(&budget, mode);
+            let (want, got) = (trained.logits(&test), reloaded.logits(&test));
+            let same_bits =
+                want.data().iter().zip(got.data()).all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same_bits, "{mode:?}: reloaded logits differ from the trained net's");
+            let acc = da_nn::train::evaluate_accuracy(&reloaded, &train.images, &train.labels, 128);
+            assert!(acc > 0.2, "{mode:?} reloaded smoke accuracy {acc} (chance 0.1)");
+        }
+    }
+
     #[test]
     fn train_and_test_sets_are_disjoint_streams() {
         let cache = temp_cache("disjoint");

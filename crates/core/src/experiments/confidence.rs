@@ -30,17 +30,17 @@ impl ConfidenceCdf {
         values.iter().filter(|&&c| c >= threshold).count() as f64 / values.len() as f64
     }
 
-    /// Cumulative distribution sampled at `points` equally spaced confidence
-    /// levels in `[-1, 1]`, as `(level, exact_cdf, approx_cdf)` triples.
+    /// Cumulative distribution `P(C <= level)` sampled at `points` equally
+    /// spaced confidence levels in `[-1, 1]`, as `(level, exact_cdf,
+    /// approx_cdf)` triples.
     pub fn cdf(&self, points: usize) -> Vec<(f32, f64, f64)> {
+        let at_most = |values: &[f32], level: f32| {
+            values.iter().filter(|&&c| c <= level).count() as f64 / values.len().max(1) as f64
+        };
         (0..=points)
             .map(|i| {
                 let level = -1.0 + 2.0 * i as f32 / points as f32;
-                (
-                    level,
-                    1.0 - Self::fraction_above(&self.exact, level),
-                    1.0 - Self::fraction_above(&self.approx, level),
-                )
+                (level, at_most(&self.exact, level), at_most(&self.approx, level))
             })
             .collect()
     }
@@ -54,6 +54,13 @@ impl std::fmt::Display for ConfidenceCdf {
             "  fraction with C >= 0.8:  exact {:.1}%   DA {:.1}%  (paper: <20% vs 74.5%)",
             Self::fraction_above(&self.exact, 0.8) * 100.0,
             Self::fraction_above(&self.approx, 0.8) * 100.0
+        )?;
+        // Confidence never exceeds 1, so `C >= 1` is a saturated softmax.
+        writeln!(
+            f,
+            "  fraction with C = 1.0:   exact {:.1}%   DA {:.1}%",
+            Self::fraction_above(&self.exact, 1.0) * 100.0,
+            Self::fraction_above(&self.approx, 1.0) * 100.0
         )?;
         writeln!(f, "  {:>10} {:>12} {:>12}", "C", "CDF exact", "CDF approx")?;
         for (level, e, a) in self.cdf(10) {
@@ -101,6 +108,17 @@ mod tests {
         let pts = cdf.cdf(4);
         assert!(pts.first().expect("points").1 <= pts.last().expect("points").1 + 1e-9);
         assert!((pts.last().expect("points").1 - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn cdf_counts_saturated_confidence_at_one() {
+        let cdf = ConfidenceCdf { exact: vec![0.5, 1.0, 1.0, 1.0], approx: vec![1.0; 4] };
+        let pts = cdf.cdf(10);
+        assert_eq!(pts.last().copied(), Some((1.0, 1.0, 1.0)));
+        let (level, e, a) = pts[8];
+        assert!((level - 0.6).abs() < 1e-6);
+        assert_eq!((e, a), (0.25, 0.0));
+        assert!(cdf.to_string().contains("fraction with C = 1.0:   exact 75.0%   DA 100.0%"));
     }
 
     #[test]

@@ -40,7 +40,6 @@
 
 pub mod budget;
 pub mod cache;
-pub mod ensemble;
 pub mod experiments;
 pub mod suites;
 

@@ -289,9 +289,8 @@ pub(crate) enum Kernel {
 
 impl Kernel {
     /// The f32 kernel for dense weights `[In, Out]`: rows classified with
-    /// [`classify_row`], the one classification every batch kernel accepts
-    /// (so the classes stay valid whichever design a rotating multiplier
-    /// runs); raw without a multiplier.
+    /// [`classify_row`], the one classification every batch kernel accepts;
+    /// raw without a multiplier.
     pub(crate) fn dense(
         multiplier: &Option<Arc<dyn Multiplier>>,
         wt: Storage<f32>,

@@ -5,12 +5,11 @@
 //! ```
 //!
 //! The Defensive Approximation deployment story leans on swapping the
-//! arithmetic under a fixed network — and a rotating defense wants that
-//! swap to be *fast*. Compiling a quantized serving plan is the slow part:
-//! a calibration pass plus one 256×256 product table per quantizer pair
-//! (for gate-level wirings, 65 536 gate-level evaluations per table). This
-//! demo shows the snapshot workflow that deletes the cost from the serving
-//! path:
+//! arithmetic under a fixed network, and that swap should be *fast*.
+//! Compiling a quantized serving plan is the slow part: a calibration pass
+//! plus one 256×256 product table per quantizer pair (for gate-level
+//! wirings, 65 536 gate-level evaluations per table). This demo shows the
+//! snapshot workflow that deletes the cost from the serving path:
 //!
 //! 1. **Precompile a pool**: one int8 plan per multiplier wiring, each
 //!    saved with `InferencePlan::save` as `<dir>/<key>.daplan` (compile
@@ -85,10 +84,9 @@ fn main() {
     println!();
     println!("pool ready: {} snapshots in {}", reference.len(), dir.display());
 
-    // 3. Rotation: serve each wiring in turn from its snapshot alone. A
-    // rotating defense swaps the datapath by hot-reloading a different
-    // mapping into the live server — milliseconds, no recompilation, no
-    // calibration.
+    // 3. Serve each wiring in turn from its snapshot alone: the datapath
+    // swaps by hot-reloading a different mapping into the live server —
+    // milliseconds, no recompilation, no calibration.
     let total = data.images.shape()[0];
     let map = |kind| Arc::new(InferencePlan::load(path_of(kind)).expect("snapshot maps"));
     let server = BatchServer::from_plan(map(reference[0].0), ServeConfig::default());

@@ -11,6 +11,7 @@
 
 use std::time::Instant;
 
+use defensive_approximation::arith::heap::{explore, select_heap};
 use defensive_approximation::core::experiments::{
     accuracy, blackbox, confidence, dq, energy, fig4, heatmap, profiles, transfer, whitebox,
 };
@@ -71,6 +72,15 @@ fn main() {
 
     section("Table 9 — mantissa-core energy & delay");
     println!("{}", energy::table9());
+    println!("Design-space exploration (paper §4.3), 20k samples per design:");
+    let points = explore(20_000, 42);
+    for p in &points {
+        println!("  {p}");
+    }
+    if let Some(best) = select_heap(&points, 0.6) {
+        println!("\nDSE pick under a 0.6x energy budget (published-HEAP criterion):");
+        println!("  {best}");
+    }
 
     section("Table 10 — HEAP vs Ax-FPM transferability");
     println!("{}", transfer::table10(&cache, &budget));
