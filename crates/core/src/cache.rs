@@ -5,6 +5,11 @@
 //! per budget with fixed seeds and stores the weights under the artifacts
 //! directory; later calls reload in milliseconds. Corrupt cache files are
 //! detected (via `da-nn`'s format validation) and retrigger training.
+//!
+//! Training is deterministic in those seeds *for a given
+//! `std::thread::available_parallelism`*: `da_nn::train` shards each batch
+//! by it, so the cache files are per host shape. Two cold runs on one host
+//! write byte-identical files; a host with another core count may not.
 
 use std::path::{Path, PathBuf};
 

@@ -75,7 +75,13 @@ impl std::fmt::Display for DqTable {
                 r.dq_weight_rate * 100.0
             )?;
         }
-        Ok(())
+        let (da, dq) = self.mean_rates();
+        writeln!(
+            f,
+            "mean transfer: DA {:.0}% vs DQ-full {:.0}% (paper: DA ~2x more robust)",
+            da * 100.0,
+            dq * 100.0
+        )
     }
 }
 

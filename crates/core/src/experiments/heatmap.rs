@@ -45,7 +45,12 @@ impl std::fmt::Display for HeatmapReport {
             }
             writeln!(f)?;
         }
-        Ok(())
+        writeln!(
+            f,
+            "feature-energy ratios vs exact: Ax-FPM {:.3}, HEAP {:.3} (paper: Ax-FPM boosts, HEAP lowers)",
+            self.mean_ratio(1),
+            self.mean_ratio(2)
+        )
     }
 }
 

@@ -11,3 +11,4 @@ pub mod heatmap;
 pub mod profiles;
 pub mod transfer;
 pub mod whitebox;
+pub mod wiring;

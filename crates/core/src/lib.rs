@@ -15,6 +15,7 @@
 //! | Table 5 | [`experiments::dq`] |
 //! | Tables 6 / 8 | [`experiments::accuracy`] |
 //! | Tables 7 / 9 | [`experiments::energy`] |
+//! | AMA5 wiring ablation (beside Table 9) | [`experiments::wiring`] |
 //! | Figure 16 | [`experiments::heatmap`] |
 //!
 //! Runners are deterministic in their [`Budget`] and the cache's seeds; the

@@ -108,6 +108,12 @@ pub trait Layer: Send + Sync {
     /// and shapes.
     fn set_buffers(&mut self, _buffers: Vec<Tensor>) {}
 
+    /// Fold the batch statistics that a training-mode [`Layer::forward`]
+    /// recorded in `cache` into the [`Layer::buffers`] state, exactly as
+    /// that forward already did. Training replays concurrent shards'
+    /// updates through this in a fixed order. Default: no-op.
+    fn apply_batch_stats(&self, _cache: &Cache) {}
+
     /// Install (or clear) the approximate multiplier used by this layer's
     /// forward inner products. Default: no-op for layers without multiplies.
     fn set_multiplier(&mut self, _multiplier: Option<Arc<dyn Multiplier>>) {}

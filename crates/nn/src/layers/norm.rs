@@ -45,6 +45,15 @@ impl BatchNorm {
         }
     }
 
+    /// Fold one batch's statistics into the running EMA.
+    fn update_running(&self, mean: &[f32], var: &[f32]) {
+        let mut running = self.running.lock().expect("running stats lock");
+        for i in 0..self.channels() {
+            running.mean[i] = (1.0 - self.momentum) * running.mean[i] + self.momentum * mean[i];
+            running.var[i] = (1.0 - self.momentum) * running.var[i] + self.momentum * var[i];
+        }
+    }
+
     fn channels(&self) -> usize {
         self.gamma.len()
     }
@@ -92,11 +101,7 @@ impl Layer for BatchNorm {
             }
             let mean: Vec<f32> = mean.iter().map(|&m| m as f32).collect();
             let var: Vec<f32> = var.iter().map(|&v| v as f32).collect();
-            let mut running = self.running.lock().expect("running stats lock");
-            for i in 0..c {
-                running.mean[i] = (1.0 - self.momentum) * running.mean[i] + self.momentum * mean[i];
-                running.var[i] = (1.0 - self.momentum) * running.var[i] + self.momentum * var[i];
-            }
+            self.update_running(&mean, &var);
             (mean, var)
         } else {
             let running = self.running.lock().expect("running stats lock");
@@ -113,7 +118,7 @@ impl Layer for BatchNorm {
         }
 
         let cache = Cache {
-            tensors: vec![xhat, Tensor::from_vec(var.clone(), &[c])],
+            tensors: vec![xhat, Tensor::from_vec(var, &[c]), Tensor::from_vec(mean, &[c])],
             indices: x.shape().to_vec(),
         };
         (y, cache)
@@ -164,6 +169,10 @@ impl Layer for BatchNorm {
             Tensor::from_vec(running.mean.clone(), &[c]),
             Tensor::from_vec(running.var.clone(), &[c]),
         ]
+    }
+
+    fn apply_batch_stats(&self, cache: &Cache) {
+        self.update_running(cache.tensors[2].data(), cache.tensors[1].data());
     }
 
     fn set_buffers(&mut self, buffers: Vec<Tensor>) {

@@ -296,6 +296,15 @@ impl Network {
         }
     }
 
+    /// Replay the buffer updates of a training-mode [`Network::forward`]
+    /// from its `caches` (see [`Layer::apply_batch_stats`]).
+    pub(crate) fn apply_batch_stats(&mut self, caches: &[Cache]) {
+        self.invalidate_plan();
+        for (layer, cache) in self.layers.iter().zip(caches) {
+            layer.apply_batch_stats(cache);
+        }
+    }
+
     /// Per-layer kind names (for summaries and save-file validation).
     pub fn layer_names(&self) -> Vec<&'static str> {
         self.layers.iter().map(|l| l.name()).collect()

@@ -5,7 +5,7 @@ use rand::SeedableRng;
 
 use da_tensor::Tensor;
 
-use crate::layers::Mode;
+use crate::layers::{Cache, Mode};
 use crate::loss::softmax_cross_entropy;
 use crate::optim::Optimizer;
 use crate::Network;
@@ -52,7 +52,11 @@ pub fn gather_batch(xs: &Tensor, idxs: &[usize]) -> Tensor {
 ///
 /// Each mini-batch is sharded across available CPU cores; shard gradients are
 /// recombined as a weighted average, so results are independent of the core
-/// count up to floating-point reassociation.
+/// count up to floating-point reassociation. Training is deterministic in
+/// `config.seed` and the network's initial state *for a given
+/// [`std::thread::available_parallelism`]*: the shard count follows it, and
+/// both the gradient sum and the batch-norm running statistics are combined
+/// in shard order, never in thread-completion order.
 ///
 /// # Panics
 ///
@@ -111,10 +115,11 @@ fn train_step(
         .min(chunk.len().div_ceil(4).max(1));
 
     let shards: Vec<&[usize]> = chunk.chunks(chunk.len().div_ceil(threads)).collect();
-    let results: Vec<(f32, Vec<Vec<Tensor>>, usize)> = if shards.len() <= 1 {
+    let results: Vec<ShardResult> = if shards.len() <= 1 {
         vec![shard_gradients(network, xs, labels, chunk, seed)]
     } else {
-        std::thread::scope(|scope| {
+        let pre_step = network.buffers();
+        let results: Vec<ShardResult> = std::thread::scope(|scope| {
             let handles: Vec<_> = shards
                 .iter()
                 .enumerate()
@@ -126,13 +131,22 @@ fn train_step(
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("training shard panicked")).collect()
-        })
+        });
+        if !pre_step.is_empty() {
+            // The shards' forwards updated the batch-norm running statistics
+            // in thread-completion order; replay them in shard order.
+            network.set_buffers(pre_step);
+            for (_, _, _, caches) in &results {
+                network.apply_batch_stats(caches);
+            }
+        }
+        results
     };
 
     // Weighted-average the shard gradients into the first one's buffers.
     let total: usize = results.iter().map(|r| r.2).sum();
     let mut iter = results.into_iter();
-    let (mut loss, mut acc, first_count) = iter.next().expect("at least one shard");
+    let (mut loss, mut acc, first_count, _) = iter.next().expect("at least one shard");
     let w0 = first_count as f32 / total as f32;
     loss *= w0;
     for layer in &mut acc {
@@ -140,7 +154,7 @@ fn train_step(
             g.scale(w0);
         }
     }
-    for (shard_loss, grads, count) in iter {
+    for (shard_loss, grads, count, _) in iter {
         let w = count as f32 / total as f32;
         loss += shard_loss * w;
         for (al, gl) in acc.iter_mut().zip(grads) {
@@ -156,19 +170,23 @@ fn train_step(
     loss
 }
 
+/// One shard's loss, per-layer parameter gradients, item count, and forward
+/// caches (from which its batch-norm statistics are replayed).
+type ShardResult = (f32, Vec<Vec<Tensor>>, usize, Vec<Cache>);
+
 fn shard_gradients(
     network: &Network,
     xs: &Tensor,
     labels: &[usize],
     shard: &[usize],
     seed: u64,
-) -> (f32, Vec<Vec<Tensor>>, usize) {
+) -> ShardResult {
     let batch = gather_batch(xs, shard);
     let batch_labels: Vec<usize> = shard.iter().map(|&i| labels[i]).collect();
     let (logits, caches) = network.forward(&batch, Mode::Train { seed });
     let (loss, dlogits) = softmax_cross_entropy(&logits, &batch_labels);
     let (_, grads) = network.backward(&caches, &dlogits);
-    (loss, grads, shard.len())
+    (loss, grads, shard.len(), caches)
 }
 
 /// Accuracy evaluated in chunks (bounding peak memory on big sets).
@@ -191,7 +209,7 @@ pub fn evaluate_accuracy(network: &Network, xs: &Tensor, labels: &[usize], chunk
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Dense, Relu};
+    use crate::layers::{BatchNorm, Dense, Relu};
     use crate::optim::{Adam, Sgd};
     use rand::Rng;
 
@@ -236,6 +254,33 @@ mod tests {
         let config = TrainConfig { epochs: 40, batch_size: 16, seed: 6, verbose: false };
         let report = train(&mut net, &xs, &ys, &config, &mut Sgd::with_momentum(0.05, 0.9));
         assert!(report.final_accuracy > 0.9, "accuracy {}", report.final_accuracy);
+    }
+
+    #[test]
+    fn batch_norm_training_is_bit_reproducible() {
+        // Sharded steps run concurrently on a multi-core host, so this
+        // catches running statistics applied in thread-completion order; on
+        // one core every step is a single shard and it passes trivially.
+        let (xs, ys) = toy_problem(400, 11);
+        let run = || {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+            let mut net = Network::new("toy-bn")
+                .push(Dense::new(2, 16, &mut rng))
+                .push(BatchNorm::new(16))
+                .push(Relu)
+                .push(Dense::new(16, 2, &mut rng));
+            let config = TrainConfig { epochs: 4, batch_size: 32, seed: 13, verbose: false };
+            train(&mut net, &xs, &ys, &config, &mut Adam::new(0.01));
+            let bits = |ts: Vec<&Tensor>| -> Vec<u32> {
+                ts.iter().flat_map(|t| t.data().iter().map(|v| v.to_bits())).collect()
+            };
+            (bits(net.params()), bits(net.buffers().iter().collect()))
+        };
+        let (params, buffers) = run();
+        assert_eq!(buffers.len(), 32);
+        for _ in 0..2 {
+            assert_eq!(run(), (params.clone(), buffers.clone()), "training diverged between runs");
+        }
     }
 
     #[test]

@@ -6,14 +6,15 @@
 //! DA_BUDGET=smoke cargo run --release --bin reproduce
 //! ```
 //!
-//! Prints every table and figure in paper order. Trained backbones are
+//! Prints every table and figure in paper order; the Table 9 section adds
+//! the §4.3 design-space listing and the AMA5 cell-wiring ablation. Trained backbones are
 //! cached under `artifacts/` so re-runs are fast.
 
 use std::time::Instant;
 
 use defensive_approximation::arith::heap::{explore, select_heap};
 use defensive_approximation::core::experiments::{
-    accuracy, blackbox, confidence, dq, energy, fig4, heatmap, profiles, transfer, whitebox,
+    accuracy, blackbox, confidence, dq, energy, fig4, heatmap, profiles, transfer, whitebox, wiring,
 };
 use defensive_approximation::core::{Budget, ModelCache};
 
@@ -81,6 +82,7 @@ fn main() {
         println!("\nDSE pick under a 0.6x energy budget (published-HEAP criterion):");
         println!("  {best}");
     }
+    println!("\n{}", wiring::ablation(20_000));
 
     section("Table 10 — HEAP vs Ax-FPM transferability");
     println!("{}", transfer::table10(&cache, &budget));

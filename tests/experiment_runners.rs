@@ -2,8 +2,9 @@
 //! result on the smoke budget (the per-table/figure index is in the
 //! `da_core` crate docs).
 
+use defensive_approximation::arith::array::PortMap;
 use defensive_approximation::core::experiments::{
-    accuracy, confidence, energy, fig4, heatmap, profiles, transfer,
+    accuracy, confidence, energy, fig4, heatmap, profiles, transfer, wiring,
 };
 use defensive_approximation::core::{Budget, ModelCache};
 
@@ -34,6 +35,17 @@ fn fig4_runner_renders() {
 fn energy_runners_render() {
     assert!(energy::table7().to_string().contains("Ax-FPM"));
     assert!(energy::table9().to_string().contains("HEAP"));
+
+    // A reduced sample count keeps the gate-level sweep fast in debug.
+    let ablation = wiring::ablation(2_000);
+    assert_eq!(ablation.rows.len(), 12, "{ablation}");
+    let canonical = ablation
+        .rows
+        .iter()
+        .find(|r| r.port_map == PortMap::PpSumCarry && r.cpa == "ama5-cpa")
+        .expect("canonical wiring row");
+    assert_eq!(canonical.stats.inflation_rate, 1.0, "{ablation}");
+    assert!((0.33..=0.39).contains(&canonical.stats.mred), "{ablation}");
 }
 
 #[test]
